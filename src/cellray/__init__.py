@@ -20,6 +20,7 @@ from .geometry import (
     Fusiform,
     NoIntersection,
     Pyramidal,
+    RayBatch,
     RayPath,
     RayState,
     Spherical,

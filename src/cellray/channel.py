@@ -16,11 +16,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import FocusReport, RayPath
+from .geometry import FocusReport, RayBatch, RayPath
 from .optics import (
     SPEED_OF_LIGHT_M_PER_S,
     UM_PER_MM,
@@ -31,6 +31,9 @@ from .optics import (
 
 # Illumination radii below this floor make the focusing ratio meaningless.
 ILLUMINATION_FLOOR_UM = 1e-3
+
+# A traced batch, or any sequence of paths (read through RayBatch.from_paths).
+Paths = Union[RayBatch, Sequence[RayPath]]
 
 
 class EmptyChannel(Exception):
@@ -101,38 +104,42 @@ def path_contribution(path: RayPath, media: Media,
     """
     if path.status == "leaked":
         raise ValueError("leaked rays do not reach the detector")
-    d_a_um = path.cell_length
-    d_e_um = path.tissue_length
-    delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
-    gain = transmittance(media.cell, d_a_um / UM_PER_MM, wavelength)
-    gain *= transmittance(media.tissue, d_e_um / UM_PER_MM, wavelength)
-    coord = path.exit.h
-    if detector_extent_um is not None and abs(coord) > 0.5 * detector_extent_um:
-        raise PathOutsideDetector(f"ray {path.ray_index} lands at {coord:.3f} um")
-    return PathContribution(delay_s=delay, gain=gain,
-                            ray_index=path.ray_index,
-                            detector_coordinate_um=coord)
+    detected, _ = contributions([path], media, wavelength, detector_extent_um)
+    if not detected:
+        raise PathOutsideDetector(f"ray {path.ray_index} lands at {path.exit.h:.3f} um")
+    return detected[0]
 
 
-def contributions(paths: Sequence[RayPath], media: Media,
+def contributions(paths: Paths, media: Media,
                   wavelength: Wavelength | None = None,
                   detector_extent_um: Optional[float] = None,
                   ) -> tuple[list[PathContribution], list[PathContribution]]:
     """Split paths into detected atoms and out-of-detector diagnostics."""
+    batch = RayBatch.from_paths(paths)
+    delivered = batch.status != "leaked"
+    d_a_um = batch.cell_length[delivered]
+    d_e_um = batch.tissue_length[delivered]
+    coord = batch.exit_h[delivered]
+    delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
+    if detector_extent_um is None:
+        off = np.zeros(len(coord), dtype=bool)
+    else:
+        off = np.abs(coord) > 0.5 * detector_extent_um
     detected: list[PathContribution] = []
     outside: list[PathContribution] = []
-    for path in paths:
-        if path.status == "leaked":
-            continue
-        try:
-            detected.append(path_contribution(path, media, wavelength,
-                                              detector_extent_um))
-        except PathOutsideDetector:
-            outside.append(path_contribution(path, media, wavelength, None))
+    for index, delay_s, a_mm, e_mm, h, is_off in zip(
+            batch.ray_index[delivered].tolist(), delay.tolist(),
+            (d_a_um / UM_PER_MM).tolist(), (d_e_um / UM_PER_MM).tolist(),
+            coord.tolist(), off.tolist()):
+        gain = transmittance(media.cell, a_mm, wavelength)
+        gain *= transmittance(media.tissue, e_mm, wavelength)
+        (outside if is_off else detected).append(
+            PathContribution(delay_s=delay_s, gain=gain, ray_index=index,
+                             detector_coordinate_um=h))
     return detected, outside
 
 
-def build_cir(paths: Sequence[RayPath], media: Media,
+def build_cir(paths: Paths, media: Media,
               wavelength: Wavelength | None = None, dt_s: float = 10e-15,
               gamma_mode: str = "per-path",
               detector_extent_um: Optional[float] = None,
@@ -206,7 +213,7 @@ def cumulative_gamma(report: FocusReport) -> float:
     return math.prod(focusing_gain(report))
 
 
-def detector_map(paths: Sequence[RayPath], media: Media,
+def detector_map(paths: Paths, media: Media,
                  wavelength: Wavelength | None = None,
                  detector_extent_um: float = 40.0) -> DetectorMap:
     """Arrival coordinates, normalized per-ray power and delay on the detector."""

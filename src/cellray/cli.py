@@ -18,6 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import channel as ch
 from . import config as cfg
 from . import geometry as geo
@@ -87,11 +89,14 @@ def _parse_sweep_shorthand(text: str) -> dict:
     key, sep, grid = text.partition("=")
     if not sep:
         raise CliError("usage", f"sweep shorthand needs param=range, got {text!r}", 2)
-    if ".." in grid:
-        lo, _, hi = grid.partition("..")
-        return {"parameter": key.strip(), "start": float(lo), "stop": float(hi)}
-    return {"parameter": key.strip(),
-            "values": [float(v) for v in grid.split(",")]}
+    try:
+        if ".." in grid:
+            lo, _, hi = grid.partition("..")
+            return {"parameter": key.strip(), "start": float(lo), "stop": float(hi)}
+        return {"parameter": key.strip(),
+                "values": [float(v) for v in grid.split(",")]}
+    except ValueError:
+        raise CliError("usage", f"sweep shorthand needs numbers, got {text!r}", 2)
 
 
 def _require_valid(scenario: cfg.Scenario) -> None:
@@ -108,12 +113,9 @@ def _trace(scenario: cfg.Scenario):
     return layout, media, bundle, paths, report
 
 
-def _status_counts(paths) -> dict:
-    return {
-        "arrived": sum(p.status == "arrived" for p in paths),
-        "leaked": sum(p.status == "leaked" for p in paths),
-        "deviated": sum(p.status == "deviated" for p in paths),
-    }
+def _status_counts(paths: geo.RayBatch) -> dict:
+    return {status: int(np.count_nonzero(paths.status == status))
+            for status in ("arrived", "leaked", "deviated")}
 
 
 def _aggregate_gamma(scenario: cfg.Scenario, focus) -> float | None:
@@ -153,10 +155,13 @@ def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
         ["ray_index", "status", "loss_cell", "h0_um", "exit_x_um",
          "exit_h_um", "exit_theta_rad", "cell_path_um", "tissue_path_um"],
         [
-            [p.ray_index, p.status, "" if p.loss_cell is None else p.loss_cell,
-             _fmt(bundle[p.ray_index].h), _fmt(p.exit.x), _fmt(p.exit.h),
-             _fmt(p.exit.theta), _fmt(p.cell_length), _fmt(p.tissue_length)]
-            for p in paths
+            [i, status, "" if loss < 0 else loss, _fmt(bundle[i].h), _fmt(x), _fmt(h),
+             _fmt(theta), _fmt(cell), _fmt(tissue)]
+            for i, status, loss, x, h, theta, cell, tissue in zip(
+                paths.ray_index.tolist(), paths.status.tolist(),
+                paths.loss_cell.tolist(), paths.exit_x.tolist(),
+                paths.exit_h.tolist(), paths.exit_theta.tolist(),
+                paths.cell_length.tolist(), paths.tissue_length.tolist())
         ],
     )
     focus_csv = out / "focus_report.csv"
@@ -307,7 +312,7 @@ def cmd_sweep(scenario: cfg.Scenario, out: Path) -> dict:
     # Compute everything first; nothing is written if any point fails.
     results = []
     for value in values:
-        if param in ("n_cells", "k_rays"):
+        if param in cfg.INTEGER_KEYS:
             value = int(value)
         point = replace(scenario, sweep=None, **{param: value})
         _require_valid(point)

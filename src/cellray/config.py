@@ -8,7 +8,9 @@ in both media.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 from typing import Any, Optional
 
 from .geometry import ArrayLayout, CellShape, Fusiform, Pyramidal, Spherical
@@ -95,35 +97,68 @@ class Scenario:
         return asdict(self)
 
 
+# Key types: integer counts, and the real-valued keys (those with a float
+# default, plus the detector pair that may be left unset as None).
+INTEGER_KEYS = frozenset({"n_cells", "k_rays"})
+OPTIONAL_KEYS = frozenset({"d_R_um", "total_um"})
+REAL_KEYS = frozenset(f.name for f in fields(Scenario)
+                      if isinstance(f.default, float)) | OPTIONAL_KEYS
+
+
 def default_scenario(shape: str = "fusiform") -> Scenario:
     if shape not in SHAPES:
         raise ValueError(f"unknown shape {shape!r}")
     return Scenario(shape=shape)
 
 
+def _is_finite_number(value: Any) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _number_violations(s: Scenario) -> list[str]:
+    """Type violations of the numeric keys.
+
+    NaN compares False against every bound and the tracer's masks, so
+    non-finite values are rejected before any range check runs.
+    """
+    v: list[str] = []
+    for f in fields(s):
+        value = getattr(s, f.name)
+        if f.name in INTEGER_KEYS:
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                v.append(f"{f.name}: must be an integer, got {value!r}")
+        elif f.name in REAL_KEYS and not (value is None and f.name in OPTIONAL_KEYS):
+            if not _is_finite_number(value):
+                v.append(f"{f.name}: must be a finite number, got {value!r}")
+    return v
+
+
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
-    """Build a Scenario from a parsed key tree; unknown keys are rejected."""
+    """Build a Scenario from a parsed key tree; unknown keys are rejected.
+
+    Values are not judged here: validate() reports every violation, and
+    whole-number floats become integers only for the integer keys.
+    """
     known = {f.name for f in fields(Scenario)}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     merged = {f.name: getattr(Scenario(), f.name) for f in fields(Scenario)}
     merged.update(data)
-    ints = {"n_cells", "k_rays"}
-    for key in ints:
-        if not isinstance(merged[key], bool) and isinstance(merged[key], float) \
-                and merged[key] == int(merged[key]):
+    for key in INTEGER_KEYS:
+        if isinstance(merged[key], float) and merged[key].is_integer():
             merged[key] = int(merged[key])
     return Scenario(**merged)
 
 
 def validate(scenario: Scenario) -> list[str]:
     """All invariant violations, each naming the offending field."""
-    v: list[str] = []
     s = scenario
-
+    v = _number_violations(s)
     if s.shape not in SHAPES:
         v.append(f"shape: must be one of {SHAPES}, got {s.shape!r}")
+    if v:
         return v
 
     if s.shape == "spherical":
@@ -179,12 +214,23 @@ def validate(scenario: Scenario) -> list[str]:
             v.append("sweep: needs a 'parameter' key")
         else:
             param = s.sweep["parameter"]
-            numeric = {f.name for f in fields(Scenario)} - {"shape", "gamma_mode", "sweep"}
-            if param not in numeric:
+            if param not in INTEGER_KEYS | REAL_KEYS:
                 v.append(f"sweep: cannot sweep {param!r}")
             if not (("values" in s.sweep) or
                     ("start" in s.sweep and "stop" in s.sweep)):
                 v.append("sweep: needs 'values' or 'start'/'stop'")
+            values = s.sweep.get("values", [])
+            if not isinstance(values, list) or \
+                    not all(_is_finite_number(x) for x in values):
+                v.append(f"sweep: values must be a list of finite numbers, "
+                         f"got {values!r}")
+            for key in ("start", "stop", "step"):
+                if key in s.sweep and not _is_finite_number(s.sweep[key]):
+                    v.append(f"sweep: {key} must be a finite number, "
+                             f"got {s.sweep[key]!r}")
+            step = s.sweep.get("step", 1)
+            if _is_finite_number(step) and step <= 0:
+                v.append(f"sweep: step must be positive, got {step!r}")
     return v
 
 

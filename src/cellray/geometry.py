@@ -13,6 +13,26 @@ Three cell cross-sections are supported:
     h = -h_c/2 and the apex at +h_c/2, acting as a prism that deviates rays
     toward the base.
 
+Tracing is struct-of-arrays.  For cell i, one numpy step takes the x, h and
+theta arrays of every ray still on the line, solves the circle or segment
+intersections, refracts by Snell's law and gives each ray a stop code:
+crossed, missed, total internal reflection or turned backward.  A ray's
+stop code is that of the first check it fails, in the order the surfaces
+are met, so the arrays hold for every ray exactly what tracing it alone
+would give.  trace_array returns a RayBatch of per-ray arrays; trace_cell
+is the same step run on one ray.  RayPath objects are built only when a
+caller indexes or iterates a batch; refraction events are reported by
+trace_cell only.
+
+Every value equals, bit for bit, the one a per-ray scalar loop computes with
+the math module; tests/scalar_tracer.py keeps such a loop as the oracle of
+tests/test_batch_tracer.py.  numpy's +, -, *, / and sqrt round exactly as
+math's do, and its cos and sin matched math.cos and math.sin on every input
+checked.  Its vectorised arctan2 and tan do not: on x86-64 with AVX-512
+they differ from math.atan2 and math.tan in the last bit for about 5 % and
+0.5 % of inputs, and that drift reaches the written CSV files.  Those two
+therefore run through math, one element at a time (_atan2, _tan).
+
 All functions are pure; rays are independent and may be traced in parallel
 and merged by index.
 """
@@ -20,13 +40,18 @@ and merged by index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .optics import Media
 
 # Intersection/arc-membership slop, in micrometres.
 TOL = 1e-9
+
+# Stop codes of one cell crossing, in the order a ray can meet them.
+CROSSED, MISS, TIR, BACKWARD = 0, 1, 2, 3
 
 
 class NoIntersection(Exception):
@@ -250,8 +275,6 @@ class RayPath:
     status: str
     loss_cell: Optional[int]
     exit: RayState
-    trace: list[RayState] = field(default_factory=list)
-    events: list[RefractionEvent] = field(default_factory=list)
 
     def medium_length(self, tag: str) -> float:
         return sum(length for t, length in self.segments if t == tag)
@@ -263,6 +286,92 @@ class RayPath:
     @property
     def tissue_length(self) -> float:
         return self.medium_length("tissue")
+
+
+@dataclass(eq=False)
+class RayBatch:
+    """Traced rays as arrays: entry i of every array belongs to one ray.
+
+    status holds "arrived", "leaked" or "deviated" and loss_cell the first
+    cell a ray failed to traverse (-1 for arrived rays).  The exit arrays
+    give the detector-plane state of arrived and deviated rays and the last
+    state before the loss of leaked ones.  cell_length and tissue_length are
+    the summed per-medium path lengths.  legs[i, c] and chords[i, c] are the
+    tissue leg into cell c and the chord through it, valid for the cells the
+    ray traversed; final_leg is the leg on to the detector plane (0 for
+    leaked rays).
+
+    Indexing or iterating builds RayPath views.  A batch made by from_paths
+    has no leg or chord arrays and returns the original paths.
+    """
+
+    ray_index: np.ndarray
+    status: np.ndarray
+    loss_cell: np.ndarray
+    exit_x: np.ndarray
+    exit_h: np.ndarray
+    exit_theta: np.ndarray
+    intensity_scale: np.ndarray
+    cell_length: np.ndarray
+    tissue_length: np.ndarray
+    legs: Optional[np.ndarray] = None         # (K, N)
+    chords: Optional[np.ndarray] = None       # (K, N)
+    final_leg: Optional[np.ndarray] = None    # (K,)
+    paths: Optional[tuple[RayPath, ...]] = None
+
+    @classmethod
+    def from_paths(cls, paths: Union["RayBatch", Sequence[RayPath]]) -> "RayBatch":
+        """The batch of a plain sequence of paths; a batch is returned as is."""
+        if isinstance(paths, RayBatch):
+            return paths
+        paths = tuple(paths)
+
+        def column(values, dtype=float) -> np.ndarray:
+            return np.array(list(values), dtype=dtype)
+
+        return cls(
+            ray_index=column((p.ray_index for p in paths), int),
+            status=column((p.status for p in paths), "<U8"),
+            loss_cell=column((-1 if p.loss_cell is None else p.loss_cell
+                              for p in paths), int),
+            exit_x=column(p.exit.x for p in paths),
+            exit_h=column(p.exit.h for p in paths),
+            exit_theta=column(p.exit.theta for p in paths),
+            intensity_scale=column(p.exit.intensity_scale for p in paths),
+            cell_length=column(p.cell_length for p in paths),
+            tissue_length=column(p.tissue_length for p in paths),
+            paths=paths,
+        )
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def __iter__(self) -> Iterator[RayPath]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, i: int) -> RayPath:
+        if self.paths is not None:
+            return self.paths[i]
+        i = range(len(self))[i]
+        loss = int(self.loss_cell[i])
+        crossed = self.legs.shape[1] if loss < 0 else loss
+        segments: list[tuple[str, float]] = []
+        for leg, chord in zip(self.legs[i, :crossed].tolist(),
+                              self.chords[i, :crossed].tolist()):
+            if leg > TOL:
+                segments.append(("tissue", leg))
+            if chord > TOL:
+                segments.append(("cell", chord))
+        final = float(self.final_leg[i])
+        if final > TOL:
+            segments.append(("tissue", final))
+        exit_state = RayState(float(self.exit_x[i]), float(self.exit_h[i]),
+                              float(self.exit_theta[i]),
+                              float(self.intensity_scale[i]))
+        return RayPath(ray_index=int(self.ray_index[i]), segments=segments,
+                       status=str(self.status[i]),
+                       loss_cell=None if loss < 0 else loss,
+                       exit=exit_state)
 
 
 @dataclass(frozen=True)
@@ -284,222 +393,256 @@ class FocusReport:
     detector_radius: float
 
 
-def _refract(dx: float, dy: float, nx: float, ny: float,
-             n_in: float, n_out: float) -> tuple[float, float]:
-    """Refract unit direction (dx, dy) at a surface with normal (nx, ny).
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Elementwise math.atan2 (see the module docstring for why not numpy's)."""
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, len(y))
+
+
+def _tan(x: np.ndarray) -> np.ndarray:
+    """Elementwise math.tan (see the module docstring for why not numpy's)."""
+    return np.fromiter(map(math.tan, x.tolist()), float, len(x))
+
+
+def _stop(fate: np.ndarray, where: np.ndarray, code: int) -> None:
+    """Give `code` to the rays still crossing for which `where` holds."""
+    fate[(fate == CROSSED) & where] = code
+
+
+def _refract(dx, dy, nx, ny, n_in: float, n_out: float):
+    """Refract unit directions (dx, dy) at surfaces with normals (nx, ny).
 
     The normal orientation is irrelevant; it is flipped to face the ray.
-    Raises TotalInternalReflection when Snell has no real solution.
+    Returns the refracted direction and where Snell has no real solution.
     """
     cos_i = -(dx * nx + dy * ny)
-    if cos_i < 0.0:
-        nx, ny, cos_i = -nx, -ny, -cos_i
+    flip = cos_i < 0.0
+    if flip.any():
+        nx, ny = np.where(flip, -nx, nx), np.where(flip, -ny, ny)
+        cos_i = np.where(flip, -cos_i, cos_i)
     eta = n_in / n_out
     k = 1.0 - eta * eta * (1.0 - cos_i * cos_i)
-    if k < 0.0:
-        raise TotalInternalReflection
-    coeff = eta * cos_i - math.sqrt(k)
-    return eta * dx + coeff * nx, eta * dy + coeff * ny
+    coeff = eta * cos_i - np.sqrt(k)
+    return eta * dx + coeff * nx, eta * dy + coeff * ny, k < 0.0
 
 
-def _quadratic_roots(b: float, c: float) -> Optional[tuple[float, float]]:
-    """Roots of t^2 + 2bt + c = 0, smallest first, stable near c = 0."""
+def _circle_roots(px, py, dx, dy, cx: float, r: float):
+    """Ray/circle intersection parameters along unit directions (dx, dy).
+
+    The circle is centred on the axis at cx.  Returns the roots of
+    t^2 + 2bt + c = 0, smallest first and stable near c = 0, and where
+    they are real.
+    """
+    mx = px - cx
+    b = mx * dx + py * dy
+    c = mx * mx + py * py - r * r
     disc = b * b - c
-    if disc < 0.0:
-        return None
-    s = math.sqrt(disc)
-    if b >= 0.0:
-        q = -(b + s)
-    else:
-        q = -(b - s)
-    if q == 0.0:
-        return 0.0, 0.0
-    t1, t2 = q, c / q
-    return (t1, t2) if t1 <= t2 else (t2, t1)
+    s = np.sqrt(disc)
+    t1 = np.where(b >= 0.0, -(b + s), -(b - s))
+    t2 = c / t1
+    zero = t1 == 0.0
+    if zero.any():
+        t1, t2 = np.where(zero, 0.0, t1), np.where(zero, 0.0, t2)
+    first = t1 <= t2
+    return np.where(first, t1, t2), np.where(first, t2, t1), ~(disc < 0.0)
 
 
-def _circle_roots(px: float, py: float, dx: float, dy: float,
-                  cx: float, cy: float, r: float) -> Optional[tuple[float, float]]:
-    """Ray/circle intersection parameters along unit direction (dx, dy)."""
-    mx, my = px - cx, py - cy
-    return _quadratic_roots(mx * dx + my * dy, mx * mx + my * my - r * r)
+def _segment_hit(px, py, dx, dy, ax: float, ay: float, bx: float, by: float):
+    """Ray/segment intersection (t, s, hit), with point a + s*(b - a).
 
-
-def _segment_hit(px: float, py: float, dx: float, dy: float,
-                 ax: float, ay: float, bx: float, by: float) -> Optional[tuple[float, float]]:
-    """Ray/segment intersection; returns (t, s) with hit = a + s*(b - a)."""
+    hit is False where the ray runs parallel to the segment.
+    """
     ex, ey = bx - ax, by - ay
     det = ex * dy - ey * dx
-    if abs(det) < 1e-15:
-        return None
     t = (ex * (ay - py) - ey * (ax - px)) / det
     s = (dx * (ay - py) - dy * (ax - px)) / det
-    return t, s
+    return t, s, ~(np.abs(det) < 1e-15)
 
 
-def _state(x: float, h: float, dx: float, dy: float, scale: float) -> RayState:
-    return RayState(x=x, h=h, theta=math.atan2(dy, dx), intensity_scale=scale)
+def _on_segment(s: np.ndarray) -> np.ndarray:
+    return (-1e-12 <= s) & (s <= 1.0 + 1e-12)
 
 
-def _event(x, h, nx, ny, theta_in, theta_out, n_in, n_out) -> RefractionEvent:
-    return RefractionEvent(x=x, h=h, normal_angle=math.atan2(ny, nx),
-                           theta_in=theta_in, theta_out=theta_out,
-                           n_in=n_in, n_out=n_out)
+@dataclass
+class _Crossing:
+    """K rays pushed through one cell.
+
+    fate and surfaces cover every input ray; the other arrays hold only the
+    rays that crossed, in input order.
+    """
+
+    fate: np.ndarray
+    tissue_leg: np.ndarray
+    entry_x: np.ndarray
+    entry_h: np.ndarray
+    chord: np.ndarray
+    x: np.ndarray          # at the exit surface
+    h: np.ndarray
+    theta: np.ndarray      # after refraction
+    dx: np.ndarray
+    dy: np.ndarray
+    # Per input ray: entry point, entry normal and in-cell direction, and
+    # exit point and exit normal, each as (x, h) or (nx, ny) / (dx, dy).
+    surfaces: tuple
+
+    def focus(self, j: int, exit_vertex_x: float) -> FocusEntry:
+        """Axis crossing of crossed ray j behind a radial cell."""
+        theta_f = abs(float(self.theta[j]))
+        dx, dy = float(self.dx[j]), float(self.dy[j])
+        if abs(dy) < 1e-15:
+            return FocusEntry(theta_f=theta_f, x_f=math.inf)
+        x_cross = float(self.x[j]) - float(self.h[j]) * dx / dy
+        return FocusEntry(theta_f=theta_f, x_f=x_cross - exit_vertex_x)
+
+    def events(self, media: Media, theta_in: float) -> tuple[RefractionEvent, ...]:
+        """Entry and exit refraction of input ray 0, which must have crossed."""
+        def first(v) -> float:
+            return float(v[0]) if np.ndim(v) else v
+
+        def angle(v) -> float:
+            return math.atan2(first(v[1]), first(v[0]))
+
+        (ex, eh, n1, d1), (xx, xh, n2) = self.surfaces
+        theta_mid = angle(d1)
+        return (
+            RefractionEvent(first(ex), first(eh), angle(n1), theta_in, theta_mid,
+                            media.tissue.n, media.cell.n),
+            RefractionEvent(first(xx), first(xh), angle(n2), theta_mid,
+                            float(self.theta[0]), media.cell.n, media.tissue.n),
+        )
 
 
-def _focus_entry(exit_x: float, exit_h: float, dx: float, dy: float,
-                 exit_vertex_x: float) -> FocusEntry:
-    theta = math.atan2(dy, dx)
-    if abs(dy) < 1e-15:
-        return FocusEntry(theta_f=abs(theta), x_f=math.inf)
-    x_cross = exit_x - exit_h * dx / dy
-    return FocusEntry(theta_f=abs(theta), x_f=x_cross - exit_vertex_x)
+def _crossing(fate, t_entry, ex, eh, n1, d1, t_exit, xx, xh, n2, d2) -> _Crossing:
+    """Keep the crossed rays of one cell step.
 
-
-def _forward(dx: float) -> None:
-    if dx <= 0.0:
-        # A refracted ray turning backwards cannot continue along the array.
-        raise TotalInternalReflection
-
-
-def _trace_radial(centers: tuple[tuple[float, float], tuple[float, float]],
-                  r: float, mid_x: Optional[float],
-                  media: Media, incoming: RayState,
-                  exit_vertex_x: float) -> CellTrace:
-    """Shared circle-surface trace; fusiform passes two centers and a midplane."""
-    (c1x, c1y), (c2x, c2y) = centers
-    dx, dy = math.cos(incoming.theta), math.sin(incoming.theta)
-    px, py = incoming.x, incoming.h
-
-    roots = _circle_roots(px, py, dx, dy, c1x, c1y, r)
-    if roots is None:
-        raise NoIntersection
-    t_entry, t_far = roots
-    if t_entry < -TOL or t_far <= TOL:
-        raise NoIntersection
-    ex, eh = px + t_entry * dx, py + t_entry * dy
-    if mid_x is not None and ex > mid_x + TOL:
-        # First hit is beyond the arc's extent: the ray skims past the lens.
-        raise NoIntersection
-    n1x, n1y = (ex - c1x) / r, (eh - c1y) / r
-    theta_in = incoming.theta
-    d1x, d1y = _refract(dx, dy, n1x, n1y, media.tissue.n, media.cell.n)
-    _forward(d1x)
-    entry = _state(ex, eh, dx, dy, incoming.intensity_scale)
-    ev1 = _event(ex, eh, n1x, n1y, theta_in, math.atan2(d1y, d1x),
-                 media.tissue.n, media.cell.n)
-
-    roots = _circle_roots(ex, eh, d1x, d1y, c2x, c2y, r)
-    if roots is None:
-        raise NoIntersection
-    _, t_exit = roots
-    if t_exit <= TOL:
-        raise NoIntersection
-    xx, xh = ex + t_exit * d1x, eh + t_exit * d1y
-    if mid_x is not None and xx < mid_x - TOL:
-        raise NoIntersection
-    n2x, n2y = (xx - c2x) / r, (xh - c2y) / r
-    theta_mid = math.atan2(d1y, d1x)
-    d2x, d2y = _refract(d1x, d1y, n2x, n2y, media.cell.n, media.tissue.n)
-    _forward(d2x)
-    outgoing = _state(xx, xh, d2x, d2y, incoming.intensity_scale)
-    ev2 = _event(xx, xh, n2x, n2y, theta_mid, outgoing.theta,
-                 media.cell.n, media.tissue.n)
-
-    return CellTrace(
-        tissue_leg=max(t_entry, 0.0),
-        entry=entry,
-        outgoing=outgoing,
-        chord=t_exit,
-        focus=_focus_entry(xx, xh, d2x, d2y, exit_vertex_x),
-        events=(ev1, ev2),
+    n1 and n2 are the entry and exit surface normals, arrays or scalars.
+    """
+    ok = fate == CROSSED
+    dx, dy = d2[0][ok], d2[1][ok]
+    t_entry = t_entry[ok]
+    return _Crossing(
+        fate=fate,
+        tissue_leg=np.where(0.0 > t_entry, 0.0, t_entry),
+        entry_x=ex[ok], entry_h=eh[ok], chord=t_exit[ok],
+        x=xx[ok], h=xh[ok], theta=_atan2(dy, dx), dx=dx, dy=dy,
+        surfaces=((ex, eh, n1, d1), (xx, xh, n2)),
     )
 
 
-def _trace_pyramidal(shape: Pyramidal, media: Media, incoming: RayState,
-                     entry_x: float) -> CellTrace:
+def _cross_radial(c1x: float, c2x: float, r: float, mid_x: Optional[float],
+                  media: Media, px, py, theta) -> _Crossing:
+    """Circle surfaces centred on the axis at c1x (entry) and c2x (exit).
+
+    Fusiform cells pass the midplane mid_x between their two arcs.
+    """
+    fate = np.zeros(len(px), dtype=np.int8)
+    dx, dy = np.cos(theta), np.sin(theta)
+
+    t_entry, t_far, real = _circle_roots(px, py, dx, dy, c1x, r)
+    _stop(fate, ~real | (t_entry < -TOL) | (t_far <= TOL), MISS)
+    ex, eh = px + t_entry * dx, py + t_entry * dy
+    if mid_x is not None:
+        # First hit is beyond the arc's extent: the ray skims past the lens.
+        _stop(fate, ex > mid_x + TOL, MISS)
+    n1x, n1y = (ex - c1x) / r, eh / r
+    d1x, d1y, tir = _refract(dx, dy, n1x, n1y, media.tissue.n, media.cell.n)
+    _stop(fate, tir, TIR)
+    _stop(fate, d1x <= 0.0, BACKWARD)
+
+    _, t_exit, real = _circle_roots(ex, eh, d1x, d1y, c2x, r)
+    _stop(fate, ~real | (t_exit <= TOL), MISS)
+    xx, xh = ex + t_exit * d1x, eh + t_exit * d1y
+    if mid_x is not None:
+        _stop(fate, xx < mid_x - TOL, MISS)
+    n2x, n2y = (xx - c2x) / r, xh / r
+    d2x, d2y, tir = _refract(d1x, d1y, n2x, n2y, media.cell.n, media.tissue.n)
+    _stop(fate, tir, TIR)
+    _stop(fate, d2x <= 0.0, BACKWARD)
+    return _crossing(fate, t_entry, ex, eh, (n1x, n1y), (d1x, d1y),
+                     t_exit, xx, xh, (n2x, n2y), (d2x, d2y))
+
+
+def _cross_pyramidal(shape: Pyramidal, media: Media, entry_x: float,
+                     px, py, theta) -> _Crossing:
     half = shape.half_aperture
     ax, ay = entry_x, -half                      # base-left corner
     bx, by = entry_x + shape.w_c, -half          # base-right corner
     tx_, ty_ = entry_x + 0.5 * shape.w_c, half   # apex
-    dx, dy = math.cos(incoming.theta), math.sin(incoming.theta)
-    px, py = incoming.x, incoming.h
+    fate = np.zeros(len(px), dtype=np.int8)
+    dx, dy = np.cos(theta), np.sin(theta)
 
-    hit = _segment_hit(px, py, dx, dy, ax, ay, tx_, ty_)
-    if hit is None:
-        raise NoIntersection
-    t_entry, s = hit
-    if t_entry < -TOL or not -1e-12 <= s <= 1.0 + 1e-12:
-        raise NoIntersection
+    t_entry, s, hit = _segment_hit(px, py, dx, dy, ax, ay, tx_, ty_)
+    _stop(fate, ~hit | (t_entry < -TOL) | ~_on_segment(s), MISS)
     ex, eh = px + t_entry * dx, py + t_entry * dy
     # Left face normal, perpendicular to (apex - base-left).
     fx, fy = tx_ - ax, ty_ - ay
     norm = math.hypot(fx, fy)
     n1x, n1y = fy / norm, -fx / norm
-    d1x, d1y = _refract(dx, dy, n1x, n1y, media.tissue.n, media.cell.n)
-    _forward(d1x)
-    entry = _state(ex, eh, dx, dy, incoming.intensity_scale)
-    ev1 = _event(ex, eh, n1x, n1y, incoming.theta, math.atan2(d1y, d1x),
-                 media.tissue.n, media.cell.n)
+    d1x, d1y, tir = _refract(dx, dy, n1x, n1y, media.tissue.n, media.cell.n)
+    _stop(fate, tir, TIR)
+    _stop(fate, d1x <= 0.0, BACKWARD)
 
-    # Exit through the right face or, for steeply descending rays, the base.
-    faces = (
-        ((tx_, ty_, bx, by), (fy / norm, fx / norm)),  # right face normal
-        ((bx, by, ax, ay), (0.0, -1.0)),               # base normal
-    )
-    best = None
-    for (qax, qay, qbx, qby), normal in faces:
-        h2 = _segment_hit(ex, eh, d1x, d1y, qax, qay, qbx, qby)
-        if h2 is None:
-            continue
-        t2, s2 = h2
-        if t2 <= TOL or not -1e-12 <= s2 <= 1.0 + 1e-12:
-            continue
-        if best is None or t2 < best[0]:
-            best = (t2, normal)
-    if best is None:
-        raise NoIntersection
-    t_exit, (n2x, n2y) = best
+    # Exit through the right face or, for steeply descending rays, the base:
+    # the nearer valid hit, the right face on a tie.
+    t_right, s, hit = _segment_hit(ex, eh, d1x, d1y, tx_, ty_, bx, by)
+    right = hit & (t_right > TOL) & _on_segment(s)
+    t_base, s, hit = _segment_hit(ex, eh, d1x, d1y, bx, by, ax, ay)
+    base = hit & (t_base > TOL) & _on_segment(s)
+    _stop(fate, ~(right | base), MISS)
+    use_base = base & (~right | (t_base < t_right))
+    t_exit = np.where(use_base, t_base, t_right)
+    n2x = np.where(use_base, 0.0, fy / norm)     # base or right face normal
+    n2y = np.where(use_base, -1.0, fx / norm)
     xx, xh = ex + t_exit * d1x, eh + t_exit * d1y
-    theta_mid = math.atan2(d1y, d1x)
-    d2x, d2y = _refract(d1x, d1y, n2x, n2y, media.cell.n, media.tissue.n)
-    _forward(d2x)
-    outgoing = _state(xx, xh, d2x, d2y, incoming.intensity_scale)
-    ev2 = _event(xx, xh, n2x, n2y, theta_mid, outgoing.theta,
-                 media.cell.n, media.tissue.n)
+    d2x, d2y, tir = _refract(d1x, d1y, n2x, n2y, media.cell.n, media.tissue.n)
+    _stop(fate, tir, TIR)
+    _stop(fate, d2x <= 0.0, BACKWARD)
+    return _crossing(fate, t_entry, ex, eh, (n1x, n1y), (d1x, d1y),
+                     t_exit, xx, xh, (n2x, n2y), (d2x, d2y))
 
-    return CellTrace(
-        tissue_leg=max(t_entry, 0.0),
-        entry=entry,
-        outgoing=outgoing,
-        chord=t_exit,
-        focus=None,
-        events=(ev1, ev2),
-    )
+
+def _cross(shape: CellShape, media: Media, entry_x: float, x, h, theta) -> _Crossing:
+    """Push rays through the cell whose entry vertex sits at entry_x.
+
+    Circle surfaces take the upstream root for the entry surface and the
+    downstream root for the exit surface.
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if isinstance(shape, Spherical):
+            c = entry_x + shape.r_c
+            return _cross_radial(c, c, shape.r_c, None, media, x, h, theta)
+        if isinstance(shape, Fusiform):
+            r = shape.curvature_radius
+            return _cross_radial(entry_x + r, entry_x + shape.w_c - r, r,
+                                 entry_x + 0.5 * shape.w_c, media, x, h, theta)
+        if isinstance(shape, Pyramidal):
+            return _cross_pyramidal(shape, media, entry_x, x, h, theta)
+    raise TypeError(f"unsupported shape {type(shape).__name__}")
 
 
 def trace_cell(shape: CellShape, media: Media, incoming: RayState,
                entry_x: float) -> CellTrace:
     """Trace one ray through one cell whose entry vertex sits at entry_x.
 
-    Circle surfaces use the standard quadratic solve, taking the upstream
-    root for the entry surface and the downstream root for the exit surface.
     Raises NoIntersection when the ray misses the cell and
     TotalInternalReflection when a surface cannot refract it forward.
     """
-    if isinstance(shape, Spherical):
-        c = (entry_x + shape.r_c, 0.0)
-        return _trace_radial((c, c), shape.r_c, None, media, incoming,
-                             entry_x + shape.axial_extent)
-    if isinstance(shape, Fusiform):
-        r = shape.curvature_radius
-        left = (entry_x + r, 0.0)
-        right = (entry_x + shape.w_c - r, 0.0)
-        return _trace_radial((left, right), r, entry_x + 0.5 * shape.w_c,
-                             media, incoming, entry_x + shape.axial_extent)
-    if isinstance(shape, Pyramidal):
-        return _trace_pyramidal(shape, media, incoming, entry_x)
-    raise TypeError(f"unsupported shape {type(shape).__name__}")
+    c = _cross(shape, media, entry_x, np.array([incoming.x]),
+               np.array([incoming.h]), np.array([incoming.theta]))
+    if c.fate[0] == MISS:
+        raise NoIntersection
+    if c.fate[0] != CROSSED:
+        raise TotalInternalReflection
+    theta, scale = incoming.theta, incoming.intensity_scale
+    return CellTrace(
+        tissue_leg=float(c.tissue_leg[0]),
+        entry=RayState(float(c.entry_x[0]), float(c.entry_h[0]),
+                       math.atan2(math.sin(theta), math.cos(theta)), scale),
+        outgoing=RayState(float(c.x[0]), float(c.h[0]), float(c.theta[0]), scale),
+        chord=float(c.chord[0]),
+        focus=None if isinstance(shape, Pyramidal)
+        else c.focus(0, entry_x + shape.axial_extent),
+        events=c.events(media, theta),
+    )
 
 
 def collimated_bundle(shape: CellShape, k: int) -> list[RayState]:
@@ -519,7 +662,7 @@ def collimated_bundle(shape: CellShape, k: int) -> list[RayState]:
 
 
 def trace_array(layout: ArrayLayout, media: Media,
-                bundle: list[RayState]) -> tuple[list[RayPath], FocusReport]:
+                bundle: Sequence[RayState]) -> tuple[RayBatch, FocusReport]:
     """Trace a ray bundle through the whole array up to the detector plane.
 
     Rays that miss a cell are leaked for radial shapes (removed from the
@@ -529,78 +672,82 @@ def trace_array(layout: ArrayLayout, media: Media,
     """
     if not bundle:
         raise ValueError("empty ray bundle")
-    pyramidal = isinstance(layout.shape, Pyramidal)
+    shape, k, n = layout.shape, len(bundle), layout.n_cells
+    miss_status = "deviated" if isinstance(shape, Pyramidal) else "leaked"
+    # Rows x, h, theta, cell length, tissue length: `rays` for every ray,
+    # `run` for the rays still on the line (indexed by `live`).  A ray's row
+    # is written back to `rays` when it stops and after the last cell.
+    rays = np.zeros((5, k))
+    rays[:3] = [[r.x for r in bundle], [r.h for r in bundle],
+                [r.theta for r in bundle]]
+    source_radius = float(np.max(np.abs(rays[1])))
+    status = np.full(k, "arrived", dtype="<U8")
+    loss_cell = np.full(k, -1)
+    legs, chords = np.zeros((k, n)), np.zeros((k, n))
+    radii = [0.0] * n
+    focus: list[Optional[FocusEntry]] = [None] * n
+
+    live, run = np.arange(k), rays.copy()
+    for cell in range(n):
+        if not live.size:
+            break
+        entry_x = layout.cell_entry_x(cell)
+        c = _cross(shape, media, entry_x, run[0], run[1], run[2])
+        stopped = c.fate != CROSSED
+        if stopped.any():
+            lost = live[stopped]
+            loss_cell[lost] = cell
+            status[lost] = np.where(c.fate[stopped] == MISS, miss_status, "leaked")
+            rays[:, lost] = run[:, stopped]
+            live, run = live[~stopped], run[:, ~stopped]
+            if not live.size:
+                break
+        legs[live, cell] = c.tissue_leg
+        chords[live, cell] = c.chord
+        # Lengths accumulate cell by cell, as a per-ray sum would.
+        run[3] += np.where(c.chord > TOL, c.chord, 0.0)
+        run[4] += np.where(c.tissue_leg > TOL, c.tissue_leg, 0.0)
+        run[:3] = c.x, c.h, c.theta
+        radii[cell] = float(np.max(np.abs(c.h)))
+        if not isinstance(shape, Pyramidal):
+            marginal = int(np.argmax(np.abs(c.entry_h)))
+            focus[cell] = c.focus(marginal, entry_x + shape.axial_extent)
+    rays[:, live] = run
+
+    x, h, theta, cell_length, tissue_length = rays
+    delivered = np.flatnonzero(status != "leaked")
     d_total = layout.total_length
-    n = layout.n_cells
+    remaining = d_total - x[delivered]
+    final_leg = np.zeros(k)
+    final_leg[delivered] = remaining / np.cos(theta[delivered])
+    tissue_length[delivered] += np.where(final_leg[delivered] > TOL,
+                                         final_leg[delivered], 0.0)
+    h[delivered] += _tan(theta[delivered]) * remaining
+    x[delivered] = d_total
+    detector_radius = float(np.max(np.abs(h[delivered]))) if delivered.size else 0.0
 
-    exit_radius = [0.0] * n
-    marginal: list[Optional[tuple[float, FocusEntry]]] = [None] * n
-    detector_radius = 0.0
-    paths: list[RayPath] = []
-
-    for index, ray in enumerate(bundle):
-        segments: list[tuple[str, float]] = []
-        states = [ray]
-        events: list[RefractionEvent] = []
-        pos = ray
-        status = "arrived"
-        loss: Optional[int] = None
-
-        for cell in range(n):
-            try:
-                ct = trace_cell(layout.shape, media, pos, layout.cell_entry_x(cell))
-            except NoIntersection:
-                status = "deviated" if pyramidal else "leaked"
-                loss = cell
-                break
-            except TotalInternalReflection:
-                status = "leaked"
-                loss = cell
-                break
-            if ct.tissue_leg > TOL:
-                segments.append(("tissue", ct.tissue_leg))
-            if ct.chord > TOL:
-                segments.append(("cell", ct.chord))
-            states.extend((ct.entry, ct.outgoing))
-            events.extend(ct.events)
-            pos = ct.outgoing
-            exit_radius[cell] = max(exit_radius[cell], abs(ct.outgoing.h))
-            if ct.focus is not None:
-                key = abs(ct.entry.h)
-                if marginal[cell] is None or key > marginal[cell][0]:
-                    marginal[cell] = (key, ct.focus)
-
-        if status in ("arrived", "deviated"):
-            remaining = d_total - pos.x
-            leg = remaining / math.cos(pos.theta)
-            h_det = pos.h + math.tan(pos.theta) * remaining
-            if leg > TOL:
-                segments.append(("tissue", leg))
-            exit_state = RayState(d_total, h_det, pos.theta, pos.intensity_scale)
-            states.append(exit_state)
-            detector_radius = max(detector_radius, abs(h_det))
-        else:
-            exit_state = pos
-
-        paths.append(RayPath(ray_index=index, segments=segments, status=status,
-                             loss_cell=loss, exit=exit_state, trace=states,
-                             events=events))
-
+    batch = RayBatch(
+        ray_index=np.arange(k), status=status, loss_cell=loss_cell,
+        exit_x=x, exit_h=h, exit_theta=theta,
+        intensity_scale=np.array([r.intensity_scale for r in bundle], dtype=float),
+        cell_length=cell_length, tissue_length=tissue_length,
+        legs=legs, chords=chords, final_leg=final_leg,
+    )
     cells = [
         CellFocus(
             cell_index=i,
-            theta_f=None if marginal[i] is None else marginal[i][1].theta_f,
-            x_f=None if marginal[i] is None else marginal[i][1].x_f,
-            illumination_radius=exit_radius[i],
+            theta_f=None if focus[i] is None else focus[i].theta_f,
+            x_f=None if focus[i] is None else focus[i].x_f,
+            illumination_radius=radii[i],
         )
         for i in range(n)
     ]
     report = FocusReport(
-        source_radius=max(abs(r.h) for r in bundle),
+        source_radius=source_radius,
         cells=cells,
         detector_radius=detector_radius if detector_radius > 0.0 else math.nan,
     )
-    return paths, report
+    return batch, report
 
 
 def avg_distances(shape: CellShape, gap: float) -> tuple[float, float]:

@@ -38,7 +38,7 @@ def synthetic_path(segments, exit_h=0.0, status="arrived", index=0):
     total_x = sum(length for _, length in segments)
     return RayPath(ray_index=index, segments=list(segments), status=status,
                    loss_cell=None if status == "arrived" else 0,
-                   exit=RayState(total_x, exit_h, 0.0), trace=[], events=[])
+                   exit=RayState(total_x, exit_h, 0.0))
 
 
 def gain_oracle(d_a_um, d_e_um):

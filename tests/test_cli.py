@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,8 @@ from cellray.config import (
     sweep_values,
     validate,
 )
+
+FLOAT_KEYS = [f.name for f in fields(Scenario) if "float" in f.type]
 
 
 class TestScenarioConfig:
@@ -57,6 +61,30 @@ class TestScenarioConfig:
         sc.sweep = {"parameter": "d_l_um", "values": [2.0, 5.0]}
         assert sweep_values(sc) == [2.0, 5.0]
 
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_floats_rejected(self, key):
+        for value in (math.nan, math.inf, -math.inf, True, "5"):
+            violations = validate(scenario_from_dict({key: value}))
+            assert [v for v in violations if v.startswith(key)], (key, value)
+
+    @pytest.mark.parametrize("key", ["k_rays", "n_cells"])
+    def test_integer_keys_need_integers(self, key):
+        for value in (True, False, 2.5, math.nan, math.inf, "3", None):
+            violations = validate(scenario_from_dict({key: value}))
+            assert [v for v in violations if v.startswith(key)], (key, value)
+        assert scenario_from_dict({key: 3.0}) == scenario_from_dict({key: 3})
+
+    def test_sweep_grid_checked(self):
+        # Through validate only: sweep_values never ends on a step <= 0.
+        for grid in ({"start": 1, "stop": 4, "step": 0},
+                     {"start": 1, "stop": 4, "step": -1},
+                     {"start": 1, "stop": 4, "step": math.nan},
+                     {"start": 1, "stop": math.inf},
+                     {"values": [1.0, math.nan]}):
+            sc = default_scenario()
+            sc.sweep = {"parameter": "n_cells", **grid}
+            assert [v for v in validate(sc) if v.startswith("sweep")], grid
+
     @given(st.floats(1.0, 60.0), st.floats(0.1, 1.0), st.integers(0, 30),
            st.floats(0.0, 20.0))
     @settings(max_examples=50, deadline=None)
@@ -89,6 +117,23 @@ class TestCliCommands:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "validation"
         assert any("w_c_um" in v for v in record["detail"])
+
+    @pytest.mark.parametrize("override", ["d_l_um=NaN", "n_cell=NaN",
+                                          "mu_a_cell_per_mm=Infinity",
+                                          "k_rays=true", "n_cells=2.5"])
+    def test_non_finite_or_mistyped_exit_code(self, tmp_path, capsys, override):
+        code = main(["--command", "cir", "--out", str(tmp_path), "--set", override])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("grid", ["n_cells=1..x", "d_l_um=2,five"])
+    def test_sweep_shorthand_needs_numbers(self, tmp_path, capsys, grid):
+        code = main(["--command", "sweep", "--out", str(tmp_path),
+                     "--set", f"sweep={grid}"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = main(["--command", "cir", "--scenario", "/nonexistent.json",
