@@ -7,16 +7,17 @@ distances.  Convolving per-segment delta impulses is therefore done
 analytically, with no numerical convolution error; the signal module uses
 numerical convolution only for pulse shaping.
 
-Atoms are merged by associative binned addition, so the merge order cannot
-change results beyond floating-point associativity (1e-12 relative).
+Atoms are held as arrays (Atoms) and merged by binned addition with
+np.bincount, in ray order, so the merge order cannot change results beyond
+floating-point associativity (1e-12 relative).  Every output table is
+written by write_csv.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,6 +59,35 @@ class PathContribution:
     detector_coordinate_um: float
 
 
+@dataclass(eq=False)
+class Atoms:
+    """Channel atoms as arrays: entry i of every array belongs to one ray.
+
+    Indexing or iterating builds PathContribution views.
+    """
+
+    delay_s: np.ndarray
+    gain: np.ndarray
+    ray_index: np.ndarray
+    detector_coordinate_um: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.delay_s)
+
+    def __iter__(self) -> Iterator[PathContribution]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __getitem__(self, i: int) -> PathContribution:
+        return PathContribution(delay_s=float(self.delay_s[i]),
+                                gain=float(self.gain[i]),
+                                ray_index=int(self.ray_index[i]),
+                                detector_coordinate_um=float(self.detector_coordinate_um[i]))
+
+    def select(self, mask: np.ndarray) -> "Atoms":
+        return Atoms(self.delay_s[mask], self.gain[mask], self.ray_index[mask],
+                     self.detector_coordinate_um[mask])
+
+
 @dataclass
 class ImpulseResponse:
     """Discretised h(t): bin k spans times around t0 + k*dt."""
@@ -86,10 +116,17 @@ class ImpulseResponse:
 
 @dataclass
 class DetectorMap:
-    """Per-ray arrival samples across the detector plane."""
+    """Per-ray arrival samples across the detector plane.
+
+    samples has one row (coordinate_um, power_norm, delay_s) per detected
+    ray, in increasing coordinate order.
+    """
 
     half_extent_um: float
-    samples: list[tuple[float, float, float]]  # (coordinate_um, power_norm, delay_s)
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.samples = np.asarray(self.samples, dtype=float).reshape(-1, 3)
 
 
 def path_contribution(path: RayPath, media: Media,
@@ -113,7 +150,7 @@ def path_contribution(path: RayPath, media: Media,
 def contributions(paths: Paths, media: Media,
                   wavelength: Wavelength | None = None,
                   detector_extent_um: Optional[float] = None,
-                  ) -> tuple[list[PathContribution], list[PathContribution]]:
+                  ) -> tuple[Atoms, Atoms]:
     """Split paths into detected atoms and out-of-detector diagnostics."""
     batch = RayBatch.from_paths(paths)
     delivered = batch.status != "leaked"
@@ -121,22 +158,14 @@ def contributions(paths: Paths, media: Media,
     d_e_um = batch.tissue_length[delivered]
     coord = batch.exit_h[delivered]
     delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
+    gain = transmittance(media.cell, d_a_um / UM_PER_MM, wavelength)
+    gain *= transmittance(media.tissue, d_e_um / UM_PER_MM, wavelength)
+    atoms = Atoms(delay, gain, batch.ray_index[delivered], coord)
     if detector_extent_um is None:
         off = np.zeros(len(coord), dtype=bool)
     else:
         off = np.abs(coord) > 0.5 * detector_extent_um
-    detected: list[PathContribution] = []
-    outside: list[PathContribution] = []
-    for index, delay_s, a_mm, e_mm, h, is_off in zip(
-            batch.ray_index[delivered].tolist(), delay.tolist(),
-            (d_a_um / UM_PER_MM).tolist(), (d_e_um / UM_PER_MM).tolist(),
-            coord.tolist(), off.tolist()):
-        gain = transmittance(media.cell, a_mm, wavelength)
-        gain *= transmittance(media.tissue, e_mm, wavelength)
-        (outside if is_off else detected).append(
-            PathContribution(delay_s=delay_s, gain=gain, ray_index=index,
-                             detector_coordinate_um=h))
-    return detected, outside
+    return atoms.select(~off), atoms.select(off)
 
 
 def build_cir(paths: Paths, media: Media,
@@ -159,11 +188,8 @@ def build_cir(paths: Paths, media: Media,
     detected, _ = contributions(paths, media, wavelength, detector_extent_um)
     if not detected:
         raise EmptyChannel("no ray reaches the detector")
-    k = len(paths)
-    n_bins = int(round(max(c.delay_s for c in detected) / dt_s)) + 1
-    bins = np.zeros(n_bins)
-    for c in detected:
-        bins[int(round(c.delay_s / dt_s))] += c.gain / k
+    slots = np.rint(detected.delay_s / dt_s).astype(np.intp)
+    bins = np.bincount(slots, weights=detected.gain / len(paths))
     if gamma_mode == "aggregate":
         if aggregate_gamma is None:
             raise ValueError("aggregate mode needs the cumulative focusing ratio")
@@ -174,16 +200,18 @@ def build_cir(paths: Paths, media: Media,
 def rebin(cir: ImpulseResponse, dt_s: float) -> ImpulseResponse:
     """Re-deposit bin masses onto a new grid; total gain is conserved.
 
-    Masses move as atoms at their bin times, never interpolated as curves.
+    Masses move as atoms at their bin times, never interpolated as curves;
+    the new grid starts at t = 0, so no mass may lie before it.
     """
     if dt_s <= 0.0:
         raise ValueError("bin width must be positive")
     times = cir.times
     n_bins = int(round(times[-1] / dt_s)) + 1 if len(times) else 1
-    bins = np.zeros(max(n_bins, 1))
-    for t, mass in zip(times, cir.bins):
-        if mass != 0.0:
-            bins[int(round(t / dt_s))] += mass
+    mass = cir.bins != 0.0
+    slots = np.rint(times[mass] / dt_s).astype(np.intp)
+    if (slots < 0).any():
+        raise ValueError("rebin cannot place mass before t = 0")
+    bins = np.bincount(slots, weights=cir.bins[mass], minlength=max(n_bins, 1))
     return ImpulseResponse(t0=0.0, dt=dt_s, bins=bins)
 
 
@@ -220,49 +248,60 @@ def detector_map(paths: Paths, media: Media,
     if detector_extent_um <= 0.0:
         raise ValueError("detector extent must be positive")
     detected, _ = contributions(paths, media, wavelength, detector_extent_um)
-    top = max((c.gain for c in detected), default=1.0)
-    samples = [
-        (c.detector_coordinate_um, c.gain / top, c.delay_s)
-        for c in sorted(detected, key=lambda c: c.detector_coordinate_um)
-    ]
+    top = detected.gain.max() if len(detected) else 1.0
+    order = np.argsort(detected.detector_coordinate_um, kind="stable")
+    samples = np.column_stack((detected.detector_coordinate_um[order],
+                               detected.gain[order] / top, detected.delay_s[order]))
     return DetectorMap(half_extent_um=0.5 * detector_extent_um, samples=samples)
 
 
 def coordinate_clusters(dmap: DetectorMap, gap_um: float = 1.0,
-                        min_size: int = 2) -> list[list[tuple[float, float, float]]]:
+                        min_size: int = 2) -> list[np.ndarray]:
     """Group detector samples into clusters split at coordinate gaps > gap_um."""
-    clusters: list[list[tuple[float, float, float]]] = []
-    current: list[tuple[float, float, float]] = []
-    last = None
-    for sample in dmap.samples:
-        if last is not None and sample[0] - last > gap_um:
-            if len(current) >= min_size:
-                clusters.append(current)
-            current = []
-        current.append(sample)
-        last = sample[0]
-    if len(current) >= min_size:
-        clusters.append(current)
-    return clusters
+    splits = np.flatnonzero(np.diff(dmap.samples[:, 0]) > gap_um) + 1
+    return [c for c in np.split(dmap.samples, splits) if len(c) >= min_size]
 
 
-def _write_csv(path, header: Sequence[str], rows) -> None:
+# Rows formatted per block: bounds the memory of the block's Python values.
+CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
+    """Write a header line and one row per entry of the columns, CRLF-ended.
+
+    row_format is the %-template of one row, such as "%d,%s,%.12e", with one
+    conversion per column; columns are equal-length arrays or sequences.
+    The bytes equal those csv.writer writes for the formatted fields,
+    because the writer never quotes: fields must hold no comma, quote or
+    line break, and a row must not be one empty field, which csv.writer
+    would write as "".  Numbers and the status words written here qualify.
+    Blocks of CSV_BLOCK_ROWS rows are formatted with one %-operation each.
+    """
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0])
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError("columns must have equal lengths")
+    width = len(columns)
+    line = row_format + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.12e}" if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+            rows = len(block[0])
+            values = [None] * (rows * width)
+            for j, column in enumerate(block):
+                values[j::width] = column
+            fh.write((line * rows) % tuple(values))
 
 
 def write_cir_csv(cir: ImpulseResponse, path) -> None:
-    _write_csv(path, ["time_s", "amplitude"],
-               ((float(t), float(a)) for t, a in zip(cir.times, cir.bins)))
+    write_csv(path, ("time_s", "amplitude"), "%.12e,%.12e", (cir.times, cir.bins))
 
 
 def write_pdp_csv(pdp: ImpulseResponse, path) -> None:
-    _write_csv(path, ["time_s", "power"],
-               ((float(t), float(a)) for t, a in zip(pdp.times, pdp.bins)))
+    write_csv(path, ("time_s", "power"), "%.12e,%.12e", (pdp.times, pdp.bins))
 
 
 def write_detector_csv(dmap: DetectorMap, path) -> None:
-    _write_csv(path, ["coordinate_um", "power_norm", "delay_s"], dmap.samples)
+    write_csv(path, ("coordinate_um", "power_norm", "delay_s"), "%.12e,%.12e,%.12e",
+              dmap.samples.T)

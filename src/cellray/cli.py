@@ -11,7 +11,6 @@ example an empty channel).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -39,13 +38,6 @@ class CliError(Exception):
 
 def _fmt(value: float) -> str:
     return f"{value:.12e}"
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _parse_override(text: str):
@@ -135,8 +127,8 @@ def _base_report(scenario: cfg.Scenario, paths, media, focus) -> dict:
         "files": [],
     }
     if detected:
-        k = len(paths)
-        report["total_received_fraction"] = sum(c.gain for c in detected) / k
+        # Python's sum, in ray order: the report's bytes depend on it.
+        report["total_received_fraction"] = sum(detected.gain.tolist()) / len(paths)
         cir = ch.build_cir(paths, media, lam, scenario.cir_dt_fs * 1e-15,
                            scenario.gamma_mode, scenario.detector_width_um,
                            _aggregate_gamma(scenario, focus))
@@ -150,31 +142,26 @@ def _base_report(scenario: cfg.Scenario, paths, media, focus) -> dict:
 def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
     layout, media, bundle, paths, focus = _trace(scenario)
     rays_csv = out / "rays.csv"
-    _write_csv(
+    h0 = np.array([ray.h for ray in bundle])
+    loss = paths.loss_cell
+    ch.write_csv(
         rays_csv,
         ["ray_index", "status", "loss_cell", "h0_um", "exit_x_um",
          "exit_h_um", "exit_theta_rad", "cell_path_um", "tissue_path_um"],
-        [
-            [i, status, "" if loss < 0 else loss, _fmt(bundle[i].h), _fmt(x), _fmt(h),
-             _fmt(theta), _fmt(cell), _fmt(tissue)]
-            for i, status, loss, x, h, theta, cell, tissue in zip(
-                paths.ray_index.tolist(), paths.status.tolist(),
-                paths.loss_cell.tolist(), paths.exit_x.tolist(),
-                paths.exit_h.tolist(), paths.exit_theta.tolist(),
-                paths.cell_length.tolist(), paths.tissue_length.tolist())
-        ],
+        "%d,%s,%s" + ",%.12e" * 6,
+        [paths.ray_index, paths.status, np.where(loss < 0, "", loss.astype(str)),
+         h0[paths.ray_index], paths.exit_x, paths.exit_h, paths.exit_theta,
+         paths.cell_length, paths.tissue_length],
     )
     focus_csv = out / "focus_report.csv"
-    _write_csv(
+    ch.write_csv(
         focus_csv,
         ["cell_index", "theta_f_rad", "x_f_um", "illumination_radius_um"],
-        [
-            [c.cell_index,
-             "" if c.theta_f is None else _fmt(c.theta_f),
-             "" if c.x_f is None else _fmt(c.x_f),
-             _fmt(c.illumination_radius)]
-            for c in focus.cells
-        ],
+        "%d,%s,%s,%.12e",
+        [[c.cell_index for c in focus.cells],
+         ["" if c.theta_f is None else _fmt(c.theta_f) for c in focus.cells],
+         ["" if c.x_f is None else _fmt(c.x_f) for c in focus.cells],
+         [c.illumination_radius for c in focus.cells]],
     )
     report = _base_report(scenario, paths, media, focus)
     report["source_radius_um"] = focus.source_radius
@@ -202,23 +189,22 @@ def cmd_pathloss(scenario: cfg.Scenario, out: Path) -> dict:
         cursor = entry + 0.5 * pad + chord
     boundaries.append((layout.total_length - cursor, "tissue"))
 
-    rows = []
+    distance = [0.0]
+    cell_um = [0.0]
+    tissue_um = [0.0]
     pos = 0.0
     d_cell = 0.0
     d_tissue = 0.0
     step = 1.0  # um sampling
-    rows.append(["0.000000000000e+00", _fmt(0.0)])
     for length, tag in boundaries:
         if length <= 0.0:
             continue
         n_steps = max(int(math.ceil(length / step)), 1)
         for k in range(1, n_steps + 1):
             frac = min(k * step, length)
-            dc = d_cell + (frac if tag == "cell" else 0.0)
-            dtis = d_tissue + (frac if tag == "tissue" else 0.0)
-            loss = DB_PER_NEPER * (absorbance(media.cell, dc / UM_PER_MM)
-                                   + absorbance(media.tissue, dtis / UM_PER_MM))
-            rows.append([_fmt(pos + frac), _fmt(loss)])
+            distance.append(pos + frac)
+            cell_um.append(d_cell + (frac if tag == "cell" else 0.0))
+            tissue_um.append(d_tissue + (frac if tag == "tissue" else 0.0))
             if frac >= length:
                 break
         if tag == "cell":
@@ -226,14 +212,18 @@ def cmd_pathloss(scenario: cfg.Scenario, out: Path) -> dict:
         else:
             d_tissue += length
         pos += length
+    pathloss = DB_PER_NEPER * (absorbance(media.cell, np.array(cell_um) / UM_PER_MM)
+                               + absorbance(media.tissue, np.array(tissue_um) / UM_PER_MM))
 
     curve_csv = out / "pathloss_curve.csv"
-    _write_csv(curve_csv, ["distance_um", "pathloss_db"], rows)
+    ch.write_csv(curve_csv, ["distance_um", "pathloss_db"], "%.12e,%.12e",
+                 [distance, pathloss])
     lam = scenario.build_wavelength()
     report = {
         "scenario": scenario.to_dict(),
         "path_loss_db": total_path_loss(layout, media, lam),
-        "center_line_path_loss_db": float(rows[-1][1]),
+        # The value as written to the curve's last row.
+        "center_line_path_loss_db": float(_fmt(pathloss[-1])),
         "files": [curve_csv.name],
     }
     return report
@@ -277,14 +267,15 @@ def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
     for name, wave in (("tx.csv", tx), ("rx.csv", rx), ("rx_summary.csv", summary)):
         sig.write_waveform_csv(wave, out / name)
         files.append(name)
-    for name, wave in (("tx_spectrum.csv", tx), ("rx_spectrum.csv", rx)):
-        sig.write_spectrum_csv(sig.spectrum(wave), out / name)
+    tx_spectrum, rx_spectrum = sig.spectrum(tx), sig.spectrum(rx)
+    for name, spec in (("tx_spectrum.csv", tx_spectrum), ("rx_spectrum.csv", rx_spectrum)):
+        sig.write_spectrum_csv(spec, out / name)
         files.append(name)
     report = _base_report(scenario, paths, media, focus)
-    report["tx_peak_power"] = float(max(sig.envelope(tx)) ** 2)
-    report["rx_summary_peak_power"] = float(max(sig.envelope(summary)) ** 2)
-    report["tx_peak_frequency_hz"] = sig.spectrum(tx).peak_frequency()
-    report["rx_peak_frequency_hz"] = sig.spectrum(rx).peak_frequency()
+    report["tx_peak_power"] = float(sig.envelope(tx).max() ** 2)
+    report["rx_summary_peak_power"] = float(sig.envelope(summary).max() ** 2)
+    report["tx_peak_frequency_hz"] = tx_spectrum.peak_frequency()
+    report["rx_peak_frequency_hz"] = rx_spectrum.peak_frequency()
     report["files"] = files
     return report
 
@@ -297,9 +288,9 @@ def cmd_detector(scenario: cfg.Scenario, out: Path) -> dict:
     ch.write_detector_csv(dmap, det_csv)
     report = _base_report(scenario, paths, media, focus)
     report["detected_rays"] = len(dmap.samples)
-    if dmap.samples:
-        best = max(dmap.samples, key=lambda s: s[1])
-        report["max_power_coordinate_um"] = best[0]
+    if len(dmap.samples):
+        best = int(np.argmax(dmap.samples[:, 1]))
+        report["max_power_coordinate_um"] = float(dmap.samples[best, 0])
     report["files"] = [det_csv.name]
     return report
 
@@ -323,23 +314,20 @@ def cmd_sweep(scenario: cfg.Scenario, out: Path) -> dict:
             gamma = ch.cumulative_gamma(focus)
         cir = ch.build_cir(paths, media, lam, point.cir_dt_fs * 1e-15,
                            point.gamma_mode, point.detector_width_um, gamma)
-        results.append((value, cir, total_path_loss(layout, media, lam),
-                        _status_counts(paths)))
+        counts = _status_counts(paths)
+        results.append((cir, (float(value), cir.dominant_bin()[0], cir.total_gain(),
+                              total_path_loss(layout, media, lam),
+                              counts["leaked"], counts["deviated"])))
 
     files = []
-    summary_rows = []
-    for i, (value, cir, ploss, counts) in enumerate(results):
+    for i, (cir, _) in enumerate(results):
         name = f"cir_{i:03d}.csv"
         ch.write_cir_csv(cir, out / name)
         files.append(name)
-        summary_rows.append([_fmt(float(value)), _fmt(cir.dominant_bin()[0]),
-                             _fmt(cir.total_gain()), _fmt(ploss),
-                             counts["leaked"], counts["deviated"]])
     summary_csv = out / "sweep_summary.csv"
-    _write_csv(summary_csv,
-               [param, "dominant_delay_s", "total_gain", "pathloss_db",
-                "leaked", "deviated"],
-               summary_rows)
+    header = [param, "dominant_delay_s", "total_gain", "pathloss_db", "leaked", "deviated"]
+    ch.write_csv(summary_csv, header, "%.12e,%.12e,%.12e,%.12e,%d,%d",
+                 [[row[j] for _, row in results] for j in range(len(header))])
     files.append(summary_csv.name)
     return {"scenario": scenario.to_dict(), "sweep_parameter": param,
             "points": len(values), "files": files}

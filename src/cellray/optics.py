@@ -3,12 +3,17 @@
 Absorption and reduced scattering coefficients are per millimetre, so every
 function here takes distances in millimetres.  The geometry module works in
 micrometres; callers convert with UM_PER_MM at the boundary.
+
+absorbance and transmittance take one distance or an array of them; an
+array gives, element by element, the bits a scalar call gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
 UM_PER_MM = 1000.0
@@ -85,7 +90,7 @@ def dpf(medium: Medium, d_mm: float) -> float:
     return bound * (1.0 - 1.0 / (1.0 + d_mm * k))
 
 
-def absorbance(medium: Medium, d_mm: float) -> float:
+def absorbance(medium: Medium, d_mm):
     """Natural-log attenuation exponent mu_a * d * DPF(d).
 
     Unlike dpf() this accepts slightly negative d: the analytic inter-cell
@@ -93,21 +98,39 @@ def absorbance(medium: Medium, d_mm: float) -> float:
     d * DPF(d) stays non-negative for d > -1/sqrt(3*mu_a*mu_s').
     """
     k = math.sqrt(3.0 * medium.mu_a * medium.mu_s_prime)
-    if d_mm * k <= -1.0:
-        raise ValueError(f"distance {d_mm} mm beyond the diffusion-model pole")
+    if np.any(np.asarray(d_mm) * k <= -1.0):
+        raise ValueError(f"distance {np.min(d_mm)} mm beyond the diffusion-model pole")
     bound = 0.5 * math.sqrt(3.0 * medium.mu_s_prime / medium.mu_a)
     return medium.mu_a * d_mm * bound * (1.0 - 1.0 / (1.0 + d_mm * k))
 
 
-def transmittance(medium: Medium, d_mm: float, wavelength: Wavelength | None = None) -> float:
+def transmittance(medium: Medium, d_mm, wavelength: Wavelength | None = None):
     """Intensity ratio exp(-mu_a * d * DPF(d)) through d mm of one medium.
 
-    Equals 1 at d = 0 and decreases strictly with d.  `wavelength` tags the
+    Equals 1 at d = 0 and is non-increasing in d: every step of absorbance
+    is a correctly rounded +, -, * or / of non-negative operands, each
+    monotone in d, and exp is monotone.  It is strictly decreasing only
+    between distances a resolvable step apart.  The computed value lies
+    within about 4 units of 2**-53 of the exact one (absorbance's seven
+    roundings, scaled by A*exp(-A) <= 1/e, plus those of exp), so two
+    distances come out strictly ordered once their exact transmittances
+    differ by more than 2**-49, that is once they are more than about
+    2**-49 / |dT/dd| apart.  Near d = 0, A(d) ~ 1.5 mu_a mu_s' d^2 and
+    |dT/dd| ~ 3 mu_a mu_s' d: at d = 1e-6 mm the step is ~2e-10 mm while
+    neighbouring doubles lie ~2e-22 mm apart, so nearby distances can give
+    one value.
+
+    d_mm may be an array.  The exponential then still runs through
+    math.exp, one element at a time, because numpy's vectorised exp differs
+    from it in the last bit for about 5 % of inputs.  `wavelength` tags the
     operating point; the coefficients already encode it.
     """
-    if d_mm < 0.0:
-        raise ValueError(f"distance must be non-negative, got {d_mm}")
-    return math.exp(-absorbance(medium, d_mm))
+    if np.any(np.asarray(d_mm) < 0.0):
+        raise ValueError(f"distance must be non-negative, got {np.min(d_mm)}")
+    exponent = absorbance(medium, d_mm)
+    if np.ndim(exponent) == 0:
+        return math.exp(-exponent)
+    return np.fromiter(map(math.exp, (-exponent).tolist()), float, len(exponent))
 
 
 def total_path_loss(layout, media: Media, wavelength: Wavelength | None = None) -> float:

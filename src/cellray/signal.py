@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ImpulseResponse
+from .channel import ImpulseResponse, write_csv
 from .optics import Wavelength
 
 LN2 = math.log(2.0)
@@ -200,20 +200,9 @@ def estimate_channel(tx: Waveform, rx: Waveform, eps: float | None = None,
 
 
 def write_waveform_csv(w: Waveform, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "field"])
-        for t, v in zip(w.times, w.samples):
-            writer.writerow([f"{t:.12e}", f"{v:.12e}"])
+    write_csv(path, ("time_s", "field"), "%.12e,%.12e", (w.times, w.samples))
 
 
 def write_spectrum_csv(s: Spectrum, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz", "magnitude"])
-        for f, m in zip(s.frequencies, s.magnitude):
-            writer.writerow([f"{f:.12e}", f"{m:.12e}"])
+    write_csv(path, ("frequency_hz", "magnitude"), "%.12e,%.12e",
+              (s.frequencies, s.magnitude))

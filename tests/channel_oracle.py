@@ -1,0 +1,119 @@
+"""The per-atom channel loops that the array channel replaced.
+
+contributions, build_cir, rebin and detector_map are the loops
+cellray.channel ran before its atoms became arrays, code unchanged, with
+the scalar Beer-Lambert transmittance they called.
+tests/test_array_atoms.py and tests/test_channel.py compare the package
+against them with exact equality; this is a test oracle, not part of the
+package.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from cellray.channel import (
+    DetectorMap,
+    EmptyChannel,
+    ImpulseResponse,
+    PathContribution,
+    Paths,
+)
+from cellray.geometry import RayBatch
+from cellray.optics import SPEED_OF_LIGHT_M_PER_S, UM_PER_MM, Media, Medium, Wavelength
+
+
+def absorbance(medium: Medium, d_mm: float) -> float:
+    k = math.sqrt(3.0 * medium.mu_a * medium.mu_s_prime)
+    if d_mm * k <= -1.0:
+        raise ValueError(f"distance {d_mm} mm beyond the diffusion-model pole")
+    bound = 0.5 * math.sqrt(3.0 * medium.mu_s_prime / medium.mu_a)
+    return medium.mu_a * d_mm * bound * (1.0 - 1.0 / (1.0 + d_mm * k))
+
+
+def transmittance(medium: Medium, d_mm: float, wavelength: Wavelength | None = None) -> float:
+    if d_mm < 0.0:
+        raise ValueError(f"distance must be non-negative, got {d_mm}")
+    return math.exp(-absorbance(medium, d_mm))
+
+
+def contributions(paths: Paths, media: Media,
+                  wavelength: Wavelength | None = None,
+                  detector_extent_um: Optional[float] = None,
+                  ) -> tuple[list[PathContribution], list[PathContribution]]:
+    """Split paths into detected atoms and out-of-detector diagnostics."""
+    batch = RayBatch.from_paths(paths)
+    delivered = batch.status != "leaked"
+    d_a_um = batch.cell_length[delivered]
+    d_e_um = batch.tissue_length[delivered]
+    coord = batch.exit_h[delivered]
+    delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
+    if detector_extent_um is None:
+        off = np.zeros(len(coord), dtype=bool)
+    else:
+        off = np.abs(coord) > 0.5 * detector_extent_um
+    detected: list[PathContribution] = []
+    outside: list[PathContribution] = []
+    for index, delay_s, a_mm, e_mm, h, is_off in zip(
+            batch.ray_index[delivered].tolist(), delay.tolist(),
+            (d_a_um / UM_PER_MM).tolist(), (d_e_um / UM_PER_MM).tolist(),
+            coord.tolist(), off.tolist()):
+        gain = transmittance(media.cell, a_mm, wavelength)
+        gain *= transmittance(media.tissue, e_mm, wavelength)
+        (outside if is_off else detected).append(
+            PathContribution(delay_s=delay_s, gain=gain, ray_index=index,
+                             detector_coordinate_um=h))
+    return detected, outside
+
+
+def build_cir(paths: Paths, media: Media,
+              wavelength: Wavelength | None = None, dt_s: float = 10e-15,
+              gamma_mode: str = "per-path",
+              detector_extent_um: Optional[float] = None,
+              aggregate_gamma: Optional[float] = None) -> ImpulseResponse:
+    if dt_s <= 0.0:
+        raise ValueError("bin width must be positive")
+    if gamma_mode not in ("per-path", "aggregate"):
+        raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
+    detected, _ = contributions(paths, media, wavelength, detector_extent_um)
+    if not detected:
+        raise EmptyChannel("no ray reaches the detector")
+    k = len(paths)
+    n_bins = int(round(max(c.delay_s for c in detected) / dt_s)) + 1
+    bins = np.zeros(n_bins)
+    for c in detected:
+        bins[int(round(c.delay_s / dt_s))] += c.gain / k
+    if gamma_mode == "aggregate":
+        if aggregate_gamma is None:
+            raise ValueError("aggregate mode needs the cumulative focusing ratio")
+        bins *= aggregate_gamma
+    return ImpulseResponse(t0=0.0, dt=dt_s, bins=bins)
+
+
+def rebin(cir: ImpulseResponse, dt_s: float) -> ImpulseResponse:
+    if dt_s <= 0.0:
+        raise ValueError("bin width must be positive")
+    times = cir.times
+    n_bins = int(round(times[-1] / dt_s)) + 1 if len(times) else 1
+    bins = np.zeros(max(n_bins, 1))
+    for t, mass in zip(times, cir.bins):
+        if mass != 0.0:
+            bins[int(round(t / dt_s))] += mass
+    return ImpulseResponse(t0=0.0, dt=dt_s, bins=bins)
+
+
+def detector_map(paths: Paths, media: Media,
+                 wavelength: Wavelength | None = None,
+                 detector_extent_um: float = 40.0) -> DetectorMap:
+    if detector_extent_um <= 0.0:
+        raise ValueError("detector extent must be positive")
+    detected, _ = contributions(paths, media, wavelength, detector_extent_um)
+    top = max((c.gain for c in detected), default=1.0)
+    samples = [
+        (c.detector_coordinate_um, c.gain / top, c.delay_s)
+        for c in sorted(detected, key=lambda c: c.detector_coordinate_um)
+    ]
+    return DetectorMap(half_extent_um=0.5 * detector_extent_um, samples=samples)

@@ -1,9 +1,13 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import channel_oracle as oracle
 from cellray.channel import (
+    CSV_BLOCK_ROWS,
     DegenerateFocus,
     EmptyChannel,
     ImpulseResponse,
@@ -17,6 +21,7 @@ from cellray.channel import (
     path_contribution,
     power_delay_profile,
     rebin,
+    write_csv,
 )
 from cellray.geometry import (
     ArrayLayout,
@@ -81,7 +86,7 @@ class TestPathContribution:
         with pytest.raises(PathOutsideDetector):
             path_contribution(path, MEDIA, detector_extent_um=40.0)
         kept, outside = contributions([path], MEDIA, None, 40.0)
-        assert kept == [] and len(outside) == 1
+        assert len(kept) == 0 and len(outside) == 1
 
 
 class TestBuildCir:
@@ -128,6 +133,22 @@ class TestBuildCir:
         halved = rebin(cir, 5e-15)
         assert halved.total_gain() == pytest.approx(cir.total_gain(), rel=1e-12)
         assert halved.dt == 5e-15
+
+    @given(st.lists(st.one_of(st.just(0.0), st.just(-0.0),
+                              st.floats(-1.0, 1.0, allow_nan=False)), max_size=300),
+           st.floats(0.0, 1e-12), st.floats(1e-16, 1e-13), st.floats(0.03, 30.0))
+    @settings(max_examples=300, deadline=None)
+    def test_rebin_matches_loop(self, bins, t0, dt, ratio):
+        cir = ImpulseResponse(t0, dt, np.array(bins))
+        got = rebin(cir, dt * ratio)
+        want = oracle.rebin(cir, dt * ratio)
+        assert got.bins.tolist() == want.bins.tolist()
+        assert (got.t0, got.dt) == (want.t0, want.dt)
+
+    def test_rebin_rejects_mass_before_zero(self):
+        cir = ImpulseResponse(-1e-13, 1e-14, np.ones(4))
+        with pytest.raises(ValueError):
+            rebin(cir, 1e-14)
 
     def test_delay_ordering_and_gain_bounds(self):
         layout = ArrayLayout(Spherical(10.0), 18, 5.0, 5.0, 0.0)
@@ -231,3 +252,54 @@ class TestDetectorMap:
 
         clusters = coordinate_clusters(DetectorMap(20.0, dmap_samples), gap_um=1.0)
         assert len(clusters) == 2
+
+
+def csv_writer_bytes(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf,
+                     math.nan]))
+PLAIN_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                   blacklist_characters=',"'), max_size=8)
+# (conversion, values, the field csv.writer gets for a value)
+FIELDS = st.one_of(
+    st.tuples(st.just("%.12e"), st.lists(FLOATS, min_size=1, max_size=12),
+              st.just(lambda v: f"{v:.12e}")),
+    st.tuples(st.just("%s"), st.lists(FLOATS, min_size=1, max_size=12),
+              st.just(lambda v: v)),
+    st.tuples(st.just("%d"), st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                                      max_size=12), st.just(lambda v: v)),
+    st.tuples(st.just("%s"), st.lists(PLAIN_TEXT, min_size=1, max_size=12),
+              st.just(lambda v: v)),
+)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                        CSV_BLOCK_ROWS + 1])
+    @given(fields=st.lists(FIELDS, min_size=2, max_size=5))
+    @settings(max_examples=25, deadline=None)
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, n_rows, fields):
+        tmp = tmp_path_factory.mktemp("csv")
+        header = [f"c{j}" for j in range(len(fields))]
+        # Column j cycles through its drawn values, offset so rows differ.
+        columns = [[values[(i + j) % len(values)] for i in range(n_rows)]
+                   for j, (_, values, _) in enumerate(fields)]
+        row_format = ",".join(conversion for conversion, _, _ in fields)
+        write_csv(tmp / "got.csv", header, row_format, columns)
+        rows = [[field(column[i]) for (_, _, field), column in zip(fields, columns)]
+                for i in range(n_rows)]
+        assert (tmp / "got.csv").read_bytes() == \
+            csv_writer_bytes(tmp / "want.csv", header, rows)
+
+    def test_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "x.csv", ["a", "b"], "%d,%d", [[1, 2], [1]])

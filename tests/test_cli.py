@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,3 +235,24 @@ class TestCliCommands:
         first_value = read_csv(tmp_path / "cir.csv")[1][1]
         mantissa = first_value.split("e")[0].replace("-", "").replace(".", "")
         assert len(mantissa) >= 12
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def golden_battery():
+    """sha256 of every output file of the benchmark's seed-0 battery jobs."""
+    manifest = json.loads((ROOT / "perfbench" / "reference_seed0.json").read_text())
+    return manifest["jobs"]["battery"]
+
+
+@pytest.mark.parametrize("shape", ["fusiform", "spherical", "pyramidal"])
+@pytest.mark.parametrize("command", ["trace", "pathloss", "cir", "pulse", "detector"])
+def test_golden_output_bytes(tmp_path, capsys, golden_battery, shape, command):
+    # The battery's seed-0 scenarios are the default scenario files.
+    assert main(["--command", command, "--out", str(tmp_path),
+                 "--scenario", str(ROOT / "scenarios" / f"{shape}.json")]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert got == golden_battery[f"{shape}-{command}"]["sha256"]

@@ -1,5 +1,7 @@
 import math
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +23,15 @@ def dpf_oracle(medium: Medium, d_mm: float) -> float:
     # Independent rearrangement: A * x / (1 + x) with x = d * sqrt(3 mu_a mu_s').
     x = d_mm * math.sqrt(3.0 * medium.mu_a * medium.mu_s_prime)
     return math.sqrt(3.0 * medium.mu_s_prime / medium.mu_a) / 2.0 * x / (1.0 + x)
+
+
+def exact_transmittance(medium: Medium, d_mm: float) -> Decimal:
+    """exp(-mu_a * d * DPF(d)) in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        mu_a, mu_s, d = Decimal(medium.mu_a), Decimal(medium.mu_s_prime), Decimal(d_mm)
+        x = d * (3 * mu_a * mu_s).sqrt()
+        return (-mu_a * d * (3 * mu_s / mu_a).sqrt() / 2 * x / (1 + x)).exp()
 
 
 class TestMedium:
@@ -89,9 +100,24 @@ class TestTransmittance:
     @given(st.floats(min_value=1e-6, max_value=10.0),
            st.floats(min_value=1e-6, max_value=10.0))
     def test_strictly_decreasing(self, d1, d2):
+        # Non-increasing everywhere, strict wherever the step is resolvable:
+        # where the exact transmittances differ by more than 2**-49.
         lo, hi = sorted((d1, d2))
-        if lo < hi:
+        assert transmittance(CELL, hi) <= transmittance(CELL, lo)
+        if exact_transmittance(CELL, lo) - exact_transmittance(CELL, hi) > Decimal(2) ** -49:
             assert transmittance(CELL, hi) < transmittance(CELL, lo)
+
+    def test_neighbouring_distances_can_tie(self):
+        d = 1e-6
+        assert transmittance(CELL, math.nextafter(d, 1.0)) == transmittance(CELL, d)
+
+    def test_array_matches_scalar(self):
+        d = np.concatenate([[0.0, 1e-6], np.geomspace(1e-7, 20.0, 5001)])
+        got = transmittance(TISSUE, d)
+        assert got.tolist() == [transmittance(TISSUE, x) for x in d.tolist()]
+        assert transmittance(TISSUE, d[:0]).shape == (0,)
+        with pytest.raises(ValueError):
+            transmittance(TISSUE, np.array([0.1, -0.1]))
 
     def test_decreasing_in_coefficients(self):
         base = transmittance(CELL, 1.0)
