@@ -7,10 +7,11 @@ distances.  Convolving per-segment delta impulses is therefore done
 analytically, with no numerical convolution error; the signal module uses
 numerical convolution only for pulse shaping.
 
-Atoms are held as arrays (Atoms) and merged by binned addition with
-np.bincount, in ray order, so the merge order cannot change results beyond
-floating-point associativity (1e-12 relative).  Every output table is
-written by write_csv.
+Atoms are made in one place, contributions, and held as arrays (Atoms);
+build_cir and detector_map read them.  build_cir merges them by binned
+addition with np.bincount, in ray order, so the merge order cannot change
+results beyond floating-point associativity (1e-12 relative).  Every output
+table is written by write_csv.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .optics import (
     SPEED_OF_LIGHT_M_PER_S,
     UM_PER_MM,
     Media,
-    Wavelength,
     transmittance,
 )
 
@@ -130,7 +130,6 @@ class DetectorMap:
 
 
 def path_contribution(path: RayPath, media: Media,
-                      wavelength: Wavelength | None = None,
                       detector_extent_um: Optional[float] = None) -> PathContribution:
     """Delay and gain of one arrived or deviated ray.
 
@@ -141,14 +140,13 @@ def path_contribution(path: RayPath, media: Media,
     """
     if path.status == "leaked":
         raise ValueError("leaked rays do not reach the detector")
-    detected, _ = contributions([path], media, wavelength, detector_extent_um)
+    detected, _ = contributions([path], media, detector_extent_um)
     if not detected:
         raise PathOutsideDetector(f"ray {path.ray_index} lands at {path.exit.h:.3f} um")
     return detected[0]
 
 
 def contributions(paths: Paths, media: Media,
-                  wavelength: Wavelength | None = None,
                   detector_extent_um: Optional[float] = None,
                   ) -> tuple[Atoms, Atoms]:
     """Split paths into detected atoms and out-of-detector diagnostics."""
@@ -158,8 +156,8 @@ def contributions(paths: Paths, media: Media,
     d_e_um = batch.tissue_length[delivered]
     coord = batch.exit_h[delivered]
     delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
-    gain = transmittance(media.cell, d_a_um / UM_PER_MM, wavelength)
-    gain *= transmittance(media.tissue, d_e_um / UM_PER_MM, wavelength)
+    gain = transmittance(media.cell, d_a_um / UM_PER_MM)
+    gain *= transmittance(media.tissue, d_e_um / UM_PER_MM)
     atoms = Atoms(delay, gain, batch.ray_index[delivered], coord)
     if detector_extent_um is None:
         off = np.zeros(len(coord), dtype=bool)
@@ -168,31 +166,23 @@ def contributions(paths: Paths, media: Media,
     return atoms.select(~off), atoms.select(off)
 
 
-def build_cir(paths: Paths, media: Media,
-              wavelength: Wavelength | None = None, dt_s: float = 10e-15,
-              gamma_mode: str = "per-path",
-              detector_extent_um: Optional[float] = None,
+def build_cir(detected: Atoms, n_rays: int, dt_s: float = 10e-15,
               aggregate_gamma: Optional[float] = None) -> ImpulseResponse:
-    """Accumulate per-ray atoms into a binned impulse response.
+    """Accumulate detected atoms into a binned impulse response.
 
-    Every detected ray deposits gain/K into the bin nearest its delay, K
+    Every atom deposits gain/n_rays into the bin nearest its delay, n_rays
     being the launched bundle size, so the total gain is the per-unit-source
-    received intensity.  gamma_mode "per-path" (default) leaves focusing to
-    the ray arrival density; "aggregate" additionally scales all bins by the
-    cumulative focusing ratio, which must then be supplied.
+    received intensity.  Focusing is left to the ray arrival density unless
+    aggregate_gamma, the cumulative focusing ratio, is given: then all bins
+    are scaled by it as well.
     """
     if dt_s <= 0.0:
         raise ValueError("bin width must be positive")
-    if gamma_mode not in ("per-path", "aggregate"):
-        raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
-    detected, _ = contributions(paths, media, wavelength, detector_extent_um)
     if not detected:
         raise EmptyChannel("no ray reaches the detector")
     slots = np.rint(detected.delay_s / dt_s).astype(np.intp)
-    bins = np.bincount(slots, weights=detected.gain / len(paths))
-    if gamma_mode == "aggregate":
-        if aggregate_gamma is None:
-            raise ValueError("aggregate mode needs the cumulative focusing ratio")
+    bins = np.bincount(slots, weights=detected.gain / n_rays)
+    if aggregate_gamma is not None:
         bins *= aggregate_gamma
     return ImpulseResponse(t0=0.0, dt=dt_s, bins=bins)
 
@@ -241,13 +231,10 @@ def cumulative_gamma(report: FocusReport) -> float:
     return math.prod(focusing_gain(report))
 
 
-def detector_map(paths: Paths, media: Media,
-                 wavelength: Wavelength | None = None,
-                 detector_extent_um: float = 40.0) -> DetectorMap:
-    """Arrival coordinates, normalized per-ray power and delay on the detector."""
+def detector_map(detected: Atoms, detector_extent_um: float = 40.0) -> DetectorMap:
+    """Arrival coordinates, normalized power and delay of the detected atoms."""
     if detector_extent_um <= 0.0:
         raise ValueError("detector extent must be positive")
-    detected, _ = contributions(paths, media, wavelength, detector_extent_um)
     top = detected.gain.max() if len(detected) else 1.0
     order = np.argsort(detected.detector_coordinate_um, kind="stable")
     samples = np.column_stack((detected.detector_coordinate_um[order],

@@ -14,7 +14,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import channel as ch
 from . import config as cfg
 from . import geometry as geo
 from . import signal as sig
-from .optics import DB_PER_NEPER, UM_PER_MM, absorbance, total_path_loss
+from .optics import DB_PER_NEPER, UM_PER_MM, Media, absorbance, total_path_loss
 
 COMMANDS = ("trace", "pathloss", "cir", "pulse", "detector", "sweep", "validate")
 
@@ -97,41 +98,56 @@ def _require_valid(scenario: cfg.Scenario) -> None:
         raise CliError("validation", violations, 2)
 
 
-def _trace(scenario: cfg.Scenario):
+@dataclass
+class Channel:
+    """One scenario traced once, with the detected atoms all its outputs read."""
+
+    scenario: cfg.Scenario
+    layout: geo.ArrayLayout
+    media: Media
+    bundle: list[geo.RayState]
+    paths: geo.RayBatch
+    focus: geo.FocusReport
+    detected: ch.Atoms
+
+    @cached_property
+    def gamma(self) -> float | None:
+        """The cumulative focusing ratio in aggregate mode, else None.
+
+        Worked out on first use: a degenerate focus fails only CIR outputs.
+        """
+        if self.scenario.gamma_mode != "aggregate":
+            return None
+        return ch.cumulative_gamma(self.focus)
+
+    def cir(self, dt_fs: float) -> ch.ImpulseResponse:
+        return ch.build_cir(self.detected, len(self.paths), dt_fs * 1e-15, self.gamma)
+
+
+def _channel(scenario: cfg.Scenario) -> Channel:
     layout = scenario.build_layout()
     media = scenario.build_media()
     bundle = geo.collimated_bundle(layout.shape, scenario.k_rays)
-    paths, report = geo.trace_array(layout, media, bundle)
-    return layout, media, bundle, paths, report
+    paths, focus = geo.trace_array(layout, media, bundle)
+    detected, _ = ch.contributions(paths, media, scenario.detector_width_um)
+    return Channel(scenario, layout, media, bundle, paths, focus, detected)
 
 
-def _status_counts(paths: geo.RayBatch) -> dict:
-    return {status: int(np.count_nonzero(paths.status == status))
-            for status in ("arrived", "leaked", "deviated")}
-
-
-def _aggregate_gamma(scenario: cfg.Scenario, focus) -> float | None:
-    if scenario.gamma_mode != "aggregate":
-        return None
-    return ch.cumulative_gamma(focus)
-
-
-def _base_report(scenario: cfg.Scenario, paths, media, focus) -> dict:
-    lam = scenario.build_wavelength()
-    layout = scenario.build_layout()
-    detected, _ = ch.contributions(paths, media, lam, scenario.detector_width_um)
+def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
+    """The report fields of every traced command; cir is chan's CIR at cir_dt_fs."""
     report = {
-        "scenario": scenario.to_dict(),
-        "path_loss_db": total_path_loss(layout, media, lam),
-        "counts": _status_counts(paths),
+        "scenario": chan.scenario.to_dict(),
+        "path_loss_db": total_path_loss(chan.layout, chan.media),
+        "counts": {status: int(np.count_nonzero(chan.paths.status == status))
+                   for status in ("arrived", "leaked", "deviated")},
         "files": [],
     }
-    if detected:
+    if chan.detected:
         # Python's sum, in ray order: the report's bytes depend on it.
-        report["total_received_fraction"] = sum(detected.gain.tolist()) / len(paths)
-        cir = ch.build_cir(paths, media, lam, scenario.cir_dt_fs * 1e-15,
-                           scenario.gamma_mode, scenario.detector_width_um,
-                           _aggregate_gamma(scenario, focus))
+        report["total_received_fraction"] = \
+            sum(chan.detected.gain.tolist()) / len(chan.paths)
+        if cir is None:
+            cir = chan.cir(chan.scenario.cir_dt_fs)
         report["dominant_delay_s"] = cir.dominant_bin()[0]
     else:
         report["total_received_fraction"] = 0.0
@@ -140,9 +156,10 @@ def _base_report(scenario: cfg.Scenario, paths, media, focus) -> dict:
 
 
 def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
-    layout, media, bundle, paths, focus = _trace(scenario)
+    chan = _channel(scenario)
+    paths, focus = chan.paths, chan.focus
     rays_csv = out / "rays.csv"
-    h0 = np.array([ray.h for ray in bundle])
+    h0 = np.array([ray.h for ray in chan.bundle])
     loss = paths.loss_cell
     ch.write_csv(
         rays_csv,
@@ -163,7 +180,7 @@ def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
          ["" if c.x_f is None else _fmt(c.x_f) for c in focus.cells],
          [c.illumination_radius for c in focus.cells]],
     )
-    report = _base_report(scenario, paths, media, focus)
+    report = _base_report(chan)
     report["source_radius_um"] = focus.source_radius
     report["detector_radius_um"] = None if math.isnan(focus.detector_radius) \
         else focus.detector_radius
@@ -218,10 +235,9 @@ def cmd_pathloss(scenario: cfg.Scenario, out: Path) -> dict:
     curve_csv = out / "pathloss_curve.csv"
     ch.write_csv(curve_csv, ["distance_um", "pathloss_db"], "%.12e,%.12e",
                  [distance, pathloss])
-    lam = scenario.build_wavelength()
     report = {
         "scenario": scenario.to_dict(),
-        "path_loss_db": total_path_loss(layout, media, lam),
+        "path_loss_db": total_path_loss(layout, media),
         # The value as written to the curve's last row.
         "center_line_path_loss_db": float(_fmt(pathloss[-1])),
         "files": [curve_csv.name],
@@ -230,38 +246,28 @@ def cmd_pathloss(scenario: cfg.Scenario, out: Path) -> dict:
 
 
 def cmd_cir(scenario: cfg.Scenario, out: Path) -> dict:
-    layout, media, bundle, paths, focus = _trace(scenario)
-    lam = scenario.build_wavelength()
-    gamma = None
-    if scenario.gamma_mode == "aggregate":
-        gamma = ch.cumulative_gamma(focus)
-    cir = ch.build_cir(paths, media, lam, scenario.cir_dt_fs * 1e-15,
-                       scenario.gamma_mode, scenario.detector_width_um, gamma)
+    chan = _channel(scenario)
+    cir = chan.cir(scenario.cir_dt_fs)
     pdp = ch.power_delay_profile(cir)
     cir_csv, pdp_csv = out / "cir.csv", out / "pdp.csv"
     ch.write_cir_csv(cir, cir_csv)
     ch.write_pdp_csv(pdp, pdp_csv)
-    report = _base_report(scenario, paths, media, focus)
+    report = _base_report(chan, cir)
     report["total_gain"] = cir.total_gain()
     report["files"] = [cir_csv.name, pdp_csv.name]
     return report
 
 
 def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
-    layout, media, bundle, paths, focus = _trace(scenario)
-    lam = scenario.build_wavelength()
     tau = scenario.tau_fs * 1e-15
-    dt = scenario.waveform_dt_fs * 1e-15
-    tx = sig.gaussian_pulse(scenario.e0, tau, lam, dt, span_s=8.0 * tau)
-    gamma = None
-    if scenario.gamma_mode == "aggregate":
-        gamma = ch.cumulative_gamma(focus)
-    cir = ch.build_cir(paths, media, lam, dt, scenario.gamma_mode,
-                       scenario.detector_width_um, gamma)
+    tx = sig.gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(),
+                            scenario.waveform_dt_fs * 1e-15, span_s=8.0 * tau)
+    chan = _channel(scenario)
+    cir = chan.cir(scenario.waveform_dt_fs)
     rx = sig.propagate(tx, cir)
     dominant_delay, _ = cir.dominant_bin()
     summary = sig.received_pulse(tx, dominant_delay,
-                                 1.0 if gamma is None else gamma,
+                                 1.0 if chan.gamma is None else chan.gamma,
                                  cir.total_gain())
     files = []
     for name, wave in (("tx.csv", tx), ("rx.csv", rx), ("rx_summary.csv", summary)):
@@ -271,7 +277,7 @@ def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
     for name, spec in (("tx_spectrum.csv", tx_spectrum), ("rx_spectrum.csv", rx_spectrum)):
         sig.write_spectrum_csv(spec, out / name)
         files.append(name)
-    report = _base_report(scenario, paths, media, focus)
+    report = _base_report(chan)
     report["tx_peak_power"] = float(sig.envelope(tx).max() ** 2)
     report["rx_summary_peak_power"] = float(sig.envelope(summary).max() ** 2)
     report["tx_peak_frequency_hz"] = tx_spectrum.peak_frequency()
@@ -281,12 +287,11 @@ def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
 
 
 def cmd_detector(scenario: cfg.Scenario, out: Path) -> dict:
-    layout, media, bundle, paths, focus = _trace(scenario)
-    lam = scenario.build_wavelength()
-    dmap = ch.detector_map(paths, media, lam, scenario.detector_width_um)
+    chan = _channel(scenario)
+    dmap = ch.detector_map(chan.detected, scenario.detector_width_um)
     det_csv = out / "detector_map.csv"
     ch.write_detector_csv(dmap, det_csv)
-    report = _base_report(scenario, paths, media, focus)
+    report = _base_report(chan)
     report["detected_rays"] = len(dmap.samples)
     if len(dmap.samples):
         best = int(np.argmax(dmap.samples[:, 1]))
@@ -307,17 +312,12 @@ def cmd_sweep(scenario: cfg.Scenario, out: Path) -> dict:
             value = int(value)
         point = replace(scenario, sweep=None, **{param: value})
         _require_valid(point)
-        layout, media, bundle, paths, focus = _trace(point)
-        lam = point.build_wavelength()
-        gamma = None
-        if point.gamma_mode == "aggregate":
-            gamma = ch.cumulative_gamma(focus)
-        cir = ch.build_cir(paths, media, lam, point.cir_dt_fs * 1e-15,
-                           point.gamma_mode, point.detector_width_um, gamma)
-        counts = _status_counts(paths)
-        results.append((cir, (float(value), cir.dominant_bin()[0], cir.total_gain(),
-                              total_path_loss(layout, media, lam),
-                              counts["leaked"], counts["deviated"])))
+        chan = _channel(point)
+        cir = chan.cir(point.cir_dt_fs)
+        report = _base_report(chan, cir)
+        counts = report["counts"]
+        results.append((cir, (float(value), report["dominant_delay_s"], cir.total_gain(),
+                              report["path_loss_db"], counts["leaked"], counts["deviated"])))
 
     files = []
     for i, (cir, _) in enumerate(results):

@@ -103,6 +103,9 @@ INTEGER_KEYS = frozenset({"n_cells", "k_rays"})
 OPTIONAL_KEYS = frozenset({"d_R_um", "total_um"})
 REAL_KEYS = frozenset(f.name for f in fields(Scenario)
                       if isinstance(f.default, float)) | OPTIONAL_KEYS
+# Keys that only shape the pulse: a sweep writes CIRs, path loss and ray
+# counts, none of which reads them, so sweeping one would repeat one row.
+PULSE_KEYS = frozenset({"lambda_nm", "tau_fs", "e0", "waveform_dt_fs"})
 
 
 def default_scenario(shape: str = "fusiform") -> Scenario:
@@ -216,6 +219,9 @@ def validate(scenario: Scenario) -> list[str]:
             param = s.sweep["parameter"]
             if param not in INTEGER_KEYS | REAL_KEYS:
                 v.append(f"sweep: cannot sweep {param!r}")
+            elif param in PULSE_KEYS:
+                v.append(f"sweep: {param!r} changes no sweep output "
+                         "(CIR, path loss, ray counts)")
             if not (("values" in s.sweep) or
                     ("start" in s.sweep and "stop" in s.sweep)):
                 v.append("sweep: needs 'values' or 'start'/'stop'")
@@ -231,6 +237,13 @@ def validate(scenario: Scenario) -> list[str]:
             step = s.sweep.get("step", 1)
             if _is_finite_number(step) and step <= 0:
                 v.append(f"sweep: step must be positive, got {step!r}")
+            if param in INTEGER_KEYS:
+                # Whole start and step make every grid point whole.
+                grid = values if "values" in s.sweep else \
+                    [s.sweep.get("start"), step]
+                if isinstance(grid, list) and not all(
+                        float(x).is_integer() for x in grid if _is_finite_number(x)):
+                    v.append(f"sweep: {param} takes whole numbers, got {grid!r}")
     return v
 
 
@@ -238,10 +251,9 @@ def sweep_values(scenario: Scenario) -> list[float]:
     grid = scenario.sweep or {}
     if "values" in grid:
         return list(grid["values"])
-    step = grid.get("step", 1)
+    start, step = grid["start"], grid.get("step", 1)
     values: list[float] = []
-    x = grid["start"]
-    while x <= grid["stop"] + 1e-12:
-        values.append(x)
-        x += step
+    # Point i is start + i*step: adding step repeatedly would accumulate rounding.
+    while start + len(values) * step <= grid["stop"] + 1e-12:
+        values.append(start + len(values) * step)
     return values

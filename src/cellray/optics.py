@@ -52,7 +52,7 @@ class Medium:
 
 @dataclass(frozen=True)
 class Wavelength:
-    """Operating wavelength; the coefficient tables are already per-wavelength."""
+    """Carrier wavelength of the shaped pulse; no attenuation depends on it."""
 
     nm: float = 456.0
 
@@ -104,7 +104,7 @@ def absorbance(medium: Medium, d_mm):
     return medium.mu_a * d_mm * bound * (1.0 - 1.0 / (1.0 + d_mm * k))
 
 
-def transmittance(medium: Medium, d_mm, wavelength: Wavelength | None = None):
+def transmittance(medium: Medium, d_mm):
     """Intensity ratio exp(-mu_a * d * DPF(d)) through d mm of one medium.
 
     Equals 1 at d = 0 and is non-increasing in d: every step of absorbance
@@ -122,8 +122,7 @@ def transmittance(medium: Medium, d_mm, wavelength: Wavelength | None = None):
 
     d_mm may be an array.  The exponential then still runs through
     math.exp, one element at a time, because numpy's vectorised exp differs
-    from it in the last bit for about 5 % of inputs.  `wavelength` tags the
-    operating point; the coefficients already encode it.
+    from it in the last bit for about 5 % of inputs.
     """
     if np.any(np.asarray(d_mm) < 0.0):
         raise ValueError(f"distance must be non-negative, got {np.min(d_mm)}")
@@ -133,7 +132,7 @@ def transmittance(medium: Medium, d_mm, wavelength: Wavelength | None = None):
     return np.fromiter(map(math.exp, (-exponent).tolist()), float, len(exponent))
 
 
-def total_path_loss(layout, media: Media, wavelength: Wavelength | None = None) -> float:
+def total_path_loss(layout, media: Media) -> float:
     """Aggregate path loss in dB for an N-cell array from analytic averages.
 
     Sums N intracellular terms at the average in-cell chord, max(N-1, 0)

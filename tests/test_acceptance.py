@@ -77,12 +77,11 @@ class Run:
         self.paths, self.focus = trace_array(layout, media, bundle)
         self.elapsed = time.perf_counter() - t0
         self.layout, self.media, self.bundle = layout, media, bundle
-        self.cir = build_cir(self.paths, media, LAM,
-                             scenario.cir_dt_fs * 1e-15,
-                             detector_extent_um=scenario.detector_width_um)
-        detected, _ = contributions(self.paths, media, LAM,
-                                    scenario.detector_width_um)
-        self.received_fraction = sum(c.gain for c in detected) / len(self.paths)
+        self.detected, _ = contributions(self.paths, media,
+                                         scenario.detector_width_um)
+        self.cir = build_cir(self.detected, len(self.paths),
+                             scenario.cir_dt_fs * 1e-15)
+        self.received_fraction = sum(c.gain for c in self.detected) / len(self.paths)
         self.dominant_delay = self.cir.dominant_bin()[0]
 
 
@@ -144,12 +143,12 @@ def test_criterion_1_closed_forms_match_quadrature():
 def test_criterion_2_free_space_channel():
     layout = ArrayLayout(Spherical(10.0), 0, 5.0, 5.0, 445.0)
     paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 1001))
-    cir = build_cir(paths, MEDIA, LAM, dt_s=10e-15)
+    cir = build_cir(contributions(paths, MEDIA)[0], len(paths), 10e-15)
     expected_delay = 450e-6 * 1.35 / SPEED_OF_LIGHT_M_PER_S
     spike_time, _ = cir.dominant_bin()
     single = np.count_nonzero(cir.bins) == 1
     within = abs(spike_time - expected_delay) <= 10e-15
-    expected_gain = transmittance(MEDIA.tissue, 0.45, LAM)
+    expected_gain = transmittance(MEDIA.tissue, 0.45)
     gain_err = abs(cir.total_gain() - expected_gain) / expected_gain
     record("criterion 2 free-space channel",
            single and within and gain_err < 1e-12,
@@ -258,14 +257,12 @@ def test_criterion_7_spectral_invariance(runs):
 
 def test_criterion_8_detector_maps(runs):
     fus = runs["fusiform"]
-    dmap = detector_map(fus.paths, fus.media, LAM,
-                        fus.scenario.detector_width_um)
+    dmap = detector_map(fus.detected, fus.scenario.detector_width_um)
     best = max(dmap.samples, key=lambda s: s[1])
     centre_ok = abs(best[0]) <= 2.0
 
     pyr = runs["pyramidal"]
-    pmap = detector_map(pyr.paths, pyr.media, LAM,
-                        pyr.scenario.detector_width_um)
+    pmap = detector_map(pyr.detected, pyr.scenario.detector_width_um)
     clusters = coordinate_clusters(pmap, gap_um=1.0, min_size=2)
     cluster_ok = len(clusters) >= 2
 
@@ -339,8 +336,7 @@ def test_criterion_9_property_battery(runs):
     # Path loss monotone in the cell count (growing array, fixed end gaps)
     # and in distance.
     losses = [
-        total_path_loss(ArrayLayout(Fusiform(30.0, 20.0), n, 5.0, 5.0, 5.0),
-                        MEDIA, LAM)
+        total_path_loss(ArrayLayout(Fusiform(30.0, 20.0), n, 5.0, 5.0, 5.0), MEDIA)
         for n in range(0, 19, 3)
     ]
     if losses != sorted(losses):

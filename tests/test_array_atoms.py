@@ -27,9 +27,9 @@ def scenario_run(shape, **overrides):
     return batch, media, focus
 
 
-def cir_outcome(build, paths, media, **kwargs):
+def cir_outcome(build, *args, **kwargs):
     try:
-        return build(paths, media, None, **kwargs).bins.tolist()
+        return build(*args, **kwargs).bins.tolist()
     except ch.EmptyChannel:
         return "empty"
 
@@ -41,7 +41,7 @@ def assert_same_channel(paths, media, focus):
     except ch.DegenerateFocus:
         gamma = None
     for extent in EXTENTS:
-        got = ch.contributions(paths, media, None, extent)
+        got = ch.contributions(paths, media, extent)
         want = oracle.contributions(paths, media, None, extent)
         for atoms, expected in zip(got, want):
             assert atoms.delay_s.tolist() == [c.delay_s for c in expected]
@@ -53,12 +53,11 @@ def assert_same_channel(paths, media, focus):
         for mode, aggregate in (("per-path", None), ("aggregate", gamma)):
             if mode == "aggregate" and gamma is None:
                 continue
-            kwargs = dict(dt_s=10e-15, gamma_mode=mode, detector_extent_um=extent,
-                          aggregate_gamma=aggregate)
-            assert cir_outcome(ch.build_cir, paths, media, **kwargs) == \
-                cir_outcome(oracle.build_cir, paths, media, **kwargs)
+            assert cir_outcome(ch.build_cir, got[0], len(paths), 10e-15, aggregate) == \
+                cir_outcome(oracle.build_cir, paths, media, None, 10e-15, mode,
+                            extent, aggregate)
         if extent is not None:
-            assert ch.detector_map(paths, media, None, extent).samples.tolist() == \
+            assert ch.detector_map(got[0], extent).samples.tolist() == \
                 oracle.detector_map(paths, media, None, extent).samples.tolist()
 
 
@@ -87,7 +86,7 @@ def test_from_paths_batch():
 
 def test_atoms_sequence_protocol():
     batch, media, _ = scenario_run("fusiform", k_rays=51)
-    detected, outside = ch.contributions(batch, media, None, 40.0)
+    detected, outside = ch.contributions(batch, media, 40.0)
     views = list(detected)
     assert len(views) == len(detected) > 0 and len(outside) == 0
     assert [detected[i] for i in range(-len(detected), 0)] == views

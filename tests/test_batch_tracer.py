@@ -192,7 +192,7 @@ class TestRayBatch:
         assert batch.tissue_length.tolist() == [0.0] * 4
         assert [len(atoms) for atoms in contributions(batch, MEDIA)] == [0, 0]
         with pytest.raises(EmptyChannel):
-            build_cir(batch, MEDIA, dt_s=10e-15)
+            build_cir(contributions(batch, MEDIA)[0], len(batch), 10e-15)
 
     def test_pyramidal_base_exit(self):
         shape = Pyramidal(30.0, 20.0)

@@ -46,6 +46,12 @@ def synthetic_path(segments, exit_h=0.0, status="arrived", index=0):
                    exit=RayState(total_x, exit_h, 0.0))
 
 
+def cir_of(paths, dt_s=10e-15, aggregate_gamma=None):
+    """The CIR of the paths' detected atoms."""
+    detected, _ = contributions(paths, MEDIA)
+    return build_cir(detected, len(paths), dt_s, aggregate_gamma)
+
+
 def gain_oracle(d_a_um, d_e_um):
     def leg(mu_a, mu_s, d_mm):
         x = d_mm * math.sqrt(3.0 * mu_a * mu_s)
@@ -85,14 +91,14 @@ class TestPathContribution:
         path = synthetic_path([("tissue", 450.0)], exit_h=25.0)
         with pytest.raises(PathOutsideDetector):
             path_contribution(path, MEDIA, detector_extent_um=40.0)
-        kept, outside = contributions([path], MEDIA, None, 40.0)
+        kept, outside = contributions([path], MEDIA, 40.0)
         assert len(kept) == 0 and len(outside) == 1
 
 
 class TestBuildCir:
     def test_single_path_single_bin(self):
         path = synthetic_path([("tissue", 450.0)])
-        cir = build_cir([path], MEDIA, dt_s=10e-15)
+        cir = cir_of([path])
         c = path_contribution(path, MEDIA)
         idx = int(round(c.delay_s / 10e-15))
         assert np.count_nonzero(cir.bins) == 1
@@ -101,35 +107,33 @@ class TestBuildCir:
 
     def test_gain_split_over_bundle(self):
         paths = [synthetic_path([("tissue", 450.0)], index=i) for i in range(4)]
-        cir = build_cir(paths, MEDIA, dt_s=10e-15)
+        cir = cir_of(paths)
         single = path_contribution(paths[0], MEDIA).gain
         assert cir.total_gain() == pytest.approx(single, rel=1e-12)
 
     def test_empty_channel(self):
         path = synthetic_path([("tissue", 10.0)], status="leaked")
         with pytest.raises(EmptyChannel):
-            build_cir([path], MEDIA, dt_s=10e-15)
+            cir_of([path])
 
     def test_aggregate_mode_scales(self):
         path = synthetic_path([("tissue", 450.0)])
-        base = build_cir([path], MEDIA, dt_s=10e-15)
-        scaled = build_cir([path], MEDIA, dt_s=10e-15, gamma_mode="aggregate",
-                           aggregate_gamma=2.25)
+        base = cir_of([path])
+        scaled = cir_of([path], aggregate_gamma=2.25)
         assert scaled.total_gain() == pytest.approx(2.25 * base.total_gain())
-        with pytest.raises(ValueError):
-            build_cir([path], MEDIA, dt_s=10e-15, gamma_mode="aggregate")
+        assert scaled.bins.tolist() == (2.25 * base.bins).tolist()
 
     def test_merge_order_invariance(self):
         layout = ArrayLayout(Spherical(10.0), 18, 5.0, 5.0, 0.0)
         paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 201))
-        forward = build_cir(paths, MEDIA, dt_s=10e-15)
-        backward = build_cir(list(reversed(paths)), MEDIA, dt_s=10e-15)
+        forward = cir_of(paths)
+        backward = cir_of(list(reversed(paths)))
         np.testing.assert_allclose(forward.bins, backward.bins, rtol=1e-12)
 
     def test_rebin_conserves_gain(self):
         layout = ArrayLayout(Spherical(10.0), 18, 5.0, 5.0, 0.0)
         paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 201))
-        cir = build_cir(paths, MEDIA, dt_s=10e-15)
+        cir = cir_of(paths)
         halved = rebin(cir, 5e-15)
         assert halved.total_gain() == pytest.approx(cir.total_gain(), rel=1e-12)
         assert halved.dt == 5e-15
@@ -160,7 +164,7 @@ class TestBuildCir:
         for c in detected:
             assert c.delay_s >= floor * (1.0 - 1e-12)
             assert 0.0 < c.gain < 1.0
-        cir = build_cir(paths, MEDIA, dt_s=10e-15)
+        cir = cir_of(paths)
         assert cir.total_gain() <= 1.0
         assert cir.total_gain() <= cumulative_gamma(report)
 
@@ -171,7 +175,7 @@ class TestBuildCir:
             layout = ArrayLayout(Spherical(10.0), n, 5.0, 5.0, 450.0 - 5.0 - span)
             paths, _ = trace_array(layout, MEDIA,
                                    collimated_bundle(layout.shape, 201))
-            cir = build_cir(paths, MEDIA, dt_s=10e-15)
+            cir = cir_of(paths)
             delays.append(cir.dominant_bin()[0])
         assert delays == sorted(delays)
 
@@ -189,7 +193,7 @@ class TestPowerDelayProfile:
         # Distinct delays, one atom per bin, so PDP energy is sum of g^2/K^2.
         paths = [synthetic_path([("tissue", 100.0 * (i + 1))], index=i)
                  for i in range(5)]
-        cir = build_cir(paths, MEDIA, dt_s=10e-15)
+        cir = cir_of(paths)
         pdp = power_delay_profile(cir)
         k = len(paths)
         expected = sum((path_contribution(p, MEDIA).gain / k) ** 2 for p in paths)
@@ -231,7 +235,7 @@ class TestDetectorMap:
     def test_free_space_uniform(self):
         layout = ArrayLayout(Spherical(10.0), 0, 5.0, 5.0, 445.0)
         paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 51))
-        dmap = detector_map(paths, MEDIA, detector_extent_um=40.0)
+        dmap = detector_map(contributions(paths, MEDIA, 40.0)[0], 40.0)
         powers = [p for _, p, _ in dmap.samples]
         assert len(dmap.samples) == 51
         assert all(p == pytest.approx(1.0) for p in powers)
@@ -241,7 +245,7 @@ class TestDetectorMap:
     def test_extent_filters(self):
         layout = ArrayLayout(Spherical(10.0), 0, 5.0, 5.0, 445.0)
         paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 51))
-        dmap = detector_map(paths, MEDIA, detector_extent_um=10.0)
+        dmap = detector_map(contributions(paths, MEDIA, 10.0)[0], 10.0)
         assert all(abs(c) <= 5.0 for c, _, _ in dmap.samples)
         assert 0 < len(dmap.samples) < 51
 

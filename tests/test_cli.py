@@ -1,21 +1,27 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
-from dataclasses import fields
+import sys
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cellray.channel as ch
 from cellray.cli import main
 from cellray.config import (
+    PULSE_KEYS,
     Scenario,
     default_scenario,
     scenario_from_dict,
     sweep_values,
     validate,
 )
+from cellray.geometry import collimated_bundle, trace_array
 
 FLOAT_KEYS = [f.name for f in fields(Scenario) if "float" in f.type]
 
@@ -63,6 +69,21 @@ class TestScenarioConfig:
         sc.sweep = {"parameter": "d_l_um", "values": [2.0, 5.0]}
         assert sweep_values(sc) == [2.0, 5.0]
 
+    def test_sweep_grid_by_index(self):
+        sc = default_scenario()
+        sc.sweep = {"parameter": "d_l_um", "start": 0.0, "stop": 1.0, "step": 0.1}
+        grid = sweep_values(sc)
+        # Adding 0.1 repeatedly gives 0.7999999999999999 and 0.9999999999999999.
+        assert len(grid) == 11 and grid[-1] == 1.0
+        assert grid == [i * 0.1 for i in range(11)]
+        # The n_cells=1..18 shorthand keeps the points repeated addition gave.
+        sc.sweep = {"parameter": "n_cells", "start": 1.0, "stop": 18.0}
+        added, x = [], 1.0
+        while x <= 18.0 + 1e-12:
+            added.append(x)
+            x += 1
+        assert sweep_values(sc) == added == [float(n) for n in range(1, 19)]
+
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_non_finite_floats_rejected(self, key):
         for value in (math.nan, math.inf, -math.inf, True, "5"):
@@ -86,6 +107,25 @@ class TestScenarioConfig:
             sc = default_scenario()
             sc.sweep = {"parameter": "n_cells", **grid}
             assert [v for v in validate(sc) if v.startswith("sweep")], grid
+
+    @pytest.mark.parametrize("param", ["n_cells", "k_rays"])
+    def test_integer_sweep_needs_whole_points(self, param):
+        for grid in ({"values": [1.5, 2.7]}, {"values": [2, 3.5]},
+                     {"start": 1, "stop": 4, "step": 0.5},
+                     {"start": 1.5, "stop": 4}):
+            sc = default_scenario()
+            sc.sweep = {"parameter": param, **grid}
+            assert [v for v in validate(sc) if v.startswith(f"sweep: {param}")], grid
+        for grid in ({"values": [1.0, 3]}, {"start": 1.0, "stop": 4.5, "step": 2.0}):
+            sc = default_scenario()
+            sc.sweep = {"parameter": param, **grid}
+            assert validate(sc) == [], grid
+
+    @pytest.mark.parametrize("param", sorted(PULSE_KEYS))
+    def test_pulse_key_sweep_rejected(self, param):
+        sc = default_scenario()
+        sc.sweep = {"parameter": param, "values": [0.01, 0.02]}
+        assert [v for v in validate(sc) if v.startswith("sweep") and param in v]
 
     @given(st.floats(1.0, 60.0), st.floats(0.1, 1.0), st.integers(0, 30),
            st.floats(0.0, 20.0))
@@ -224,6 +264,49 @@ class TestCliCommands:
         cir_files = sorted(tmp_path.glob("cir_*.csv"))
         assert len(cir_files) == 18
 
+    @pytest.mark.parametrize("sweep, named", [
+        ('{"parameter": "n_cells", "values": [1.5, 2.7]}', "n_cells"),
+        ('{"parameter": "k_rays", "values": [11, 20.5]}', "k_rays"),
+        ('{"parameter": "n_cells", "start": 1, "stop": 3, "step": 0.5}', "n_cells"),
+        ("lambda_nm=400,456,600", "lambda_nm"),
+    ])
+    def test_sweep_rejected_before_running(self, tmp_path, capsys, sweep, named):
+        # Non-whole counts used to be truncated by int(), and a wavelength
+        # sweep wrote identical rows.
+        code = main(["--command", "sweep", "--out", str(tmp_path),
+                     "--set", "k_rays=11", "--set", f"sweep={sweep}"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert any(v.startswith("sweep") and named in v for v in record["detail"])
+        assert not (tmp_path / "sweep_summary.csv").exists()
+
+    def test_aggregate_gamma_scales_cir(self, tmp_path, capsys):
+        # 0.1 fs bins spread the K=101 atoms over several bins.
+        runs = {}
+        for mode in ("per-path", "aggregate"):
+            out = tmp_path / mode
+            assert main(["--command", "cir", "--out", str(out), "--set", "k_rays=101",
+                         "--set", "cir_dt_fs=0.1", "--set", f'gamma_mode="{mode}"']) == 0
+            runs[mode] = (read_csv(out / "cir.csv"),
+                          json.loads((out / "report.json").read_text()))
+        scenario = replace(default_scenario(), k_rays=101)
+        layout = scenario.build_layout()
+        _, focus = trace_array(layout, scenario.build_media(),
+                               collimated_bundle(layout.shape, 101))
+        gamma = ch.cumulative_gamma(focus)
+        assert gamma != pytest.approx(1.0)
+        (per_path, per_path_report), (aggregate, aggregate_report) = \
+            runs["per-path"], runs["aggregate"]
+        assert len(per_path) == len(aggregate)
+        assert sum(float(amp) != 0.0 for _, amp in per_path[1:]) > 1
+        for (t_p, amp_p), (t_a, amp_a) in zip(per_path[1:], aggregate[1:]):
+            assert t_a == t_p
+            assert float(amp_a) == pytest.approx(float(amp_p) * gamma, rel=1e-12, abs=0.0)
+        assert aggregate_report["dominant_delay_s"] == per_path_report["dominant_delay_s"]
+        assert aggregate_report["total_gain"] == pytest.approx(
+            gamma * per_path_report["total_gain"], rel=1e-12)
+
     def test_sweep_requires_block(self, tmp_path, capsys):
         assert main(["--command", "sweep", "--out", str(tmp_path)]) == 2
 
@@ -237,14 +320,49 @@ class TestCliCommands:
         assert len(mantissa) >= 12
 
 
+@pytest.fixture
+def channel_calls(monkeypatch):
+    """Counts calls of cellray.channel.contributions and build_cir."""
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(ch, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("contributions", "build_cir"):
+        monkeypatch.setattr(ch, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("command, cirs", [("trace", 1), ("cir", 1), ("pulse", 2),
+                                           ("detector", 1)])
+def test_atoms_once_per_trace(tmp_path, capsys, channel_calls, command, cirs):
+    # pulse bins the same atoms twice: at waveform_dt_fs for the waveform
+    # and at cir_dt_fs for the report's dominant delay.
+    assert main(["--command", command, "--out", str(tmp_path),
+                 "--set", "k_rays=101"]) == 0
+    assert channel_calls == {"contributions": 1, "build_cir": cirs}
+
+
+def test_atoms_once_per_sweep_point(tmp_path, capsys, channel_calls):
+    assert main(["--command", "sweep", "--out", str(tmp_path),
+                 "--set", "k_rays=101", "--set", "sweep=n_cells=1..4"]) == 0
+    assert channel_calls == {"contributions": 4, "build_cir": 4}
+
+
 ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = json.loads((ROOT / "perfbench" / "reference_seed0.json").read_text())
+BATTERY_COMMANDS = ("trace", "pathloss", "cir", "pulse", "detector")
 
 
 @pytest.fixture(scope="module")
 def golden_battery():
     """sha256 of every output file of the benchmark's seed-0 battery jobs."""
-    manifest = json.loads((ROOT / "perfbench" / "reference_seed0.json").read_text())
-    return manifest["jobs"]["battery"]
+    return MANIFEST["jobs"]["battery"]
 
 
 @pytest.mark.parametrize("shape", ["fusiform", "spherical", "pyramidal"])
@@ -256,3 +374,34 @@ def test_golden_output_bytes(tmp_path, capsys, golden_battery, shape, command):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.iterdir()}
     assert got == golden_battery[f"{shape}-{command}"]["sha256"]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's job lists, perfbench/workloads.py, loaded read-only."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
+
+
+# Every other seed-0 job: the battery's sweeps and error paths, the
+# wide-shallow cir/detector runs and the long-pulse pulse runs.
+OTHER_JOBS = [(workload, job) for workload, jobs in MANIFEST["jobs"].items()
+              for job in jobs
+              if not (workload == "battery" and job.split("-", 1)[1] in BATTERY_COMMANDS)]
+
+
+@pytest.mark.parametrize("workload, job_id", OTHER_JOBS)
+def test_golden_output_bytes_other_jobs(tmp_path, capsys, workloads, workload, job_id):
+    plan = workloads.plan(workload, 0, tmp_path / "scenarios")
+    job = {job.id: job for job in plan.jobs}[job_id]
+    out = tmp_path / "out"
+    want = MANIFEST["jobs"][workload][job_id]
+    assert main(job.argv(out)) == want["exit"]
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir()} if out.exists() else {}
+    assert got == want["sha256"]

@@ -132,20 +132,20 @@ class TestTotalPathLoss:
         return ArrayLayout(shape=Fusiform(30.0, 20.0), n_cells=n, gap=5.0,
                            source_gap=5.0, detector_gap=5.0)
 
-    def test_empty_array_closed_form(self, media, lam):
+    def test_empty_array_closed_form(self, media):
         layout = ArrayLayout(shape=Spherical(10.0), n_cells=0, gap=5.0,
                              source_gap=5.0, detector_gap=445.0)
         expected = DB_PER_NEPER * TISSUE.mu_a * 0.45 * dpf(TISSUE, 0.45)
-        assert total_path_loss(layout, media, lam) == pytest.approx(expected, rel=1e-12)
+        assert total_path_loss(layout, media) == pytest.approx(expected, rel=1e-12)
         # Loss in dB is -10 log10 of the matching transmittance.
-        assert total_path_loss(layout, media, lam) == pytest.approx(
+        assert total_path_loss(layout, media) == pytest.approx(
             -10.0 * math.log10(transmittance(TISSUE, 0.45)), rel=1e-12)
 
-    def test_monotone_in_cell_count(self, media, lam):
-        losses = [total_path_loss(self.layout(n), media, lam) for n in range(7)]
+    def test_monotone_in_cell_count(self, media):
+        losses = [total_path_loss(self.layout(n), media) for n in range(7)]
         assert all(b > a for a, b in zip(losses, losses[1:]))
 
-    def test_termwise_oracle_18_cells(self, media, lam):
+    def test_termwise_oracle_18_cells(self, media):
         from cellray.geometry import avg_distances
 
         shape = Fusiform(30.0, 20.0)
@@ -164,7 +164,7 @@ class TestTotalPathLoss:
             + 17 * term(1.34, 3.43, d_e)
             + term(1.34, 3.43, 0.005)
         )
-        assert total_path_loss(layout, media, lam) == pytest.approx(expected, rel=1e-12)
+        assert total_path_loss(layout, media) == pytest.approx(expected, rel=1e-12)
 
 
 def test_absorbance_accepts_small_negative_average():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cellray.channel import ImpulseResponse, build_cir, rebin
+from cellray.channel import ImpulseResponse, build_cir, contributions, rebin
 from cellray.geometry import ArrayLayout, Fusiform, collimated_bundle, trace_array
 from cellray.optics import SPEED_OF_LIGHT_M_PER_S, Media, Wavelength
 from cellray.signal import (
@@ -188,13 +188,13 @@ class TestEstimateChannel:
     def test_cross_module_dominant_delay(self, media, lam):
         layout = ArrayLayout(Fusiform(30.0, 20.0), 18, 5.0, 5.0, 0.0)
         paths, _ = trace_array(layout, media, collimated_bundle(layout.shape, 201))
-        cir = build_cir(paths, media, lam, dt_s=DT)
+        cir = build_cir(contributions(paths, media)[0], len(paths), DT)
         tx = gaussian_pulse(1.0, TAU, lam, DT, 8 * TAU)
         rx = propagate(tx, cir)
         est = estimate_channel(tx, rx)
         # Compare at the coarse channel resolution: nearest coarse bin of the
         # estimated peak matches the built CIR's dominant bin within one bin.
-        coarse = build_cir(paths, media, lam, dt_s=10e-15)
+        coarse = build_cir(contributions(paths, media)[0], len(paths), 10e-15)
         est_t, _ = est.dominant_bin()
         ref_t, _ = coarse.dominant_bin()
         assert abs(est_t - ref_t) <= 10e-15
@@ -205,7 +205,7 @@ class TestEstimateChannel:
                                     collimated_bundle(layout.shape, 201))
         from cellray.channel import cumulative_gamma
 
-        cir = build_cir(paths, media, lam, dt_s=DT)
+        cir = build_cir(contributions(paths, media)[0], len(paths), DT)
         tx = gaussian_pulse(1.0, TAU, lam, DT, 8 * TAU)
         rx = propagate(tx, cir)
         assert rx.energy() <= cumulative_gamma(report) * tx.energy()
@@ -238,7 +238,7 @@ def test_rebin_then_propagate_roundtrip(media, lam):
     # Channel built at the coarse grid re-deposits exactly onto the fine one.
     layout = ArrayLayout(Fusiform(30.0, 20.0), 6, 5.0, 5.0, 300.0)
     paths, _ = trace_array(layout, media, collimated_bundle(layout.shape, 101))
-    coarse = build_cir(paths, media, lam, dt_s=10e-15)
+    coarse = build_cir(contributions(paths, media)[0], len(paths), 10e-15)
     fine = rebin(coarse, DT)
     assert fine.total_gain() == pytest.approx(coarse.total_gain(), rel=1e-12)
     tx = gaussian_pulse(1.0, TAU, lam, DT, 8 * TAU)
