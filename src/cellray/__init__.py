@@ -4,12 +4,9 @@ from .channel import (
     DetectorMap,
     EmptyChannel,
     ImpulseResponse,
-    PathContribution,
-    PathOutsideDetector,
     build_cir,
     detector_map,
     focusing_gain,
-    path_contribution,
     power_delay_profile,
 )
 from .config import Scenario, default_scenario, scenario_from_dict, validate

@@ -1,4 +1,4 @@
-"""Multipath channel impulse response built from traced ray paths.
+"""Multipath channel impulse response built from a traced RayBatch.
 
 Each detected ray contributes one (delay, gain) atom: the delay is the sum
 of per-segment travel times at c/n, the gain the product of the two
@@ -7,7 +7,8 @@ distances.  Convolving per-segment delta impulses is therefore done
 analytically, with no numerical convolution error; the signal module uses
 numerical convolution only for pulse shaping.
 
-Atoms are made in one place, contributions, and held as arrays (Atoms);
+Atoms are made in one place, contributions, which reads the batch's
+per-ray path-length arrays and returns the atoms as arrays (Atoms);
 build_cir and detector_map read them.  build_cir merges them by binned
 addition with np.bincount, in ray order, so the merge order cannot change
 results beyond floating-point associativity (1e-12 relative).  Every output
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import FocusReport, RayBatch, RayPath
+from .geometry import FocusReport, RayBatch
 from .optics import (
     SPEED_OF_LIGHT_M_PER_S,
     UM_PER_MM,
@@ -33,38 +34,18 @@ from .optics import (
 # Illumination radii below this floor make the focusing ratio meaningless.
 ILLUMINATION_FLOOR_UM = 1e-3
 
-# A traced batch, or any sequence of paths (read through RayBatch.from_paths).
-Paths = Union[RayBatch, Sequence[RayPath]]
-
 
 class EmptyChannel(Exception):
     """No ray reaches the detector."""
-
-
-class PathOutsideDetector(Exception):
-    """The ray reaches the detector plane outside the detector extent."""
 
 
 class DegenerateFocus(Exception):
     """An illumination radius underflows the floor; gamma would diverge."""
 
 
-@dataclass(frozen=True)
-class PathContribution:
-    """One ray's atom in the impulse response."""
-
-    delay_s: float
-    gain: float
-    ray_index: int
-    detector_coordinate_um: float
-
-
 @dataclass(eq=False)
 class Atoms:
-    """Channel atoms as arrays: entry i of every array belongs to one ray.
-
-    Indexing or iterating builds PathContribution views.
-    """
+    """Channel atoms as arrays: entry i of every array belongs to one ray."""
 
     delay_s: np.ndarray
     gain: np.ndarray
@@ -73,15 +54,6 @@ class Atoms:
 
     def __len__(self) -> int:
         return len(self.delay_s)
-
-    def __iter__(self) -> Iterator[PathContribution]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __getitem__(self, i: int) -> PathContribution:
-        return PathContribution(delay_s=float(self.delay_s[i]),
-                                gain=float(self.gain[i]),
-                                ray_index=int(self.ray_index[i]),
-                                detector_coordinate_um=float(self.detector_coordinate_um[i]))
 
     def select(self, mask: np.ndarray) -> "Atoms":
         return Atoms(self.delay_s[mask], self.gain[mask], self.ray_index[mask],
@@ -122,35 +94,22 @@ class DetectorMap:
     ray, in increasing coordinate order.
     """
 
-    half_extent_um: float
     samples: np.ndarray
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=float).reshape(-1, 3)
 
 
-def path_contribution(path: RayPath, media: Media,
-                      detector_extent_um: Optional[float] = None) -> PathContribution:
-    """Delay and gain of one arrived or deviated ray.
-
-    The gain multiplies the cell-medium and tissue-medium transmittances,
-    each with its DPF evaluated on that medium's total distance.  When a
-    detector extent is given, rays landing outside it raise
-    PathOutsideDetector and are kept only as diagnostics.
-    """
-    if path.status == "leaked":
-        raise ValueError("leaked rays do not reach the detector")
-    detected, _ = contributions([path], media, detector_extent_um)
-    if not detected:
-        raise PathOutsideDetector(f"ray {path.ray_index} lands at {path.exit.h:.3f} um")
-    return detected[0]
-
-
-def contributions(paths: Paths, media: Media,
+def contributions(batch: RayBatch, media: Media,
                   detector_extent_um: Optional[float] = None,
                   ) -> tuple[Atoms, Atoms]:
-    """Split paths into detected atoms and out-of-detector diagnostics."""
-    batch = RayBatch.from_paths(paths)
+    """Atoms of the delivered rays, split into detected and out-of-detector.
+
+    The gain multiplies the cell-medium and tissue-medium transmittances,
+    each with its DPF evaluated on that medium's total distance.  Leaked
+    rays give no atom; with no detector extent every delivered ray is
+    detected.
+    """
     delivered = batch.status != "leaked"
     d_a_um = batch.cell_length[delivered]
     d_e_um = batch.tissue_length[delivered]
@@ -231,15 +190,13 @@ def cumulative_gamma(report: FocusReport) -> float:
     return math.prod(focusing_gain(report))
 
 
-def detector_map(detected: Atoms, detector_extent_um: float = 40.0) -> DetectorMap:
+def detector_map(detected: Atoms) -> DetectorMap:
     """Arrival coordinates, normalized power and delay of the detected atoms."""
-    if detector_extent_um <= 0.0:
-        raise ValueError("detector extent must be positive")
     top = detected.gain.max() if len(detected) else 1.0
     order = np.argsort(detected.detector_coordinate_um, kind="stable")
     samples = np.column_stack((detected.detector_coordinate_um[order],
                                detected.gain[order] / top, detected.delay_s[order]))
-    return DetectorMap(half_extent_um=0.5 * detector_extent_um, samples=samples)
+    return DetectorMap(samples=samples)
 
 
 def coordinate_clusters(dmap: DetectorMap, gap_um: float = 1.0,

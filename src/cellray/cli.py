@@ -105,7 +105,7 @@ class Channel:
     scenario: cfg.Scenario
     layout: geo.ArrayLayout
     media: Media
-    bundle: list[geo.RayState]
+    h0: np.ndarray  # launch heights
     paths: geo.RayBatch
     focus: geo.FocusReport
     detected: ch.Atoms
@@ -127,10 +127,10 @@ class Channel:
 def _channel(scenario: cfg.Scenario) -> Channel:
     layout = scenario.build_layout()
     media = scenario.build_media()
-    bundle = geo.collimated_bundle(layout.shape, scenario.k_rays)
-    paths, focus = geo.trace_array(layout, media, bundle)
+    h0 = geo.collimated_bundle(layout.shape, scenario.k_rays)
+    paths, focus = geo.trace_array(layout, media, h0)
     detected, _ = ch.contributions(paths, media, scenario.detector_width_um)
-    return Channel(scenario, layout, media, bundle, paths, focus, detected)
+    return Channel(scenario, layout, media, h0, paths, focus, detected)
 
 
 def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
@@ -158,8 +158,9 @@ def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
 def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
     chan = _channel(scenario)
     paths, focus = chan.paths, chan.focus
+    # Before any file is written: a degenerate focus fails the whole run.
+    report = _base_report(chan)
     rays_csv = out / "rays.csv"
-    h0 = np.array([ray.h for ray in chan.bundle])
     loss = paths.loss_cell
     ch.write_csv(
         rays_csv,
@@ -167,7 +168,7 @@ def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
          "exit_h_um", "exit_theta_rad", "cell_path_um", "tissue_path_um"],
         "%d,%s,%s" + ",%.12e" * 6,
         [paths.ray_index, paths.status, np.where(loss < 0, "", loss.astype(str)),
-         h0[paths.ray_index], paths.exit_x, paths.exit_h, paths.exit_theta,
+         chan.h0, paths.exit_x, paths.exit_h, paths.exit_theta,
          paths.cell_length, paths.tissue_length],
     )
     focus_csv = out / "focus_report.csv"
@@ -180,7 +181,6 @@ def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
          ["" if c.x_f is None else _fmt(c.x_f) for c in focus.cells],
          [c.illumination_radius for c in focus.cells]],
     )
-    report = _base_report(chan)
     report["source_radius_um"] = focus.source_radius
     report["detector_radius_um"] = None if math.isnan(focus.detector_radius) \
         else focus.detector_radius
@@ -188,49 +188,46 @@ def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
     return report
 
 
-def cmd_pathloss(scenario: cfg.Scenario, out: Path) -> dict:
-    layout = scenario.build_layout()
-    media = scenario.build_media()
-    # Cumulative center-line loss profile: walk the axial ray and account
-    # per-medium distances, each DPF on the running per-medium total.  The
-    # center line enters the shape pad/2 past the entry vertex when the
-    # mid-height chord is shorter than the axial extent (pyramidal cells).
+def center_line_profile(layout: geo.ArrayLayout) -> tuple[np.ndarray, ...]:
+    """Distance along the axial ray and the cell and tissue distances so far.
+
+    Sampled every 1 um within each segment and at its end.  The center line
+    enters the shape pad/2 past the entry vertex when the mid-height chord
+    is shorter than the axial extent (pyramidal cells).
+    """
     chord = layout.shape.chord_at(0.0)
     pad = layout.shape.axial_extent - chord
     boundaries: list[tuple[float, str]] = []
     cursor = 0.0
     for i in range(layout.n_cells):
-        entry = layout.cell_entry_x(i)
-        boundaries.append((entry + 0.5 * pad - cursor, "tissue"))
-        boundaries.append((chord, "cell"))
-        cursor = entry + 0.5 * pad + chord
+        entry = layout.cell_entry_x(i) + 0.5 * pad
+        boundaries += [(entry - cursor, "tissue"), (chord, "cell")]
+        cursor = entry + chord
     boundaries.append((layout.total_length - cursor, "tissue"))
 
-    distance = [0.0]
-    cell_um = [0.0]
-    tissue_um = [0.0]
+    distance, cell_um, tissue_um = [np.zeros(1)], [np.zeros(1)], [np.zeros(1)]
     pos = 0.0
-    d_cell = 0.0
-    d_tissue = 0.0
-    step = 1.0  # um sampling
+    done = {"cell": 0.0, "tissue": 0.0}  # per-medium distance before the segment
     for length, tag in boundaries:
         if length <= 0.0:
             continue
-        n_steps = max(int(math.ceil(length / step)), 1)
-        for k in range(1, n_steps + 1):
-            frac = min(k * step, length)
-            distance.append(pos + frac)
-            cell_um.append(d_cell + (frac if tag == "cell" else 0.0))
-            tissue_um.append(d_tissue + (frac if tag == "tissue" else 0.0))
-            if frac >= length:
-                break
-        if tag == "cell":
-            d_cell += length
-        else:
-            d_tissue += length
+        frac = np.minimum(np.arange(1, math.ceil(length) + 1) * 1.0, length)
+        distance.append(pos + frac)
+        for medium, column in (("cell", cell_um), ("tissue", tissue_um)):
+            column.append(done[medium] + (frac if medium == tag else np.zeros_like(frac)))
+        done[tag] += length
         pos += length
-    pathloss = DB_PER_NEPER * (absorbance(media.cell, np.array(cell_um) / UM_PER_MM)
-                               + absorbance(media.tissue, np.array(tissue_um) / UM_PER_MM))
+    return tuple(map(np.concatenate, (distance, cell_um, tissue_um)))
+
+
+def cmd_pathloss(scenario: cfg.Scenario, out: Path) -> dict:
+    layout = scenario.build_layout()
+    media = scenario.build_media()
+    # Cumulative center-line loss profile, each DPF on the running
+    # per-medium total.
+    distance, cell_um, tissue_um = center_line_profile(layout)
+    pathloss = DB_PER_NEPER * (absorbance(media.cell, cell_um / UM_PER_MM)
+                               + absorbance(media.tissue, tissue_um / UM_PER_MM))
 
     curve_csv = out / "pathloss_curve.csv"
     ch.write_csv(curve_csv, ["distance_um", "pathloss_db"], "%.12e,%.12e",
@@ -288,10 +285,10 @@ def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
 
 def cmd_detector(scenario: cfg.Scenario, out: Path) -> dict:
     chan = _channel(scenario)
-    dmap = ch.detector_map(chan.detected, scenario.detector_width_um)
+    report = _base_report(chan)  # before the map is written, as in cmd_trace
+    dmap = ch.detector_map(chan.detected)
     det_csv = out / "detector_map.csv"
     ch.write_detector_csv(dmap, det_csv)
-    report = _base_report(chan)
     report["detected_rays"] = len(dmap.samples)
     if len(dmap.samples):
         best = int(np.argmax(dmap.samples[:, 1]))

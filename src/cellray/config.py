@@ -237,6 +237,15 @@ def validate(scenario: Scenario) -> list[str]:
             step = s.sweep.get("step", 1)
             if _is_finite_number(step) and step <= 0:
                 v.append(f"sweep: step must be positive, got {step!r}")
+            if "values" in s.sweep:
+                empty = values == []
+            else:
+                start, stop = s.sweep.get("start"), s.sweep.get("stop")
+                # sweep_values' first point is start, kept iff start <= stop + 1e-12.
+                empty = _is_finite_number(start) and _is_finite_number(stop) \
+                    and start > stop + 1e-12
+            if empty:
+                v.append(f"sweep: the {param} grid has no points")
             if param in INTEGER_KEYS:
                 # Whole start and step make every grid point whole.
                 grid = values if "values" in s.sweep else \

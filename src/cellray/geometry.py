@@ -19,9 +19,11 @@ intersections, refracts by Snell's law and gives each ray a stop code:
 crossed, missed, total internal reflection or turned backward.  A ray's
 stop code is that of the first check it fails, in the order the surfaces
 are met, so the arrays hold for every ray exactly what tracing it alone
-would give.  trace_array returns a RayBatch of per-ray arrays; trace_cell
-is the same step run on one ray.  RayPath objects are built only when a
-caller indexes or iterates a batch; refraction events are reported by
+would give.  The launch is an array too: collimated_bundle gives the K
+launch heights, and trace_array traces them as axis-parallel rays from the
+source plane into a RayBatch of per-ray arrays.  trace_cell is the same
+step run on one RayState of any angle.  RayPath objects are built only when
+a caller indexes or iterates a batch; refraction events are reported by
 trace_cell only.
 
 Every value equals, bit for bit, the one a per-ray scalar loop computes with
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -209,18 +211,15 @@ class ArrayLayout:
 
 @dataclass(frozen=True)
 class RayState:
-    """A ray sample: position (x, h), direction theta, running intensity scale."""
+    """A ray sample: position (x, h) and direction theta."""
 
     x: float
     h: float
     theta: float
-    intensity_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not abs(self.theta) < 0.5 * math.pi:
             raise ValueError(f"forward ray requires |theta| < pi/2, got {self.theta}")
-        if not 0.0 < self.intensity_scale <= 1.0:
-            raise ValueError("intensity_scale must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -301,8 +300,7 @@ class RayBatch:
     ray traversed; final_leg is the leg on to the detector plane (0 for
     leaked rays).
 
-    Indexing or iterating builds RayPath views.  A batch made by from_paths
-    has no leg or chord arrays and returns the original paths.
+    Indexing or iterating builds RayPath views.
     """
 
     ray_index: np.ndarray
@@ -311,37 +309,11 @@ class RayBatch:
     exit_x: np.ndarray
     exit_h: np.ndarray
     exit_theta: np.ndarray
-    intensity_scale: np.ndarray
     cell_length: np.ndarray
     tissue_length: np.ndarray
-    legs: Optional[np.ndarray] = None         # (K, N)
-    chords: Optional[np.ndarray] = None       # (K, N)
-    final_leg: Optional[np.ndarray] = None    # (K,)
-    paths: Optional[tuple[RayPath, ...]] = None
-
-    @classmethod
-    def from_paths(cls, paths: Union["RayBatch", Sequence[RayPath]]) -> "RayBatch":
-        """The batch of a plain sequence of paths; a batch is returned as is."""
-        if isinstance(paths, RayBatch):
-            return paths
-        paths = tuple(paths)
-
-        def column(values, dtype=float) -> np.ndarray:
-            return np.array(list(values), dtype=dtype)
-
-        return cls(
-            ray_index=column((p.ray_index for p in paths), int),
-            status=column((p.status for p in paths), "<U8"),
-            loss_cell=column((-1 if p.loss_cell is None else p.loss_cell
-                              for p in paths), int),
-            exit_x=column(p.exit.x for p in paths),
-            exit_h=column(p.exit.h for p in paths),
-            exit_theta=column(p.exit.theta for p in paths),
-            intensity_scale=column(p.exit.intensity_scale for p in paths),
-            cell_length=column(p.cell_length for p in paths),
-            tissue_length=column(p.tissue_length for p in paths),
-            paths=paths,
-        )
+    legs: np.ndarray         # (K, N)
+    chords: np.ndarray       # (K, N)
+    final_leg: np.ndarray    # (K,)
 
     def __len__(self) -> int:
         return len(self.status)
@@ -350,8 +322,6 @@ class RayBatch:
         return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i: int) -> RayPath:
-        if self.paths is not None:
-            return self.paths[i]
         i = range(len(self))[i]
         loss = int(self.loss_cell[i])
         crossed = self.legs.shape[1] if loss < 0 else loss
@@ -366,8 +336,7 @@ class RayBatch:
         if final > TOL:
             segments.append(("tissue", final))
         exit_state = RayState(float(self.exit_x[i]), float(self.exit_h[i]),
-                              float(self.exit_theta[i]),
-                              float(self.intensity_scale[i]))
+                              float(self.exit_theta[i]))
         return RayPath(ray_index=int(self.ray_index[i]), segments=segments,
                        status=str(self.status[i]),
                        loss_cell=None if loss < 0 else loss,
@@ -632,12 +601,12 @@ def trace_cell(shape: CellShape, media: Media, incoming: RayState,
         raise NoIntersection
     if c.fate[0] != CROSSED:
         raise TotalInternalReflection
-    theta, scale = incoming.theta, incoming.intensity_scale
+    theta = incoming.theta
     return CellTrace(
         tissue_leg=float(c.tissue_leg[0]),
         entry=RayState(float(c.entry_x[0]), float(c.entry_h[0]),
-                       math.atan2(math.sin(theta), math.cos(theta)), scale),
-        outgoing=RayState(float(c.x[0]), float(c.h[0]), float(c.theta[0]), scale),
+                       math.atan2(math.sin(theta), math.cos(theta))),
+        outgoing=RayState(float(c.x[0]), float(c.h[0]), float(c.theta[0])),
         chord=float(c.chord[0]),
         focus=None if isinstance(shape, Pyramidal)
         else c.focus(0, entry_x + shape.axial_extent),
@@ -645,8 +614,8 @@ def trace_cell(shape: CellShape, media: Media, incoming: RayState,
     )
 
 
-def collimated_bundle(shape: CellShape, k: int) -> list[RayState]:
-    """K axis-parallel rays of equal intensity spanning the entrance aperture.
+def collimated_bundle(shape: CellShape, k: int) -> np.ndarray:
+    """Launch heights of K axis-parallel rays spanning the entrance aperture.
 
     Midpoint spacing keeps the grid uniform while avoiding rays exactly on
     the aperture rim, and makes runs reproducible without any randomness.
@@ -655,31 +624,27 @@ def collimated_bundle(shape: CellShape, k: int) -> list[RayState]:
         raise ValueError("bundle needs at least one ray")
     half = shape.half_aperture
     width = 2.0 * half
-    return [
-        RayState(x=0.0, h=(i + 0.5) / k * width - half, theta=0.0)
-        for i in range(k)
-    ]
+    return (np.arange(k) + 0.5) / k * width - half
 
 
 def trace_array(layout: ArrayLayout, media: Media,
-                bundle: Sequence[RayState]) -> tuple[RayBatch, FocusReport]:
-    """Trace a ray bundle through the whole array up to the detector plane.
+                h0: np.ndarray) -> tuple[RayBatch, FocusReport]:
+    """Trace axis-parallel rays from (0, h0) through the array to the detector.
 
     Rays that miss a cell are leaked for radial shapes (removed from the
     propagation line) and deviated for pyramidal cells, where the straight
     continuation still travels to the detector plane.  Total internal
     reflection terminates a ray as leaked in every shape.
     """
-    if not bundle:
+    if len(h0) == 0:
         raise ValueError("empty ray bundle")
-    shape, k, n = layout.shape, len(bundle), layout.n_cells
+    shape, k, n = layout.shape, len(h0), layout.n_cells
     miss_status = "deviated" if isinstance(shape, Pyramidal) else "leaked"
     # Rows x, h, theta, cell length, tissue length: `rays` for every ray,
     # `run` for the rays still on the line (indexed by `live`).  A ray's row
     # is written back to `rays` when it stops and after the last cell.
     rays = np.zeros((5, k))
-    rays[:3] = [[r.x for r in bundle], [r.h for r in bundle],
-                [r.theta for r in bundle]]
+    rays[1] = h0
     source_radius = float(np.max(np.abs(rays[1])))
     status = np.full(k, "arrived", dtype="<U8")
     loss_cell = np.full(k, -1)
@@ -729,7 +694,6 @@ def trace_array(layout: ArrayLayout, media: Media,
     batch = RayBatch(
         ray_index=np.arange(k), status=status, loss_cell=loss_cell,
         exit_x=x, exit_h=h, exit_theta=theta,
-        intensity_scale=np.array([r.intensity_scale for r in bundle], dtype=float),
         cell_length=cell_length, tissue_length=tissue_length,
         legs=legs, chords=chords, final_leg=final_leg,
     )

@@ -1,29 +1,36 @@
 """The per-atom channel loops that the array channel replaced.
 
 contributions, build_cir, rebin and detector_map are the loops
-cellray.channel ran before its atoms became arrays, code unchanged, with
-the scalar Beer-Lambert transmittance they called.
-tests/test_array_atoms.py and tests/test_channel.py compare the package
-against them with exact equality; this is a test oracle, not part of the
-package.
+cellray.channel ran before its atoms became arrays, with the scalar
+Beer-Lambert transmittance they called; they read a RayBatch's arrays and
+keep their own per-atom PathContribution.  center_line_profile is the
+1 um walk cellray.cli's path-loss curve ran before its numpy grid.
+tests/test_array_atoms.py, tests/test_channel.py and tests/test_cli.py
+compare the package against them with exact equality; this is a test
+oracle, not part of the package.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from cellray.channel import (
-    DetectorMap,
-    EmptyChannel,
-    ImpulseResponse,
-    PathContribution,
-    Paths,
-)
-from cellray.geometry import RayBatch
+from cellray.channel import DetectorMap, EmptyChannel, ImpulseResponse
+from cellray.geometry import ArrayLayout, RayBatch
 from cellray.optics import SPEED_OF_LIGHT_M_PER_S, UM_PER_MM, Media, Medium, Wavelength
+
+
+@dataclass(frozen=True)
+class PathContribution:
+    """One ray's atom in the impulse response."""
+
+    delay_s: float
+    gain: float
+    ray_index: int
+    detector_coordinate_um: float
 
 
 def absorbance(medium: Medium, d_mm: float) -> float:
@@ -40,12 +47,11 @@ def transmittance(medium: Medium, d_mm: float, wavelength: Wavelength | None = N
     return math.exp(-absorbance(medium, d_mm))
 
 
-def contributions(paths: Paths, media: Media,
+def contributions(batch: RayBatch, media: Media,
                   wavelength: Wavelength | None = None,
                   detector_extent_um: Optional[float] = None,
                   ) -> tuple[list[PathContribution], list[PathContribution]]:
     """Split paths into detected atoms and out-of-detector diagnostics."""
-    batch = RayBatch.from_paths(paths)
     delivered = batch.status != "leaked"
     d_a_um = batch.cell_length[delivered]
     d_e_um = batch.tissue_length[delivered]
@@ -69,7 +75,7 @@ def contributions(paths: Paths, media: Media,
     return detected, outside
 
 
-def build_cir(paths: Paths, media: Media,
+def build_cir(paths: RayBatch, media: Media,
               wavelength: Wavelength | None = None, dt_s: float = 10e-15,
               gamma_mode: str = "per-path",
               detector_extent_um: Optional[float] = None,
@@ -105,7 +111,7 @@ def rebin(cir: ImpulseResponse, dt_s: float) -> ImpulseResponse:
     return ImpulseResponse(t0=0.0, dt=dt_s, bins=bins)
 
 
-def detector_map(paths: Paths, media: Media,
+def detector_map(paths: RayBatch, media: Media,
                  wavelength: Wavelength | None = None,
                  detector_extent_um: float = 40.0) -> DetectorMap:
     if detector_extent_um <= 0.0:
@@ -116,4 +122,43 @@ def detector_map(paths: Paths, media: Media,
         (c.detector_coordinate_um, c.gain / top, c.delay_s)
         for c in sorted(detected, key=lambda c: c.detector_coordinate_um)
     ]
-    return DetectorMap(half_extent_um=0.5 * detector_extent_um, samples=samples)
+    return DetectorMap(samples=samples)
+
+
+def center_line_profile(layout: ArrayLayout) -> tuple[list[float], list[float], list[float]]:
+    """Distance and per-medium distances along the axial ray, every 1 um."""
+    chord = layout.shape.chord_at(0.0)
+    pad = layout.shape.axial_extent - chord
+    boundaries: list[tuple[float, str]] = []
+    cursor = 0.0
+    for i in range(layout.n_cells):
+        entry = layout.cell_entry_x(i)
+        boundaries.append((entry + 0.5 * pad - cursor, "tissue"))
+        boundaries.append((chord, "cell"))
+        cursor = entry + 0.5 * pad + chord
+    boundaries.append((layout.total_length - cursor, "tissue"))
+
+    distance = [0.0]
+    cell_um = [0.0]
+    tissue_um = [0.0]
+    pos = 0.0
+    d_cell = 0.0
+    d_tissue = 0.0
+    step = 1.0  # um sampling
+    for length, tag in boundaries:
+        if length <= 0.0:
+            continue
+        n_steps = max(int(math.ceil(length / step)), 1)
+        for k in range(1, n_steps + 1):
+            frac = min(k * step, length)
+            distance.append(pos + frac)
+            cell_um.append(d_cell + (frac if tag == "cell" else 0.0))
+            tissue_um.append(d_tissue + (frac if tag == "tissue" else 0.0))
+            if frac >= length:
+                break
+        if tag == "cell":
+            d_cell += length
+        else:
+            d_tissue += length
+        pos += length
+    return distance, cell_um, tissue_um

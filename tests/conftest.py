@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
+from cellray.geometry import RayBatch
 from cellray.optics import Media, Medium, Wavelength
 
 # Blue-light cortical operating point used across the suite.
@@ -15,3 +18,8 @@ def media() -> Media:
 @pytest.fixture
 def lam() -> Wavelength:
     return Wavelength(456.0)
+
+
+def reversed_batch(batch: RayBatch) -> RayBatch:
+    """The batch with its rays in reverse order: every array sliced [::-1]."""
+    return RayBatch(**{f.name: getattr(batch, f.name)[::-1] for f in fields(RayBatch)})

@@ -81,7 +81,7 @@ class Run:
                                          scenario.detector_width_um)
         self.cir = build_cir(self.detected, len(self.paths),
                              scenario.cir_dt_fs * 1e-15)
-        self.received_fraction = sum(c.gain for c in self.detected) / len(self.paths)
+        self.received_fraction = sum(self.detected.gain.tolist()) / len(self.paths)
         self.dominant_delay = self.cir.dominant_bin()[0]
 
 
@@ -257,12 +257,12 @@ def test_criterion_7_spectral_invariance(runs):
 
 def test_criterion_8_detector_maps(runs):
     fus = runs["fusiform"]
-    dmap = detector_map(fus.detected, fus.scenario.detector_width_um)
+    dmap = detector_map(fus.detected)
     best = max(dmap.samples, key=lambda s: s[1])
     centre_ok = abs(best[0]) <= 2.0
 
     pyr = runs["pyramidal"]
-    pmap = detector_map(pyr.detected, pyr.scenario.detector_width_um)
+    pmap = detector_map(pyr.detected)
     clusters = coordinate_clusters(pmap, gap_um=1.0, min_size=2)
     cluster_ok = len(clusters) >= 2
 
@@ -289,7 +289,8 @@ def test_criterion_9_property_battery(runs):
         for path in run.paths:
             crossings += layout.n_cells if path.loss_cell is None \
                 else path.loss_cell
-        for ray in run.bundle:
+        for h in run.bundle.tolist():
+            ray = RayState(0.0, h, 0.0)
             for cell in range(layout.n_cells):
                 try:
                     ct = trace_cell(layout.shape, run.media, ray,

@@ -9,16 +9,15 @@ import channel_oracle as oracle
 from cellray.channel import (
     CSV_BLOCK_ROWS,
     DegenerateFocus,
+    DetectorMap,
     EmptyChannel,
     ImpulseResponse,
-    PathOutsideDetector,
     build_cir,
     contributions,
     coordinate_clusters,
     cumulative_gamma,
     detector_map,
     focusing_gain,
-    path_contribution,
     power_delay_profile,
     rebin,
     write_csv,
@@ -27,29 +26,50 @@ from cellray.geometry import (
     ArrayLayout,
     CellFocus,
     FocusReport,
-    RayPath,
-    RayState,
+    RayBatch,
     Spherical,
     collimated_bundle,
     trace_array,
 )
 from cellray.optics import SPEED_OF_LIGHT_M_PER_S, Media
-from conftest import CELL, TISSUE
+from conftest import CELL, TISSUE, reversed_batch
 
 MEDIA = Media(cell=CELL, tissue=TISSUE)
 
 
-def synthetic_path(segments, exit_h=0.0, status="arrived", index=0):
-    total_x = sum(length for _, length in segments)
-    return RayPath(ray_index=index, segments=list(segments), status=status,
-                   loss_cell=None if status == "arrived" else 0,
-                   exit=RayState(total_x, exit_h, 0.0))
+def synthetic_batch(tissue_um, cell_um=0.0, exit_h=0.0, status="arrived"):
+    """A RayBatch of axial rays with the given per-medium path lengths.
+
+    One ray per entry of tissue_um; the other arguments are broadcast.  The
+    rays cross no cell of a layout, so legs and chords have no columns.
+    """
+    tissue = np.atleast_1d(np.asarray(tissue_um, dtype=float))
+    k = len(tissue)
+
+    def column(value, dtype=float):
+        return np.broadcast_to(np.asarray(value, dtype=dtype), (k,)).copy()
+
+    statuses = column(status, "<U8")
+    cell = column(cell_um)
+    return RayBatch(ray_index=np.arange(k), status=statuses,
+                    loss_cell=np.where(statuses == "arrived", -1, 0),
+                    exit_x=cell + tissue, exit_h=column(exit_h),
+                    exit_theta=np.zeros(k), cell_length=cell, tissue_length=tissue,
+                    legs=np.zeros((k, 0)), chords=np.zeros((k, 0)),
+                    final_leg=np.zeros(k))
 
 
-def cir_of(paths, dt_s=10e-15, aggregate_gamma=None):
-    """The CIR of the paths' detected atoms."""
-    detected, _ = contributions(paths, MEDIA)
-    return build_cir(detected, len(paths), dt_s, aggregate_gamma)
+def atom(batch, detector_extent_um=None):
+    """(delay_s, gain) of the batch's only detected atom."""
+    detected, _ = contributions(batch, MEDIA, detector_extent_um)
+    assert len(detected) == 1
+    return float(detected.delay_s[0]), float(detected.gain[0])
+
+
+def cir_of(batch, dt_s=10e-15, aggregate_gamma=None):
+    """The CIR of the batch's detected atoms."""
+    detected, _ = contributions(batch, MEDIA)
+    return build_cir(detected, len(batch), dt_s, aggregate_gamma)
 
 
 def gain_oracle(d_a_um, d_e_um):
@@ -62,64 +82,61 @@ def gain_oracle(d_a_um, d_e_um):
 
 
 class TestPathContribution:
+    """One ray's atom, from contributions on a one-ray batch."""
+
     def test_single_tissue_segment_delay(self):
-        path = synthetic_path([("tissue", 450.0)])
-        c = path_contribution(path, MEDIA)
+        delay_s, _ = atom(synthetic_batch(450.0))
         expected = 450e-6 * 1.35 / SPEED_OF_LIGHT_M_PER_S
-        assert c.delay_s == pytest.approx(expected, rel=1e-15)
-        assert c.delay_s == pytest.approx(2.026e-12, rel=1e-3)
+        assert delay_s == pytest.approx(expected, rel=1e-15)
+        assert delay_s == pytest.approx(2.026e-12, rel=1e-3)
 
     def test_short_path_limit(self):
-        path = synthetic_path([("tissue", 1e-6)])
-        c = path_contribution(path, MEDIA)
-        assert c.gain == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 < c.delay_s < 1e-20
+        delay_s, gain = atom(synthetic_batch(1e-6))
+        assert gain == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 < delay_s < 1e-20
 
     def test_termwise_gain_oracle(self):
         d_a = 18 * 23.561944901923447
         d_e = 450.0 - d_a
-        path = synthetic_path([("cell", d_a), ("tissue", d_e)])
-        c = path_contribution(path, MEDIA)
-        assert c.gain == pytest.approx(gain_oracle(d_a, d_e), rel=1e-13)
+        _, gain = atom(synthetic_batch(d_e, cell_um=d_a))
+        assert gain == pytest.approx(gain_oracle(d_a, d_e), rel=1e-13)
 
     def test_rejects_leaked(self):
-        path = synthetic_path([("tissue", 10.0)], status="leaked")
-        with pytest.raises(ValueError):
-            path_contribution(path, MEDIA)
+        # A leaked ray gives no atom, detected or outside.
+        batch = synthetic_batch(10.0, status="leaked")
+        assert [len(atoms) for atoms in contributions(batch, MEDIA, 40.0)] == [0, 0]
 
     def test_detector_extent(self):
-        path = synthetic_path([("tissue", 450.0)], exit_h=25.0)
-        with pytest.raises(PathOutsideDetector):
-            path_contribution(path, MEDIA, detector_extent_um=40.0)
-        kept, outside = contributions([path], MEDIA, 40.0)
+        batch = synthetic_batch(450.0, exit_h=25.0)
+        kept, outside = contributions(batch, MEDIA, 40.0)
         assert len(kept) == 0 and len(outside) == 1
+        assert outside.detector_coordinate_um.tolist() == [25.0]
+        assert atom(batch) == atom(synthetic_batch(450.0))
 
 
 class TestBuildCir:
     def test_single_path_single_bin(self):
-        path = synthetic_path([("tissue", 450.0)])
-        cir = cir_of([path])
-        c = path_contribution(path, MEDIA)
-        idx = int(round(c.delay_s / 10e-15))
+        batch = synthetic_batch(450.0)
+        cir = cir_of(batch)
+        delay_s, gain = atom(batch)
+        idx = int(round(delay_s / 10e-15))
         assert np.count_nonzero(cir.bins) == 1
-        assert cir.bins[idx] == pytest.approx(c.gain)
+        assert cir.bins[idx] == pytest.approx(gain)
         assert cir.dominant_bin()[0] == pytest.approx(idx * 10e-15)
 
     def test_gain_split_over_bundle(self):
-        paths = [synthetic_path([("tissue", 450.0)], index=i) for i in range(4)]
-        cir = cir_of(paths)
-        single = path_contribution(paths[0], MEDIA).gain
+        cir = cir_of(synthetic_batch([450.0] * 4))
+        _, single = atom(synthetic_batch(450.0))
         assert cir.total_gain() == pytest.approx(single, rel=1e-12)
 
     def test_empty_channel(self):
-        path = synthetic_path([("tissue", 10.0)], status="leaked")
         with pytest.raises(EmptyChannel):
-            cir_of([path])
+            cir_of(synthetic_batch(10.0, status="leaked"))
 
     def test_aggregate_mode_scales(self):
-        path = synthetic_path([("tissue", 450.0)])
-        base = cir_of([path])
-        scaled = cir_of([path], aggregate_gamma=2.25)
+        batch = synthetic_batch(450.0)
+        base = cir_of(batch)
+        scaled = cir_of(batch, aggregate_gamma=2.25)
         assert scaled.total_gain() == pytest.approx(2.25 * base.total_gain())
         assert scaled.bins.tolist() == (2.25 * base.bins).tolist()
 
@@ -127,7 +144,7 @@ class TestBuildCir:
         layout = ArrayLayout(Spherical(10.0), 18, 5.0, 5.0, 0.0)
         paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 201))
         forward = cir_of(paths)
-        backward = cir_of(list(reversed(paths)))
+        backward = cir_of(reversed_batch(paths))
         np.testing.assert_allclose(forward.bins, backward.bins, rtol=1e-12)
 
     def test_rebin_conserves_gain(self):
@@ -161,9 +178,8 @@ class TestBuildCir:
         floor = layout.total_length * 1e-6 * 1.35 / SPEED_OF_LIGHT_M_PER_S
         detected, _ = contributions(paths, MEDIA)
         assert detected
-        for c in detected:
-            assert c.delay_s >= floor * (1.0 - 1e-12)
-            assert 0.0 < c.gain < 1.0
+        assert (detected.delay_s >= floor * (1.0 - 1e-12)).all()
+        assert ((0.0 < detected.gain) & (detected.gain < 1.0)).all()
         cir = cir_of(paths)
         assert cir.total_gain() <= 1.0
         assert cir.total_gain() <= cumulative_gamma(report)
@@ -191,12 +207,11 @@ class TestPowerDelayProfile:
 
     def test_energy_matches_per_path_sum(self):
         # Distinct delays, one atom per bin, so PDP energy is sum of g^2/K^2.
-        paths = [synthetic_path([("tissue", 100.0 * (i + 1))], index=i)
-                 for i in range(5)]
-        cir = cir_of(paths)
+        lengths = [100.0 * (i + 1) for i in range(5)]
+        cir = cir_of(synthetic_batch(lengths))
         pdp = power_delay_profile(cir)
-        k = len(paths)
-        expected = sum((path_contribution(p, MEDIA).gain / k) ** 2 for p in paths)
+        k = len(lengths)
+        expected = sum((atom(synthetic_batch(d))[1] / k) ** 2 for d in lengths)
         assert pdp.bins.sum() == pytest.approx(expected, rel=1e-12)
 
 
@@ -235,7 +250,7 @@ class TestDetectorMap:
     def test_free_space_uniform(self):
         layout = ArrayLayout(Spherical(10.0), 0, 5.0, 5.0, 445.0)
         paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 51))
-        dmap = detector_map(contributions(paths, MEDIA, 40.0)[0], 40.0)
+        dmap = detector_map(contributions(paths, MEDIA, 40.0)[0])
         powers = [p for _, p, _ in dmap.samples]
         assert len(dmap.samples) == 51
         assert all(p == pytest.approx(1.0) for p in powers)
@@ -245,16 +260,14 @@ class TestDetectorMap:
     def test_extent_filters(self):
         layout = ArrayLayout(Spherical(10.0), 0, 5.0, 5.0, 445.0)
         paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 51))
-        dmap = detector_map(contributions(paths, MEDIA, 10.0)[0], 10.0)
+        dmap = detector_map(contributions(paths, MEDIA, 10.0)[0])
         assert all(abs(c) <= 5.0 for c, _, _ in dmap.samples)
         assert 0 < len(dmap.samples) < 51
 
     def test_cluster_splitting(self):
         dmap_samples = [(-18.0, 0.4, 2e-12), (-17.9, 0.4, 2e-12),
                         (-3.0, 1.0, 2e-12), (-2.8, 0.9, 2e-12), (0.0, 1.0, 2e-12)]
-        from cellray.channel import DetectorMap
-
-        clusters = coordinate_clusters(DetectorMap(20.0, dmap_samples), gap_um=1.0)
+        clusters = coordinate_clusters(DetectorMap(dmap_samples), gap_um=1.0)
         assert len(clusters) == 2
 
 

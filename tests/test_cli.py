@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cellray.channel as ch
-from cellray.cli import main
+import cellray.geometry as geo
+import channel_oracle as oracle
+from cellray.cli import center_line_profile, main
 from cellray.config import (
     PULSE_KEYS,
     Scenario,
@@ -21,7 +23,14 @@ from cellray.config import (
     sweep_values,
     validate,
 )
-from cellray.geometry import collimated_bundle, trace_array
+from cellray.geometry import (
+    ArrayLayout,
+    Fusiform,
+    Pyramidal,
+    Spherical,
+    collimated_bundle,
+    trace_array,
+)
 
 FLOAT_KEYS = [f.name for f in fields(Scenario) if "float" in f.type]
 
@@ -120,6 +129,18 @@ class TestScenarioConfig:
             sc = default_scenario()
             sc.sweep = {"parameter": param, **grid}
             assert validate(sc) == [], grid
+
+    def test_empty_sweep_grid_rejected(self):
+        # The check agrees with sweep_values at its 1e-12 inclusion edge.
+        for grid, points in (({"values": []}, 0), ({"start": 5, "stop": 1}, 0),
+                             ({"start": 1.0, "stop": 1.0 - 2e-12}, 0),
+                             ({"start": 1.0, "stop": 1.0 - 5e-13}, 1),
+                             ({"start": 5, "stop": 5}, 1)):
+            sc = default_scenario()
+            sc.sweep = {"parameter": "d_l_um", **grid}
+            assert len(sweep_values(sc)) == points, grid
+            named = [v for v in validate(sc) if v.startswith("sweep") and "d_l_um" in v]
+            assert bool(named) == (points == 0), grid
 
     @pytest.mark.parametrize("param", sorted(PULSE_KEYS))
     def test_pulse_key_sweep_rejected(self, param):
@@ -307,6 +328,28 @@ class TestCliCommands:
         assert aggregate_report["total_gain"] == pytest.approx(
             gamma * per_path_report["total_gain"], rel=1e-12)
 
+    @pytest.mark.parametrize("sweep", ['{"parameter": "d_l_um", "values": []}',
+                                       '{"start": 5, "stop": 1, "parameter": "n_cells"}'])
+    def test_empty_sweep_grid_writes_nothing(self, tmp_path, capsys, sweep):
+        # Both used to exit 0 with a header-only sweep_summary.csv.
+        out = tmp_path / "out"
+        code = main(["--command", "sweep", "--out", str(out), "--set", f"sweep={sweep}"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "validation"
+        assert any(v.startswith("sweep") and "no points" in v for v in record["detail"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["trace", "detector"])
+    def test_degenerate_focus_writes_nothing(self, tmp_path, capsys, command):
+        # One ray on the axis: the source radius is 0, so aggregate mode has
+        # no focusing ratio.  Both commands used to write their CSVs first.
+        code = main(["--command", command, "--out", str(tmp_path), "--set", "k_rays=1",
+                     "--set", 'gamma_mode="aggregate"'])
+        assert code == 3
+        assert "DegenerateFocus" in json.loads(capsys.readouterr().err)["detail"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_requires_block(self, tmp_path, capsys):
         assert main(["--command", "sweep", "--out", str(tmp_path)]) == 2
 
@@ -352,6 +395,46 @@ def test_atoms_once_per_sweep_point(tmp_path, capsys, channel_calls):
     assert main(["--command", "sweep", "--out", str(tmp_path),
                  "--set", "k_rays=101", "--set", "sweep=n_cells=1..4"]) == 0
     assert channel_calls == {"contributions": 4, "build_cir": 4}
+
+
+def test_no_per_ray_objects(tmp_path, capsys, monkeypatch):
+    """A CLI run builds no RayState or RayPath: launch and channel are arrays."""
+    made = Counter()
+
+    def counting(base):
+        def init(self, *args, **kwargs):
+            made[base.__name__] += 1
+            base.__init__(self, *args, **kwargs)
+        return type(base.__name__, (base,), {"__init__": init})
+
+    for name in ("RayState", "RayPath"):
+        monkeypatch.setattr(geo, name, counting(getattr(geo, name)))
+    for command, extra in (("trace", []), ("cir", []), ("pulse", []), ("detector", []),
+                           ("sweep", ["--set", "sweep=n_cells=1..3"])):
+        assert main(["--command", command, "--out", str(tmp_path / command),
+                     "--set", "k_rays=101", *extra]) == 0
+    assert made == Counter()
+    geo.RayState(0.0, 0.0, 0.0)  # the counter itself works
+    assert made == Counter(RayState=1)
+
+
+shape_strategy = st.one_of(
+    st.builds(Spherical, r_c=st.floats(1.0, 25.0)),
+    st.tuples(st.floats(2.0, 50.0), st.floats(0.05, 1.0)).map(
+        lambda t: Fusiform(h_c=t[0], w_c=t[0] * t[1])),
+    st.builds(Pyramidal, h_c=st.floats(2.0, 50.0), w_c=st.floats(1.0, 40.0)),
+)
+gap_strategy = st.one_of(st.just(0.0), st.floats(0.0, 30.0))
+
+
+@given(shape_strategy, st.integers(0, 18), gap_strategy, gap_strategy, gap_strategy)
+@settings(max_examples=300, deadline=None)
+def test_center_line_grid_matches_walk(shape, n_cells, gap, source_gap, detector_gap):
+    # The numpy grid against the 1 um walk it replaced, exactly.
+    layout = ArrayLayout(shape, n_cells, gap, source_gap, detector_gap)
+    got = center_line_profile(layout)
+    assert [column.tolist() for column in got] == \
+        list(oracle.center_line_profile(layout))
 
 
 ROOT = Path(__file__).resolve().parent.parent

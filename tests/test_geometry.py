@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
@@ -310,18 +311,19 @@ class TestTraceArray:
         layout = default_layout(Spherical(10.0), d_det=5.0)
         bundle = collimated_bundle(layout.shape, 51)
         paths, _ = trace_array(layout, flat, bundle)
-        for ray, p in zip(bundle, paths):
+        for h, p in zip(bundle.tolist(), paths):
             assert p.status == "arrived"
-            assert p.exit.h == pytest.approx(ray.h, abs=1e-9)
+            assert p.exit.h == pytest.approx(h, abs=1e-9)
             assert p.exit.theta == pytest.approx(0.0, abs=1e-12)
-            expected_cell = 18 * layout.shape.chord_at(ray.h)
+            expected_cell = 18 * layout.shape.chord_at(h)
             assert p.cell_length == pytest.approx(expected_cell, abs=1e-6)
 
     def test_bundle_is_deterministic_and_uniform(self):
         bundle = collimated_bundle(Fusiform(30.0, 20.0), 5)
-        hs = [r.h for r in bundle]
+        assert isinstance(bundle, np.ndarray) and bundle.dtype == float
+        hs = bundle.tolist()
         assert hs == sorted(hs)
         steps = [b - a for a, b in zip(hs, hs[1:])]
         assert all(s == pytest.approx(steps[0]) for s in steps)
         assert hs[0] == pytest.approx(-15.0 + steps[0] / 2.0)
-        assert collimated_bundle(Fusiform(30.0, 20.0), 5) == bundle
+        assert collimated_bundle(Fusiform(30.0, 20.0), 5).tolist() == hs
