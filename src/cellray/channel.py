@@ -33,6 +33,9 @@ from .optics import (
 
 # Illumination radii below this floor make the focusing ratio meaningless.
 ILLUMINATION_FLOOR_UM = 1e-3
+# The most bins build_cir makes: over 100 times the ~0.1M bins of 0.02 fs
+# that a 450 um line needs.
+MAX_CIR_BINS = 12_000_000
 
 
 class EmptyChannel(Exception):
@@ -41,6 +44,10 @@ class EmptyChannel(Exception):
 
 class DegenerateFocus(Exception):
     """An illumination radius underflows the floor; gamma would diverge."""
+
+
+class BinOverflow(ValueError):
+    """The bin width is 0 s, or the delays need more than MAX_CIR_BINS bins."""
 
 
 @dataclass(eq=False)
@@ -133,14 +140,20 @@ def build_cir(detected: Atoms, n_rays: int, dt_s: float = 10e-15,
     being the launched bundle size, so the total gain is the per-unit-source
     received intensity.  Focusing is left to the ray arrival density unless
     aggregate_gamma, the cumulative focusing ratio, is given: then all bins
-    are scaled by it as well.
+    are scaled by it as well.  Raises BinOverflow for a bin width of 0 s,
+    or for delays that would need more than MAX_CIR_BINS bins.
     """
     if dt_s <= 0.0:
-        raise ValueError("bin width must be positive")
+        raise BinOverflow(f"bin width must be positive, got {dt_s!r} s")
     if not detected:
         raise EmptyChannel("no ray reaches the detector")
-    slots = np.rint(detected.delay_s / dt_s).astype(np.intp)
-    bins = np.bincount(slots, weights=detected.gain / n_rays)
+    with np.errstate(over="ignore"):
+        slots = np.rint(detected.delay_s / dt_s)
+    # Checked before the cast: an overflowed cast gives a negative slot.
+    if not (slots.min() >= 0.0 and slots.max() < MAX_CIR_BINS):
+        raise BinOverflow(f"delays up to {detected.delay_s.max():.6g} s need more than "
+                          f"{MAX_CIR_BINS} bins of {dt_s:.6g} s")
+    bins = np.bincount(slots.astype(np.intp), weights=detected.gain / n_rays)
     if aggregate_gamma is not None:
         bins *= aggregate_gamma
     return ImpulseResponse(t0=0.0, dt=dt_s, bins=bins)

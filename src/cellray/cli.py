@@ -24,7 +24,8 @@ from . import channel as ch
 from . import config as cfg
 from . import geometry as geo
 from . import signal as sig
-from .optics import DB_PER_NEPER, UM_PER_MM, Media, absorbance, total_path_loss
+from .optics import (DB_PER_NEPER, UM_PER_MM, BeyondPole, Media, absorbance,
+                     total_path_loss)
 
 COMMANDS = ("trace", "pathloss", "cir", "pulse", "detector", "sweep", "validate")
 
@@ -120,8 +121,13 @@ class Channel:
             return None
         return ch.cumulative_gamma(self.focus)
 
-    def cir(self, dt_fs: float) -> ch.ImpulseResponse:
-        return ch.build_cir(self.detected, len(self.paths), dt_fs * 1e-15, self.gamma)
+    def cir(self, key: str) -> ch.ImpulseResponse:
+        """The CIR binned at the scenario's key, cir_dt_fs or waveform_dt_fs."""
+        try:
+            return ch.build_cir(self.detected, len(self.paths),
+                                getattr(self.scenario, key) * 1e-15, self.gamma)
+        except ch.BinOverflow as exc:
+            raise CliError("validation", [f"{key}: {exc}"], 2)
 
 
 def _channel(scenario: cfg.Scenario) -> Channel:
@@ -147,7 +153,7 @@ def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
         report["total_received_fraction"] = \
             sum(chan.detected.gain.tolist()) / len(chan.paths)
         if cir is None:
-            cir = chan.cir(chan.scenario.cir_dt_fs)
+            cir = chan.cir("cir_dt_fs")
         report["dominant_delay_s"] = cir.dominant_bin()[0]
     else:
         report["total_received_fraction"] = 0.0
@@ -191,27 +197,13 @@ def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
 def center_line_profile(layout: geo.ArrayLayout) -> tuple[np.ndarray, ...]:
     """Distance along the axial ray and the cell and tissue distances so far.
 
-    Sampled every 1 um within each segment and at its end.  The center line
-    enters the shape pad/2 past the entry vertex when the mid-height chord
-    is shorter than the axial extent (pyramidal cells).
+    One row at the source, then the samples of geo.center_line's stretches.
     """
-    chord = layout.shape.chord_at(0.0)
-    pad = layout.shape.axial_extent - chord
-    boundaries: list[tuple[float, str]] = []
-    cursor = 0.0
-    for i in range(layout.n_cells):
-        entry = layout.cell_entry_x(i) + 0.5 * pad
-        boundaries += [(entry - cursor, "tissue"), (chord, "cell")]
-        cursor = entry + chord
-    boundaries.append((layout.total_length - cursor, "tissue"))
-
     distance, cell_um, tissue_um = [np.zeros(1)], [np.zeros(1)], [np.zeros(1)]
     pos = 0.0
     done = {"cell": 0.0, "tissue": 0.0}  # per-medium distance before the segment
-    for length, tag in boundaries:
-        if length <= 0.0:
-            continue
-        frac = np.minimum(np.arange(1, math.ceil(length) + 1) * 1.0, length)
+    for length, tag, samples in geo.center_line(layout):
+        frac = np.minimum(np.arange(1, samples + 1) * 1.0, length)
         distance.append(pos + frac)
         for medium, column in (("cell", cell_um), ("tissue", tissue_um)):
             column.append(done[medium] + (frac if medium == tag else np.zeros_like(frac)))
@@ -230,42 +222,42 @@ def cmd_pathloss(scenario: cfg.Scenario, out: Path) -> dict:
                                + absorbance(media.tissue, tissue_um / UM_PER_MM))
 
     curve_csv = out / "pathloss_curve.csv"
-    ch.write_csv(curve_csv, ["distance_um", "pathloss_db"], "%.12e,%.12e",
-                 [distance, pathloss])
-    report = {
+    report = {  # before the curve is written: total_path_loss can raise BeyondPole
         "scenario": scenario.to_dict(),
         "path_loss_db": total_path_loss(layout, media),
         # The value as written to the curve's last row.
         "center_line_path_loss_db": float(_fmt(pathloss[-1])),
         "files": [curve_csv.name],
     }
+    ch.write_csv(curve_csv, ["distance_um", "pathloss_db"], "%.12e,%.12e",
+                 [distance, pathloss])
     return report
 
 
 def cmd_cir(scenario: cfg.Scenario, out: Path) -> dict:
     chan = _channel(scenario)
-    cir = chan.cir(scenario.cir_dt_fs)
+    cir = chan.cir("cir_dt_fs")
     pdp = ch.power_delay_profile(cir)
+    report = _base_report(chan, cir)  # before any file is written
     cir_csv, pdp_csv = out / "cir.csv", out / "pdp.csv"
     ch.write_cir_csv(cir, cir_csv)
     ch.write_pdp_csv(pdp, pdp_csv)
-    report = _base_report(chan, cir)
     report["total_gain"] = cir.total_gain()
     report["files"] = [cir_csv.name, pdp_csv.name]
     return report
 
 
 def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
-    tau = scenario.tau_fs * 1e-15
-    tx = sig.gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(),
-                            scenario.waveform_dt_fs * 1e-15, span_s=8.0 * tau)
+    tau, dt, span = scenario.pulse_grid_s()
+    tx = sig.gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt, span_s=span)
     chan = _channel(scenario)
-    cir = chan.cir(scenario.waveform_dt_fs)
+    cir = chan.cir("waveform_dt_fs")
     rx = sig.propagate(tx, cir)
     dominant_delay, _ = cir.dominant_bin()
     summary = sig.received_pulse(tx, dominant_delay,
                                  1.0 if chan.gamma is None else chan.gamma,
                                  cir.total_gain())
+    report = _base_report(chan)  # before any file is written
     files = []
     for name, wave in (("tx.csv", tx), ("rx.csv", rx), ("rx_summary.csv", summary)):
         sig.write_waveform_csv(wave, out / name)
@@ -274,7 +266,6 @@ def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
     for name, spec in (("tx_spectrum.csv", tx_spectrum), ("rx_spectrum.csv", rx_spectrum)):
         sig.write_spectrum_csv(spec, out / name)
         files.append(name)
-    report = _base_report(chan)
     report["tx_peak_power"] = float(sig.envelope(tx).max() ** 2)
     report["rx_summary_peak_power"] = float(sig.envelope(summary).max() ** 2)
     report["tx_peak_frequency_hz"] = tx_spectrum.peak_frequency()
@@ -305,12 +296,10 @@ def cmd_sweep(scenario: cfg.Scenario, out: Path) -> dict:
     # Compute everything first; nothing is written if any point fails.
     results = []
     for value in values:
-        if param in cfg.INTEGER_KEYS:
-            value = int(value)
-        point = replace(scenario, sweep=None, **{param: value})
+        point = replace(scenario, sweep=None, **{param: cfg.SCHEMA[param].coerce(value)})
         _require_valid(point)
         chan = _channel(point)
-        cir = chan.cir(point.cir_dt_fs)
+        cir = chan.cir("cir_dt_fs")
         report = _base_report(chan, cir)
         counts = report["counts"]
         results.append((cir, (float(value), report["dominant_delay_s"], cir.total_gain(),
@@ -344,7 +333,7 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
     try:
         report = handler(scenario, out)
     except (ch.EmptyChannel, ch.DegenerateFocus, sig.IllConditioned,
-            sig.UnderResolved) as exc:
+            sig.UnderResolved, BeyondPole) as exc:
         raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

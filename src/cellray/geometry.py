@@ -714,6 +714,30 @@ def trace_array(layout: ArrayLayout, media: Media,
     return batch, report
 
 
+def center_line(layout: ArrayLayout) -> Iterator[tuple[float, str, int]]:
+    """(length, medium, samples) of each stretch of the axial ray, source to detector.
+
+    Stretches of zero length are left out.  A stretch is sampled every 1 um
+    and at its end: ceil(length) samples.  The center line enters the shape
+    pad/2 past the entry vertex when the mid-height chord is shorter than
+    the axial extent (pyramidal cells).
+    """
+    chord = layout.shape.chord_at(0.0)
+    pad = layout.shape.axial_extent - chord
+    cursor = 0.0
+    for i in range(layout.n_cells):
+        entry = layout.cell_entry_x(i) + 0.5 * pad
+        yield from _stretch(entry - cursor, "tissue")
+        yield from _stretch(chord, "cell")
+        cursor = entry + chord
+    yield from _stretch(layout.total_length - cursor, "tissue")
+
+
+def _stretch(length: float, medium: str) -> Iterator[tuple[float, str, int]]:
+    if length > 0.0:
+        yield length, medium, math.ceil(length)
+
+
 def avg_distances(shape: CellShape, gap: float) -> tuple[float, float]:
     """Aperture-averaged in-cell chord and inter-cell path, both in um.
 

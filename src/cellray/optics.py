@@ -22,6 +22,10 @@ UM_PER_MM = 1000.0
 DB_PER_NEPER = 10.0 / math.log(10.0)
 
 
+class BeyondPole(ValueError):
+    """A distance at or past the diffusion model's pole, where d * DPF(d) diverges."""
+
+
 @dataclass(frozen=True)
 class Medium:
     """Homogeneous optical medium.
@@ -99,7 +103,7 @@ def absorbance(medium: Medium, d_mm):
     """
     k = math.sqrt(3.0 * medium.mu_a * medium.mu_s_prime)
     if np.any(np.asarray(d_mm) * k <= -1.0):
-        raise ValueError(f"distance {np.min(d_mm)} mm beyond the diffusion-model pole")
+        raise BeyondPole(f"distance {np.min(d_mm)} mm beyond the diffusion-model pole")
     bound = 0.5 * math.sqrt(3.0 * medium.mu_s_prime / medium.mu_a)
     return medium.mu_a * d_mm * bound * (1.0 - 1.0 / (1.0 + d_mm * k))
 

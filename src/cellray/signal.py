@@ -89,6 +89,16 @@ def _field(t: np.ndarray, e0: float, tau: float, omega0: float) -> np.ndarray:
     return e0 * np.exp(-4.0 * LN2 * (t / tau) ** 2) * np.cos(omega0 * t)
 
 
+def pulse_samples(span_s: float, dt_s: float) -> float:
+    """Samples on gaussian_pulse's grid: 2*round(span/(2 dt)) + 1.
+
+    A float, so that a step of 0 s or one too fine for the span gives inf
+    (NaN when the span is 0 s too) rather than an error.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return 2.0 * float(np.rint(np.float64(0.5 * span_s) / dt_s)) + 1.0
+
+
 def gaussian_pulse(e0: float, tau_s: float, wavelength: Wavelength,
                    dt_s: float, span_s: float) -> Waveform:
     """Carrier-resolved Gaussian pulse centred on t = 0.
@@ -103,7 +113,7 @@ def gaussian_pulse(e0: float, tau_s: float, wavelength: Wavelength,
         raise UnderResolved(f"dt {dt_s} cannot resolve tau {tau_s}")
     if span_s < 8.0 * tau_s:
         raise ValueError("span must cover at least 8 tau")
-    half = int(round(0.5 * span_s / dt_s))
+    half = int(pulse_samples(span_s, dt_s)) // 2
     t = dt_s * np.arange(-half, half + 1)
     omega0 = wavelength.omega0_rad_per_s
     return Waveform(t0=-half * dt_s, dt=dt_s,

@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import sys
+import tempfile
 from collections import Counter
 from dataclasses import fields, replace
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -16,7 +20,7 @@ import cellray.geometry as geo
 import channel_oracle as oracle
 from cellray.cli import center_line_profile, main
 from cellray.config import (
-    PULSE_KEYS,
+    SCHEMA,
     Scenario,
     default_scenario,
     scenario_from_dict,
@@ -142,7 +146,7 @@ class TestScenarioConfig:
             named = [v for v in validate(sc) if v.startswith("sweep") and "d_l_um" in v]
             assert bool(named) == (points == 0), grid
 
-    @pytest.mark.parametrize("param", sorted(PULSE_KEYS))
+    @pytest.mark.parametrize("param", sorted(k for k, rule in SCHEMA.items() if rule.pulse))
     def test_pulse_key_sweep_rejected(self, param):
         sc = default_scenario()
         sc.sweep = {"parameter": param, "values": [0.01, 0.02]}
@@ -350,6 +354,16 @@ class TestCliCommands:
         assert "DegenerateFocus" in json.loads(capsys.readouterr().err)["detail"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["trace", "pathloss", "cir", "pulse", "detector"])
+    def test_path_loss_past_the_pole_writes_nothing(self, tmp_path, capsys, command):
+        # A flat lens drives the analytic average gap past the diffusion
+        # model's pole; every command used to end in a ValueError traceback.
+        code = main(["--command", command, "--out", str(tmp_path), "--set", "k_rays=11",
+                     "--set", "w_c_um=0.5"])
+        assert code == 3
+        assert "BeyondPole" in json.loads(capsys.readouterr().err)["detail"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_requires_block(self, tmp_path, capsys):
         assert main(["--command", "sweep", "--out", str(tmp_path)]) == 2
 
@@ -361,6 +375,81 @@ class TestCliCommands:
         first_value = read_csv(tmp_path / "cir.csv")[1][1]
         mantissa = first_value.split("e")[0].replace("-", "").replace(".", "")
         assert len(mantissa) >= 12
+
+
+# Inputs that ended in a traceback, or that validate accepted although their
+# run would not fit in memory, with the key each is rejected under.
+# Checking one against older code: run the tau_fs=1e6 and 0..1e300 cases
+# only under a memory limit (ulimit -v), as unguarded they exhaust memory.
+REJECTED_INPUTS = [
+    ("pathloss", ["total_um=1e300"], "total_um"),
+    ("sweep", ["sweep=d_l_um=0..1e300"], "sweep"),
+    ("sweep", ['sweep={"parameter": "d_l_um", "start": 0, "stop": 1, "step": 1e-300}'],
+     "sweep"),
+    ("pulse", ["tau_fs=1e6", "waveform_dt_fs=1e-3"], "waveform_dt_fs"),
+    ("pulse", ["waveform_dt_fs=1e-310"], "waveform_dt_fs"),
+    ("cir", ["n_cell=1e300"], "cir_dt_fs"),
+    ("cir", ["n_tissue=1e300"], "cir_dt_fs"),
+    ("cir", ["total_um=1e300", "d_R_um=null"], "total_um"),
+    ("cir", ["cir_dt_fs=1e-300"], "cir_dt_fs"),
+    ("cir", ["cir_dt_fs=1e-310"], "cir_dt_fs"),
+    ("pulse", ["tau_fs=1e-300", "waveform_dt_fs=1e-302"], "waveform_dt_fs"),
+    ("trace", ["h_c_um=1e-300", "w_c_um=1e-300"], "h_c_um"),
+    ("validate", ['sweep={"parameter": [1], "values": [1]}'], "sweep"),
+]
+
+
+@pytest.mark.parametrize("command, overrides, key", REJECTED_INPUTS,
+                         ids=[f"{c}:{','.join(o)}" for c, o, _ in REJECTED_INPUTS])
+def test_rejected_naming_key_without_files(tmp_path, capsys, command, overrides, key):
+    out = tmp_path / "out"
+    argv = ["--command", command, "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "validation"
+    assert any(v.startswith(f"{key}:") for v in record["detail"]), record
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_schema_covers_every_key():
+    assert list(SCHEMA) == [f.name for f in fields(Scenario) if f.name != "sweep"]
+
+
+# Values no key may crash on: wrong types, signed zeros, extremes,
+# subnormals, non-finite numbers, empty containers and strings.
+HOSTILE = st.sampled_from([
+    None, True, False, "", "x", "fusiform", "aggregate", [], {}, [1.0], {"a": 1},
+    0, 1, -1, 2, 18, 2**63, 10**400, 0.0, -0.0, 0.5, 2.5, 1e300, -1e300, 1e-300,
+    -1e-300, 1e-310, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+])
+SWEEP_BLOCK = st.one_of(
+    HOSTILE,
+    st.fixed_dictionaries(
+        {"parameter": st.one_of(st.sampled_from([*SCHEMA, "sweep"]), HOSTILE)},
+        optional={"values": st.one_of(HOSTILE, st.lists(HOSTILE, max_size=3)),
+                  "start": HOSTILE, "stop": HOSTILE, "step": HOSTILE}),
+)
+
+
+@given(st.sampled_from(["trace", "pathloss", "cir", "pulse", "detector", "sweep",
+                        "validate"]),
+       st.dictionaries(st.sampled_from(list(SCHEMA)), HOSTILE, max_size=4),
+       st.one_of(st.integers(-1, 11), st.sampled_from([None, 2.0, 2.5, "3", True])),
+       st.one_of(st.none(), SWEEP_BLOCK))
+@settings(max_examples=200, deadline=timedelta(seconds=10))
+def test_any_scenario_exits_0_2_or_3(command, keys, k_rays, sweep):
+    # Every input runs or is rejected: no exception escapes main.
+    data = {**keys, "k_rays": k_rays, "sweep": sweep}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--command", command, "--scenario", str(path),
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
 
 
 @pytest.fixture
