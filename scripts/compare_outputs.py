@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Check that this checkout's CLI writes the same bytes as another tree's.
+
+Usage: python scripts/compare_outputs.py OTHER_TREE
+
+Runs one fixed job matrix through `cellray.cli.main` for each tree, in one
+subprocess per tree with PYTHONPATH=<tree>/src: the five single-scenario
+commands on the three shapes in both gamma modes, plus K=1, N=0, a tiny
+detector, a 3-point sweep and two error cases (exit 2 and exit 3). Every
+job's exit code, stdout, stderr and output files are compared byte for
+byte. The jobs that differ are listed, and the exit code is 1 on any
+difference, 0 when every job matches.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SHAPES = ("fusiform", "spherical", "pyramidal")
+COMMANDS = ("trace", "pathloss", "cir", "pulse", "detector")
+
+
+def jobs() -> dict[str, list[str]]:
+    """Job id -> cellray arguments, without --out; built-in scenario defaults."""
+    matrix = {
+        f"{shape}-{command}-{gamma}": ["--command", command, "--set", f"shape={shape}",
+                                       "--set", f"gamma_mode={gamma}"]
+        for shape in SHAPES for command in COMMANDS
+        for gamma in ("per-path", "aggregate")
+    }
+    matrix.update({
+        "k1-pulse": ["--command", "pulse", "--set", "k_rays=1"],
+        "n0-cir": ["--command", "cir", "--set", "n_cells=0"],
+        "tiny-detector": ["--command", "detector", "--set", "detector_width_um=0.01"],
+        "sweep-3": ["--command", "sweep", "--set", "sweep=n_cells=1..3",
+                    "--set", "k_rays=301"],
+        "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
+        "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
+                                "k_rays=10", "--set", "detector_width_um=0.001"],
+    })
+    return matrix
+
+
+def run_jobs(out: Path) -> None:
+    """Run every job in this process; write out/results.json and out/jobs/<id>/."""
+    from cellray.cli import main
+
+    results = {"cellray": __import__("cellray").__file__}
+    warnings.simplefilter("always")
+    for job_id, argv in jobs().items():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([*argv, "--out", str(out / "jobs" / job_id)])
+            except BaseException:  # a crash is an outcome to compare, not to stop at
+                code = "exception"
+                traceback.print_exc(file=stderr)
+        results[job_id] = {"code": code, "stdout": stdout.getvalue(),
+                           "stderr": stderr.getvalue()}
+    (out / "results.json").write_text(json.dumps(results, indent=1))
+
+
+def run_tree(tree: Path, out: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    subprocess.run([sys.executable, __file__, "--run-jobs", str(out)], env=env, check=True)
+    return json.loads((out / "results.json").read_text())
+
+
+def files(job_dir: Path) -> dict[str, bytes]:
+    if not job_dir.is_dir():
+        return {}
+    return {str(p.relative_to(job_dir)): p.read_bytes()
+            for p in sorted(job_dir.rglob("*")) if p.is_file()}
+
+
+def differences(a_dir: Path, a: dict, b_dir: Path, b: dict) -> tuple[dict[str, list[str]], int]:
+    """Job id -> what differs between the two runs of that job; files compared."""
+    diff, compared = {}, 0
+    for job_id in jobs():
+        what = [key for key in ("code", "stdout", "stderr") if a[job_id][key] != b[job_id][key]]
+        a_files, b_files = files(a_dir / "jobs" / job_id), files(b_dir / "jobs" / job_id)
+        what += [f"only in one tree: {name}" for name in sorted(a_files.keys() ^ b_files.keys())]
+        shared = sorted(a_files.keys() & b_files.keys())
+        what += [f"bytes of {name}" for name in shared if a_files[name] != b_files[name]]
+        compared += len(shared)
+        if what:
+            diff[job_id] = what
+    return diff, compared
+
+
+def main() -> int:
+    if len(sys.argv) == 3 and sys.argv[1] == "--run-jobs":
+        run_jobs(Path(sys.argv[2]))
+        return 0
+    if len(sys.argv) != 2 or not (Path(sys.argv[1]) / "src" / "cellray").is_dir():
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    other = Path(sys.argv[1]).resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        here_dir, other_dir = Path(tmp) / "this", Path(tmp) / "other"
+        here, there = run_tree(ROOT, here_dir), run_tree(other, other_dir)
+        print(f"this tree:  {here['cellray']}\nother tree: {there['cellray']}")
+        diff, compared = differences(here_dir, here, other_dir, there)
+    for job_id, what in diff.items():
+        print(f"DIFFERS {job_id}: {'; '.join(what)}")
+    print(f"{len(jobs()) - len(diff)} of {len(jobs())} jobs identical "
+          f"({compared} output files compared)")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,10 @@ per-ray path-length arrays and returns the atoms as arrays (Atoms);
 build_cir and detector_map read them.  build_cir merges them by binned
 addition with np.bincount, in ray order, so the merge order cannot change
 results beyond floating-point associativity (1e-12 relative).  Every output
-table is written by write_csv.
+table is written by write_csv, which builds blocks of rows as numpy byte
+matrices; its %.12e fields come from format_e12, a vectorised formatter
+that gives the bytes of Python's '%.12e' and leaves to Python's % only the
+values whose rounding it cannot prove (see E12_GUARD).
 """
 
 from __future__ import annotations
@@ -219,36 +222,161 @@ def coordinate_clusters(dmap: DetectorMap, gap_um: float = 1.0,
     return [c for c in np.split(dmap.samples, splits) if len(c) >= min_size]
 
 
-# Rows formatted per block: bounds the memory of the block's Python values.
+# Rows formatted per block: bounds the memory of the block's byte matrix.
 CSV_BLOCK_ROWS = 4096
+
+# format_e12 formats x = |value| from s = x * 10**(12 - e), which two
+# roundings (the power of ten's and the product's) put within (2u + u**2)*s
+# of its true value, u = 2**-53.  As s < 1e13, that is under 2.3e-3, so
+# where the fraction of s lies farther than E12_GUARD from .5, its true
+# value rounds to the same integer; the rest go to Python's %.
+E12_GUARD = 0.004
+
+_POW10_MIN = -330
+# 10**k, correctly rounded by float(), for k from _POW10_MIN to 340: every k
+# that the exponent of a float64, or 12 minus it, can take.
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 341)])
+_NOT_FINITE = 200  # an exponent format_e12 leaves to Python's %
+
+
+def _words(text: np.ndarray) -> np.ndarray:
+    """Rows of ASCII bytes as uint32 words, 4 bytes of a row per word."""
+    return np.ascontiguousarray(text, dtype=np.uint8).view(np.uint32)
+
+
+def _ascii(*parts: np.ndarray) -> np.ndarray:
+    """Every combination of the parts' rows, concatenated, as ASCII bytes."""
+    grid = np.meshgrid(*(np.arange(len(p)) for p in parts), indexing="ij")
+    return np.concatenate([p[g.ravel()] for p, g in zip(parts, grid)], axis=1)
+
+
+def _chars(text: bytes) -> np.ndarray:
+    """One row per byte of the text."""
+    return np.frombuffer(text, np.uint8)[:, None]
+
+
+_DIGIT = _chars(b"0123456789")
+
+
+# The words of a %.12e field: the head (pad, sign, lead digit, point), three
+# words of four digits, and the tail ("e", the exponent's sign, two digits).
+E12_WORDS = 5
+_HEAD = _words(_ascii(_chars(b"\0"), _chars(b"\0-"), _DIGIT, _chars(b"."))).ravel()
+_DIGITS4 = _words(_ascii(_DIGIT, _DIGIT, _DIGIT, _DIGIT)).ravel()  # at i: i
+# The tails of the exponents -99 .. 99, in that order.
+_TAIL = _words(_ascii(_chars(b"e"), _chars(b"+-"), _DIGIT, _DIGIT)).ravel()[
+    np.r_[199:100:-1, 0:100]]
+_COMMA, _CRLF = np.frombuffer(b",\0\0\0\r\n\0\0", np.uint32)
+
+
+def format_e12(values, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The '%.12e' text of each value, as (n, E12_WORDS) uint32 words of NUL-padded ASCII.
+
+    The words go to out when it is given, which may be a column slice of a
+    larger uint32 matrix.
+
+    The decimal exponent e is log10 of |x| rounded to the nearest integer,
+    less one where |x| lies below the correctly rounded 10**e: one exact
+    correction.  The 13-digit significand is rint(|x| * 10**(12 - e)), and
+    a significand of 10**13 carries into e + 1.  A value the kernel cannot
+    prove correct is formatted by Python's %: NaN, +-inf, subnormals,
+    exponents of 100 or more in magnitude, and a scaled fraction within
+    E12_GUARD of .5 (0.8 % of random values).
+    """
+    x = np.asarray(values, dtype=np.float64)
+    a = np.abs(x)
+    zero = a == 0.0
+    a[zero] = 1.0  # formatted as 1e0, then given a zero significand
+    with np.errstate(invalid="ignore"):  # NaN and inf give NaN below
+        e = np.rint(np.log10(a))
+        e[~np.isfinite(e)] = _NOT_FINITE
+        e = e.astype(np.intp)
+        e -= a < _POW10[e - _POW10_MIN]
+        scaled = a * _POW10[12 - e - _POW10_MIN]
+        significand = np.rint(scaled)
+        slow = np.abs(scaled - significand) > 0.5 - E12_GUARD
+    carry = significand == 1e13
+    significand[carry] = 1e12
+    e += carry
+    slow |= np.abs(e) >= 100
+    significand[zero | slow] = 0.0
+    e[slow] = 0
+
+    significand = significand.astype(np.int64)
+    top = significand // 10**8  # lead digit and the next four
+    low = significand - top * 10**8
+    lead = top // 10**4
+    mid = low // 10**4
+    field = np.empty((len(x), E12_WORDS), np.uint32) if out is None else out
+    field[:, 0] = _HEAD[np.signbit(x) * 10 + lead]
+    field[:, 1] = _DIGITS4[top - lead * 10**4]
+    field[:, 2] = _DIGITS4[mid]
+    field[:, 3] = _DIGITS4[low - mid * 10**4]
+    field[:, 4] = _TAIL[e + 99]
+
+    slow = np.flatnonzero(slow)
+    if len(slow):
+        text = ("%.12e\n" * len(slow) % tuple(x[slow].tolist())).encode().split(b"\n")
+        field[slow] = np.array(text[:-1], dtype=f"S{4 * E12_WORDS}") \
+            .view(np.uint32).reshape(len(slow), E12_WORDS)
+    return field
+
+
+def _text_words(conversion: str, column: np.ndarray) -> np.ndarray:
+    """A %d or %s column's fields as (rows, width) uint32 words of NUL-padded ASCII."""
+    if conversion == "%d" and column.dtype.kind not in "iu":
+        column = column.astype(np.int64)  # as %d, which truncates a float
+    text = column.astype("S")
+    text = text.astype(f"S{-(-text.itemsize // 4) * 4}")  # whole words
+    return text.view(np.uint32).reshape(len(text), -1)
 
 
 def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
     """Write a header line and one row per entry of the columns, CRLF-ended.
 
-    row_format is the %-template of one row, such as "%d,%s,%.12e", with one
-    conversion per column; columns are equal-length arrays or sequences.
-    The bytes equal those csv.writer writes for the formatted fields,
-    because the writer never quotes: fields must hold no comma, quote or
-    line break, and a row must not be one empty field, which csv.writer
+    row_format names one conversion per column, comma-separated, such as
+    "%d,%s,%.12e"; columns are equal-length arrays or sequences.  The bytes
+    equal those csv.writer writes for the %-formatted fields, because the
+    writer never quotes: fields must be ASCII and hold no comma, quote, line
+    break or NUL, and a row must not be one empty field, which csv.writer
     would write as "".  Numbers and the status words written here qualify.
-    Blocks of CSV_BLOCK_ROWS rows are formatted with one %-operation each.
+
+    Each block of CSV_BLOCK_ROWS rows is built as one matrix of NUL-padded
+    fields: %.12e fields by format_e12, %d and %s fields by numpy's
+    astype("S"), which writes str() of an integer or a float.  The
+    separators go in between, one boolean mask drops the NUL bytes, and
+    one call writes the block.  Any other conversion raises ValueError.
     """
+    conversions = row_format.split(",")
+    unknown = set(conversions) - {"%.12e", "%d", "%s"}
+    if unknown:
+        raise ValueError(f"write_csv formats %.12e, %d and %s only, got {sorted(unknown)}")
     columns = [np.asarray(c) for c in columns]
+    if len(conversions) != len(columns):
+        raise ValueError(f"{row_format!r} formats {len(conversions)} columns, "
+                         f"got {len(columns)}")
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
         raise ValueError("columns must have equal lengths")
-    width = len(columns)
-    line = row_format + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
-            rows = len(block[0])
-            values = [None] * (rows * width)
-            for j, column in enumerate(block):
-                values[j::width] = column
-            fh.write((line * rows) % tuple(values))
+            values = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
+            texts = [None if conversion == "%.12e" else _text_words(conversion, v)
+                     for conversion, v in zip(conversions, values)]
+            widths = [E12_WORDS if t is None else t.shape[1] for t in texts]
+            block = np.empty((len(values[0]), sum(widths) + len(widths)), np.uint32)
+            pos = 0
+            for v, text, width in zip(values, texts, widths):
+                if text is None:
+                    format_e12(v, out=block[:, pos:pos + width])
+                else:
+                    block[:, pos:pos + width] = text
+                block[:, pos + width] = _COMMA
+                pos += width + 1
+            block[:, -1] = _CRLF
+            text = block.view(np.uint8).ravel()
+            fh.write(text[text != 0].tobytes())
 
 
 def write_cir_csv(cir: ImpulseResponse, path) -> None:

@@ -252,6 +252,11 @@ def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
     tx = sig.gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt, span_s=span)
     chan = _channel(scenario)
     cir = chan.cir("waveform_dt_fs")
+    if len(tx.samples) * len(cir.bins) > cfg.MAX_CONVOLUTION:
+        raise CliError("validation", [
+            f"waveform_dt_fs: convolving {len(tx.samples)} pulse samples with "
+            f"{len(cir.bins)} CIR bins exceeds the cap of {cfg.MAX_CONVOLUTION} "
+            "multiply-adds"], 2)
     rx = sig.propagate(tx, cir)
     dominant_delay, _ = cir.dominant_bin()
     summary = sig.received_pulse(tx, dominant_delay,

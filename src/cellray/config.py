@@ -27,7 +27,8 @@ class Rule:
     """The rule for one scenario key, kept in its Scenario field (see SCHEMA).
 
     kind is "integer", "real", "optional" (a real or None) or "choice".
-    low is the lower bound, allowed itself when closed, or the choices.
+    low is the lower bound, allowed itself when closed, or the choices;
+    high, when given, is an upper bound that is allowed itself.
     shapes are the cell shapes whose runs read the key; layout marks the
     keys the cell line reads, pulse the keys only the pulse reads.
     """
@@ -35,6 +36,7 @@ class Rule:
     kind: str
     low: Any = None
     closed: bool = True
+    high: Optional[float] = None
     shapes: tuple[str, ...] = SHAPES
     layout: bool = False
     pulse: bool = False
@@ -52,9 +54,11 @@ class Rule:
     def range_problem(self, value: Any) -> Optional[str]:
         if self.kind == "choice":
             return None if value in self.low else f"must be one of {self.low}, got {value!r}"
-        if self.low is None or value > self.low or (self.closed and value == self.low):
-            return None
-        return f"must be {'>=' if self.closed else '>'} {self.low:g}, got {value}"
+        if not (self.low is None or value > self.low or (self.closed and value == self.low)):
+            return f"must be {'>=' if self.closed else '>'} {self.low:g}, got {value}"
+        if self.high is not None and value > self.high:
+            return f"must be <= {self.high:g}, got {value}"
+        return None
 
     def coerce(self, value: Any) -> Any:
         """A whole float as an int for an integer key; any other value as is."""
@@ -89,14 +93,17 @@ class Scenario:
     d_R_um: Optional[float] = _key(None, "optional", layout=True)
     total_um: Optional[float] = _key(450.0, "optional", layout=True)
     n_cell: float = _key(1.36, "real", 1.0)
-    mu_a_cell_per_mm: float = _key(0.9, "real", 0.0, closed=False)
-    mu_s_prime_cell_per_mm: float = _key(3.43, "real", 0.0, closed=False)
+    # The four coefficients' range keeps the diffusion model's sqrt(3 mu_s'/mu_a)
+    # and sqrt(3 mu_a mu_s') finite, and with them every gain and path loss.
+    mu_a_cell_per_mm: float = _key(0.9, "real", 1e-6, high=1e6)
+    mu_s_prime_cell_per_mm: float = _key(3.43, "real", 1e-6, high=1e6)
     n_tissue: float = _key(1.35, "real", 1.0)
-    mu_a_tissue_per_mm: float = _key(1.34, "real", 0.0, closed=False)
-    mu_s_prime_tissue_per_mm: float = _key(3.43, "real", 0.0, closed=False)
+    mu_a_tissue_per_mm: float = _key(1.34, "real", 1e-6, high=1e6)
+    mu_s_prime_tissue_per_mm: float = _key(3.43, "real", 1e-6, high=1e6)
     lambda_nm: float = _key(456.0, "real", 0.0, closed=False, pulse=True)
     tau_fs: float = _key(1.0, "real", 0.0, closed=False, pulse=True)
-    e0: float = _key(1.0, "real", 0.0, closed=False, pulse=True)
+    # Squared in the report's peak powers, which must stay finite.
+    e0: float = _key(1.0, "real", 0.0, closed=False, high=1e100, pulse=True)
     k_rays: int = _key(1001, "integer", 1)
     cir_dt_fs: float = _key(10.0, "real", 0.0, closed=False)
     waveform_dt_fs: float = _key(0.05, "real", 0.0, closed=False, pulse=True)
@@ -161,7 +168,13 @@ SCHEMA: dict[str, Rule] = {f.name: f.metadata["rule"] for f in fields(Scenario)
 
 # The work budget: validate rejects a scenario whose run would exceed a cap.
 # Each cap admits the benchmark and test scenarios 100 times over.
-MAX_RAY_CELLS = 2_500_000     # k_rays * max(n_cells, 1), the tracer's ray-cell steps
+MAX_RAY_CELLS = 2_500_000     # max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1)
+# The tracer's cost per cell is about flat below this many rays, so a trace
+# is charged for at least this many: at most 2,500 cells at small k_rays.
+MIN_CHARGED_RAYS = 1_000
+# Multiply-adds of the pulse convolution, pulse samples * CIR bins; checked
+# by the pulse command once the CIR is binned.
+MAX_CONVOLUTION = 5_000_000_000
 MAX_PULSE_SAMPLES = 100_000   # samples of the transmitted pulse
 MAX_PATH_SAMPLES = 100_000    # rows of the center-line path-loss curve
 MAX_SWEEP_POINTS = 2_000      # points of a sweep grid
@@ -293,10 +306,12 @@ def _sweep_problems(s: Scenario) -> list[str]:
 def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
     """The caps, against the sizes the run would allocate, by the formulas it runs."""
     cells = max(s.n_cells, 1)
-    if s.k_rays * cells > MAX_RAY_CELLS:
+    rays = max(s.k_rays, MIN_CHARGED_RAYS)
+    if rays * cells > MAX_RAY_CELLS:
         # The ray-cell cap also bounds the loops over cells below.
-        return [("k_rays", f"{s.k_rays} rays through {cells} cells exceed the cap of "
-                           f"{MAX_RAY_CELLS} ray-cells")]
+        return [("k_rays" if s.k_rays > MIN_CHARGED_RAYS else "n_cells",
+                 f"{s.k_rays} rays (charged as {rays}) through {cells} cells exceed the "
+                 f"cap of {MAX_RAY_CELLS} ray-cells")]
     problems = []
     layout = s.build_layout()
     samples = accumulate((n for _, _, n in center_line(layout)), initial=1)

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from cellray.channel import (
     cumulative_gamma,
     detector_map,
     focusing_gain,
+    format_e12,
     power_delay_profile,
     rebin,
     write_csv,
 )
+from cellray.config import default_scenario
 from cellray.geometry import (
     ArrayLayout,
     CellFocus,
@@ -320,3 +323,73 @@ class TestWriteCsv:
     def test_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "x.csv", ["a", "b"], "%d,%d", [[1, 2], [1]])
+
+
+def e12_text(values):
+    """format_e12's fields as text, with the NUL padding dropped."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in format_e12(values)]
+
+
+def neighbours(values, ulps):
+    """The values with their float64 neighbours up to ulps steps either side."""
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return (bits[:, None] + np.arange(-ulps, ulps + 1)).ravel().view(np.float64)
+
+
+def halfway_points(count, seed=0):
+    """Decimals d.dddddddddddd5e+-k, halfway between two 13-digit significands."""
+    rng = np.random.default_rng(seed)
+    return [float(f"{d}.{m:012d}5e{k}") for d, m, k in
+            zip(rng.integers(1, 10, count), rng.integers(0, 10**12, count),
+                rng.integers(-99, 100, count))]
+
+
+_E12_TARGETS = np.concatenate([
+    neighbours([float(f"1e{k}") for k in range(-99, 100)], 4),
+    # 9.9999999999995e+-k rounds up to a significand of 10: the carry.
+    neighbours([float(f"9.9999999999995e{k}") for k in range(-99, 100)], 4),
+    neighbours(halfway_points(400), 8),
+    [0.0, math.nan, math.inf, 5e-324, 1e-310, 2.2250738585072009e-308,
+     2.2250738585072014e-308, 1e-100, 9.99999999999995e-100, 1e100, 9.9999999999999e99,
+     1.7976931348623157e308],
+])
+E12_TARGETS = np.concatenate([_E12_TARGETS, -_E12_TARGETS])
+
+
+class TestFormatE12:
+    def test_targeted_values(self):
+        # Powers of ten, the carry, halfway points inside the guard band,
+        # subnormals, 3-digit exponents, signed zeros and non-finite values.
+        assert e12_text(E12_TARGETS) == ["%.12e" % v for v in E12_TARGETS.tolist()]
+
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+        st.sampled_from(E12_TARGETS.tolist())), min_size=1, max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_same_text_as_percent(self, values):
+        assert e12_text(values) == ["%.12e" % v for v in values]
+
+    def test_empty(self):
+        assert format_e12([]).shape == (0, 5)
+
+
+@pytest.mark.parametrize("row_format", ["%r", "%.6f", "%d,%r", "%.12e,%.6f", "x%d"])
+def test_write_csv_rejects_other_conversions(tmp_path, row_format):
+    columns = [[1.0]] * (row_format.count(",") + 1)
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "x.csv", ["c"] * len(columns), row_format, columns)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@given(st.sampled_from(["fusiform", "spherical", "pyramidal"]), st.integers(1, 301),
+       st.integers(0, 18), st.floats(0.0, 10.0), st.floats(0.0, 100.0),
+       st.one_of(st.none(), st.floats(0.001, 200.0)))
+@settings(max_examples=60, deadline=None)
+def test_atom_gain_in_unit_interval(shape, k, n_cells, gap, detector_gap, extent):
+    # A gain is a product of two transmittances: positive and at most 1.
+    scenario = replace(default_scenario(shape), n_cells=n_cells, d_l_um=gap,
+                       d_R_um=detector_gap, total_um=None)
+    layout = scenario.build_layout()
+    batch, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, k))
+    for atoms in contributions(batch, MEDIA, extent):
+        assert ((atoms.gain > 0.0) & (atoms.gain <= 1.0)).all()

@@ -396,6 +396,14 @@ REJECTED_INPUTS = [
     ("pulse", ["tau_fs=1e-300", "waveform_dt_fs=1e-302"], "waveform_dt_fs"),
     ("trace", ["h_c_um=1e-300", "w_c_um=1e-300"], "h_c_um"),
     ("validate", ['sweep={"parameter": [1], "values": [1]}'], "sweep"),
+    # Squared into the report's peak powers: Infinity in report.json.
+    ("pulse", ["e0=1e300", "k_rays=11"], "e0"),
+    # sqrt(3 mu_s'/mu_a) overflows: NaN path loss and received fraction.
+    ("trace", ["mu_a_tissue_per_mm=1e-310", "k_rays=1"], "mu_a_tissue_per_mm"),
+    # About 0.2 ms per cell at any small ray count.
+    ("trace", ["k_rays=1", "n_cells=2501", "total_um=9e4"], "n_cells"),
+    # 40,001 pulse samples times 1,019,570 CIR bins to convolve.
+    ("pulse", ["tau_fs=10", "waveform_dt_fs=0.002", "k_rays=11"], "waveform_dt_fs"),
 ]
 
 
@@ -440,7 +448,8 @@ SWEEP_BLOCK = st.one_of(
        st.one_of(st.none(), SWEEP_BLOCK))
 @settings(max_examples=200, deadline=timedelta(seconds=10))
 def test_any_scenario_exits_0_2_or_3(command, keys, k_rays, sweep):
-    # Every input runs or is rejected: no exception escapes main.
+    # Every input runs or is rejected: no exception escapes main, and a
+    # report holds only finite numbers, as strict JSON requires.
     data = {**keys, "k_rays": k_rays, "sweep": sweep}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
@@ -449,7 +458,14 @@ def test_any_scenario_exits_0_2_or_3(command, keys, k_rays, sweep):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["--command", command, "--scenario", str(path),
                          "--out", str(Path(tmp) / "out")])
+        report = Path(tmp) / "out" / "report.json"
+        if report.exists():
+            json.loads(report.read_text(), parse_constant=reject_constant)
     assert code in (0, 2, 3)
+
+
+def reject_constant(name):
+    raise ValueError(f"report.json holds {name}")
 
 
 @pytest.fixture

@@ -178,10 +178,13 @@ class TestTraceCell:
         assert pyr.focus is None
 
 
-shape_strategy = st.one_of(
+radial_shape = st.one_of(
     st.builds(Spherical, r_c=st.floats(4.0, 25.0)),
     st.tuples(st.floats(10.0, 50.0), st.floats(0.2, 1.0)).map(
         lambda t: Fusiform(h_c=t[0], w_c=t[0] * t[1])),
+)
+shape_strategy = st.one_of(
+    radial_shape,
     st.builds(Pyramidal, h_c=st.floats(10.0, 50.0), w_c=st.floats(5.0, 40.0)),
 )
 
@@ -327,3 +330,16 @@ class TestTraceArray:
         assert all(s == pytest.approx(steps[0]) for s in steps)
         assert hs[0] == pytest.approx(-15.0 + steps[0] / 2.0)
         assert collimated_bundle(Fusiform(30.0, 20.0), 5).tolist() == hs
+
+
+@given(radial_shape, st.integers(1, 401), st.integers(0, 18), st.floats(0.0, 10.0),
+       st.floats(0.0, 50.0))
+@settings(max_examples=60, deadline=None)
+def test_radial_bundle_is_mirror_symmetric(shape, k, n_cells, gap, detector_gap):
+    # Ray i and ray K-1-i start at mirrored heights, so they share a fate and
+    # leave at mirrored heights, up to the rounding of the launch grid.
+    layout = ArrayLayout(shape=shape, n_cells=n_cells, gap=gap, source_gap=5.0,
+                         detector_gap=detector_gap)
+    batch, _ = trace_array(layout, MEDIA, collimated_bundle(shape, k))
+    assert batch.status.tolist() == batch.status[::-1].tolist()
+    np.testing.assert_allclose(batch.exit_h, -batch.exit_h[::-1], rtol=0.0, atol=1e-9)
