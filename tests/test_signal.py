@@ -129,7 +129,11 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(tx, ImpulseResponse(0.0, 1e-14, np.array([1.0])))
 
-    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    # Subnormal coefficients carry absolute, not relative, precision: with
+    # a = 0 and b = 2.2e-313 the inputs themselves round to a few bits and no
+    # convolution can be linear to 1e-12 relative, so they are not drawn.
+    @given(st.floats(-2.0, 2.0, allow_subnormal=False),
+           st.floats(-2.0, 2.0, allow_subnormal=False))
     @settings(max_examples=25, deadline=None)
     def test_linearity(self, a, b):
         tx1 = gaussian_pulse(1.0, TAU, LAM, DT, 8 * TAU)
