@@ -6,10 +6,13 @@ Usage: python scripts/compare_outputs.py OTHER_TREE
 Runs one fixed job matrix through `cellray.cli.main` for each tree, in one
 subprocess per tree with PYTHONPATH=<tree>/src: the five single-scenario
 commands on the three shapes in both gamma modes, plus K=1, N=0, a tiny
-detector, a 3-point sweep and two error cases (exit 2 and exit 3). Every
-job's exit code, stdout, stderr and output files are compared byte for
-byte. The jobs that differ are listed, and the exit code is 1 on any
-difference, 0 when every job matches.
+detector, a 3-point sweep, two sweeps that fail at a point and two error
+cases (exit 2 and exit 3). Sweeps whose points share one trace (n_cells
+with 0, repeats and unsorted values, total_um, d_R_um) and one whose
+points do not (d_l_um, with a repeat) run on the three shapes in both
+gamma modes too. Every job's exit code, stdout, stderr and output files
+are compared byte for byte. The jobs that differ are listed, and the exit
+code is 1 on any difference, 0 when every job matches.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ("fusiform", "spherical", "pyramidal")
 COMMANDS = ("trace", "pathloss", "cir", "pulse", "detector")
+SWEEPS = ("n_cells=0..18", "n_cells=18,3,3,0,7", "total_um=450,460,475,500",
+          "d_R_um=0,2.5,10,40", "d_l_um=1,3,5,3")
 
 
 def jobs() -> dict[str, list[str]]:
@@ -39,11 +44,23 @@ def jobs() -> dict[str, list[str]]:
         for gamma in ("per-path", "aggregate")
     }
     matrix.update({
+        f"{shape}-sweep-{grid.partition('=')[0]}-{i}-{gamma}": [
+            "--command", "sweep", "--set", f"shape={shape}", "--set", f"gamma_mode={gamma}",
+            "--set", "k_rays=301", "--set", f"sweep={grid}"]
+        for shape in SHAPES for i, grid in enumerate(SWEEPS)
+        for gamma in ("per-path", "aggregate")
+    })
+    matrix.update({
         "k1-pulse": ["--command", "pulse", "--set", "k_rays=1"],
         "n0-cir": ["--command", "cir", "--set", "n_cells=0"],
         "tiny-detector": ["--command", "detector", "--set", "detector_width_um=0.01"],
         "sweep-3": ["--command", "sweep", "--set", "sweep=n_cells=1..3",
                     "--set", "k_rays=301"],
+        # Free space, 10 rays: a 0.001 um detector catches none (exit 3), a
+        # 0 um one is invalid (exit 2); the first failing point is reported.
+        **{f"sweep-fails-{code}": ["--command", "sweep", "--set", "n_cells=0", "--set",
+                                   "k_rays=10", "--set", f"sweep=detector_width_um={grid}"]
+           for code, grid in (("exit-3", "40,0.001,0,40"), ("exit-2", "40,0,0.001,40"))},
         "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],

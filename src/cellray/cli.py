@@ -14,9 +14,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -130,13 +131,31 @@ class Channel:
             raise CliError("validation", [f"{key}: {exc}"], 2)
 
 
+def _channels(points: list[cfg.Scenario]) -> Iterator[Channel]:
+    """The points' channels, in order; each trace group is traced once.
+
+    Points share a trace where config.trace_groups says so; the channels
+    are the ones each point gives when traced alone, bit for bit.  Every
+    point's rays are held until the last channel is made, which the sweep
+    budget (config.sweep_ray_cells) bounds.
+    """
+    traced: list = [None] * len(points)
+    for group in cfg.trace_groups(points):
+        layouts = [points[i].build_layout() for i in group]
+        media = points[group[0]].build_media()
+        h0 = geo.collimated_bundle(layouts[0].shape, points[group[0]].k_rays)
+        # A lone layout goes through trace_array, the entry point perfbench times.
+        results = geo.trace_arrays(layouts, media, h0) if len(group) > 1 \
+            else [geo.trace_array(layouts[0], media, h0)]
+        for i, layout, (paths, focus) in zip(group, layouts, results):
+            traced[i] = (layout, media, h0, paths, focus)
+    for point, (layout, media, h0, paths, focus) in zip(points, traced):
+        detected, _ = ch.contributions(paths, media, point.detector_width_um)
+        yield Channel(point, layout, media, h0, paths, focus, detected)
+
+
 def _channel(scenario: cfg.Scenario) -> Channel:
-    layout = scenario.build_layout()
-    media = scenario.build_media()
-    h0 = geo.collimated_bundle(layout.shape, scenario.k_rays)
-    paths, focus = geo.trace_array(layout, media, h0)
-    detected, _ = ch.contributions(paths, media, scenario.detector_width_um)
-    return Channel(scenario, layout, media, h0, paths, focus, detected)
+    return next(_channels([scenario]))
 
 
 def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
@@ -297,18 +316,21 @@ def cmd_sweep(scenario: cfg.Scenario, out: Path) -> dict:
     if scenario.sweep is None:
         raise CliError("validation", ["sweep: command needs a sweep block"], 2)
     param = scenario.sweep["parameter"]
-    values = cfg.sweep_values(scenario)
-    # Compute everything first; nothing is written if any point fails.
+    points = cfg.sweep_points(scenario)
+    # Compute everything first; nothing is written if any point fails.  The
+    # points before the first invalid one run, in order, before it fails the
+    # sweep, so the first point that fails alone is the one reported.
+    valid = next((i for i, point in enumerate(points) if cfg.validate(point)), len(points))
     results = []
-    for value in values:
-        point = replace(scenario, sweep=None, **{param: cfg.SCHEMA[param].coerce(value)})
-        _require_valid(point)
-        chan = _channel(point)
+    for chan in _channels(points[:valid]):
         cir = chan.cir("cir_dt_fs")
         report = _base_report(chan, cir)
         counts = report["counts"]
-        results.append((cir, (float(value), report["dominant_delay_s"], cir.total_gain(),
-                              report["path_loss_db"], counts["leaked"], counts["deviated"])))
+        results.append((cir, (float(getattr(chan.scenario, param)), report["dominant_delay_s"],
+                              cir.total_gain(), report["path_loss_db"], counts["leaked"],
+                              counts["deviated"])))
+    if valid < len(points):
+        _require_valid(points[valid])
 
     files = []
     for i, (cir, _) in enumerate(results):
@@ -321,7 +343,7 @@ def cmd_sweep(scenario: cfg.Scenario, out: Path) -> dict:
                  [[row[j] for _, row in results] for j in range(len(header))])
     files.append(summary_csv.name)
     return {"scenario": scenario.to_dict(), "sweep_parameter": param,
-            "points": len(values), "files": files}
+            "points": len(points), "files": files}
 
 
 def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:

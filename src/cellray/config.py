@@ -9,7 +9,7 @@ in both media.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import accumulate
 from numbers import Integral, Real
 from typing import Any, Optional
@@ -168,7 +168,9 @@ SCHEMA: dict[str, Rule] = {f.name: f.metadata["rule"] for f in fields(Scenario)
 
 # The work budget: validate rejects a scenario whose run would exceed a cap.
 # Each cap admits the benchmark and test scenarios 100 times over.
-MAX_RAY_CELLS = 2_500_000     # max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1)
+# A run is charged max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1) ray-cells;
+# a sweep the sum of its trace groups' charges (sweep_ray_cells).
+MAX_RAY_CELLS = 2_500_000
 # The tracer's cost per cell is about flat below this many rays, so a trace
 # is charged for at least this many: at most 2,500 cells at small k_rays.
 MIN_CHARGED_RAYS = 1_000
@@ -178,6 +180,11 @@ MAX_CONVOLUTION = 5_000_000_000
 MAX_PULSE_SAMPLES = 100_000   # samples of the transmitted pulse
 MAX_PATH_SAMPLES = 100_000    # rows of the center-line path-loss curve
 MAX_SWEEP_POINTS = 2_000      # points of a sweep grid
+
+# The keys in which the points of one shared trace may differ: they set where
+# the rays stop (the cell count, the detector plane) or what is read off them,
+# not the rays' path through the cells the points share (trace_arrays).
+TRACE_FREE_KEYS = ("n_cells", "d_R_um", "total_um", "detector_width_um", "cir_dt_fs")
 
 
 def default_scenario(shape: str = "fusiform") -> Scenario:
@@ -313,6 +320,11 @@ def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
                  f"{s.k_rays} rays (charged as {rays}) through {cells} cells exceed the "
                  f"cap of {MAX_RAY_CELLS} ray-cells")]
     problems = []
+    if s.sweep is not None:
+        charged = sweep_ray_cells(sweep_points(s))
+        if charged > MAX_RAY_CELLS:
+            problems.append(("sweep", f"its traces are charged {charged} ray-cells, over "
+                                      f"the cap of {MAX_RAY_CELLS}"))
     layout = s.build_layout()
     samples = accumulate((n for _, _, n in center_line(layout)), initial=1)
     if not math.isfinite(layout.total_length) or \
@@ -342,3 +354,41 @@ def sweep_values(scenario: Scenario) -> list[float]:
             start + len(values) * step <= grid["stop"] + 1e-12:
         values.append(start + len(values) * step)
     return values
+
+
+def sweep_points(scenario: Scenario) -> list[Scenario]:
+    """One scenario per point of the sweep grid, without the sweep block."""
+    param = scenario.sweep["parameter"]
+    rule = SCHEMA[param]
+    return [replace(scenario, sweep=None, **{param: rule.coerce(value)})
+            for value in sweep_values(scenario)]
+
+
+def trace_groups(points: list[Scenario]) -> list[list[int]]:
+    """The indices of the points that share one trace, in order of first point.
+
+    Points share a trace when they agree on every key but TRACE_FREE_KEYS,
+    in type as well as value: an int and the equal float can round apart
+    in arithmetic on ints alone, such as h_c**2.
+    """
+    names = [name for name in SCHEMA if name not in TRACE_FREE_KEYS]
+    groups: dict[tuple, list[int]] = {}
+    for i, point in enumerate(points):
+        values = [getattr(point, name) for name in names]
+        groups.setdefault(tuple((type(v), v) for v in values), []).append(i)
+    return list(groups.values())
+
+
+def sweep_ray_cells(points: list[Scenario]) -> int:
+    """The ray-cells a sweep over points is charged, by the traces it runs.
+
+    A group of points that share a trace is charged like one run through its
+    largest cell count, plus one cell for each further point: every point
+    copies the rays and runs them to its own detector plane.
+    """
+    total = 0
+    for group in trace_groups(points):
+        rays = max(points[group[0]].k_rays, MIN_CHARGED_RAYS)
+        cells = max(max(points[i].n_cells for i in group), 1) + len(group) - 1
+        total += rays * cells
+    return total

@@ -21,8 +21,13 @@ stop code is that of the first check it fails, in the order the surfaces
 are met, so the arrays hold for every ray exactly what tracing it alone
 would give.  The launch is an array too: collimated_bundle gives the K
 launch heights, and trace_array traces them as axis-parallel rays from the
-source plane into a RayBatch of per-ray arrays.  trace_cell is the same
-step run on one RayState of any angle.  RayPath objects are built only when
+source plane into a RayBatch of per-ray arrays.  trace_arrays does that
+for several layouts on one cell line (equal shape, gap and source gap) in
+one pass through the longest: cell i's entry vertex does not depend on the
+cell count, so each layout's rays are a copy of the shared state at its
+count, run on to its own detector plane.  The cell loop lives there alone;
+trace_array is its one-layout case.  trace_cell is the same step run on
+one RayState of any angle.  RayPath objects are built only when
 a caller indexes or iterates a batch; refraction events are reported by
 trace_cell only.
 
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -636,27 +641,58 @@ def trace_array(layout: ArrayLayout, media: Media,
     continuation still travels to the detector plane.  Total internal
     reflection terminates a ray as leaked in every shape.
     """
+    return trace_arrays([layout], media, h0)[0]
+
+
+def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
+                 h0: np.ndarray) -> list[tuple[RayBatch, FocusReport]]:
+    """trace_array of every layout, from one pass through the longest array.
+
+    The layouts must share shape, gap and source_gap (ValueError otherwise);
+    their cell counts may repeat, come in any order or be 0.  Cell i's entry
+    vertex does not depend on the cell count, so the rays leave every cell
+    two such layouts share in the same state, bit for bit.  The rays are
+    traced once through the largest count; on reaching a layout's count the
+    state is copied and run on to that layout's own detector plane.  The
+    legs and chords of every result are column prefixes of one matrix.
+    """
     if len(h0) == 0:
         raise ValueError("empty ray bundle")
-    shape, k, n = layout.shape, len(h0), layout.n_cells
+    lines = {(layout.shape, layout.gap, layout.source_gap) for layout in layouts}
+    if len(lines) > 1:
+        raise ValueError("layouts traced together must share shape, gap and source_gap")
+    at_count: dict[int, list[int]] = {}  # cell count -> indices of its layouts
+    for i, layout in enumerate(layouts):
+        at_count.setdefault(layout.n_cells, []).append(i)
+    results: list = [None] * len(layouts)
+    shape, k, n_max = layouts[0].shape, len(h0), max(at_count)
     miss_status = "deviated" if isinstance(shape, Pyramidal) else "leaked"
     # Rows x, h, theta, cell length, tissue length: `rays` for every ray,
     # `run` for the rays still on the line (indexed by `live`).  A ray's row
-    # is written back to `rays` when it stops and after the last cell.
+    # is written back to `rays` when it stops and when a layout ends.
     rays = np.zeros((5, k))
     rays[1] = h0
     source_radius = float(np.max(np.abs(rays[1])))
     status = np.full(k, "arrived", dtype="<U8")
     loss_cell = np.full(k, -1)
-    legs, chords = np.zeros((k, n)), np.zeros((k, n))
-    radii = [0.0] * n
-    focus: list[Optional[FocusEntry]] = [None] * n
+    legs, chords = np.zeros((k, n_max)), np.zeros((k, n_max))
+    radii = [0.0] * n_max
+    focus: list[Optional[FocusEntry]] = [None] * n_max
 
+    # Every layout but the last to end gets a copy of the state it ends in.
+    last = (n_max, at_count[n_max][-1])
     live, run = np.arange(k), rays.copy()
-    for cell in range(n):
-        if not live.size:
-            break
-        entry_x = layout.cell_entry_x(cell)
+    for cell in range(n_max + 1):
+        for i in at_count.get(cell, ()):
+            own = np.asarray if (cell, i) == last else np.copy
+            state = own(rays)
+            state[:, live] = run
+            results[i] = _to_detector(layouts[i], state, own(status), own(loss_cell),
+                                      legs[:, :cell], chords[:, :cell], radii[:cell],
+                                      focus[:cell], source_radius)
+        if cell == n_max or not live.size:
+            continue
+        entry_x = layouts[0].cell_entry_x(cell)
         c = _cross(shape, media, entry_x, run[0], run[1], run[2])
         stopped = c.fate != CROSSED
         if stopped.any():
@@ -666,7 +702,7 @@ def trace_array(layout: ArrayLayout, media: Media,
             rays[:, lost] = run[:, stopped]
             live, run = live[~stopped], run[:, ~stopped]
             if not live.size:
-                break
+                continue
         legs[live, cell] = c.tissue_leg
         chords[live, cell] = c.chord
         # Lengths accumulate cell by cell, as a per-ray sum would.
@@ -677,8 +713,20 @@ def trace_array(layout: ArrayLayout, media: Media,
         if not isinstance(shape, Pyramidal):
             marginal = int(np.argmax(np.abs(c.entry_h)))
             focus[cell] = c.focus(marginal, entry_x + shape.axial_extent)
-    rays[:, live] = run
+    return results
 
+
+def _to_detector(layout: ArrayLayout, rays: np.ndarray, status: np.ndarray,
+                 loss_cell: np.ndarray, legs: np.ndarray, chords: np.ndarray,
+                 radii: list[float], focus: list[Optional[FocusEntry]],
+                 source_radius: float) -> tuple[RayBatch, FocusReport]:
+    """Run the rays past layout's last cell on to its detector plane.
+
+    rays holds trace_arrays' five rows (x, h, theta, cell and tissue length)
+    after that cell and is updated in place; status, loss_cell and the rest
+    are the per-ray and per-cell records of layout's cells.
+    """
+    k = len(status)
     x, h, theta, cell_length, tissue_length = rays
     delivered = np.flatnonzero(status != "leaked")
     d_total = layout.total_length
@@ -700,11 +748,11 @@ def trace_array(layout: ArrayLayout, media: Media,
     cells = [
         CellFocus(
             cell_index=i,
-            theta_f=None if focus[i] is None else focus[i].theta_f,
-            x_f=None if focus[i] is None else focus[i].x_f,
-            illumination_radius=radii[i],
+            theta_f=None if entry is None else entry.theta_f,
+            x_f=None if entry is None else entry.x_f,
+            illumination_radius=radius,
         )
-        for i in range(n)
+        for i, (entry, radius) in enumerate(zip(focus, radii))
     ]
     report = FocusReport(
         source_radius=source_radius,

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scalar_tracer as oracle
 from cellray.channel import EmptyChannel, build_cir, contributions
@@ -24,6 +24,7 @@ from cellray.geometry import (
     TotalInternalReflection,
     collimated_bundle,
     trace_array,
+    trace_arrays,
     trace_cell,
 )
 from cellray.optics import Media, Medium
@@ -218,3 +219,53 @@ class TestRayBatch:
             trace_cell(Spherical(10.0), low_cell, RayState(0.0, 9.0, 0.0), 4.0)
         ct = trace_cell(Spherical(10.0), low_cell, RayState(0.0, 6.0, 0.0), 4.0)
         assert ct.chord > 0.0
+
+
+# Pyramidal cells with n_cell = 1.5 lose all 301 rays by cell 5 of 18.
+LOSSY_PRISMS = Media(cell=Medium(1.5, 0.9, 3.43), tissue=TISSUE)
+ALL_LOST = ([ArrayLayout(Pyramidal(30.0, 20.0), n, 5.0, 5.0, d)
+             for n, d in ((18, 0.0), (3, 7.5), (5, 1.0), (6, 0.0), (0, 2.0), (18, 3.0))],
+            LOSSY_PRISMS, collimated_bundle(Pyramidal(30.0, 20.0), 301))
+
+
+@st.composite
+def shared_line_runs(draw):
+    """Layouts on one cell line: 1-6 cell counts in 0..18, own detector gaps."""
+    shape = draw(shape_strategy)
+    gap, source_gap = draw(st.floats(0.0, 20.0)), draw(st.floats(0.0, 20.0))
+    counts = draw(st.lists(st.integers(0, 18), min_size=1, max_size=6))
+    layouts = [ArrayLayout(shape, n, gap, source_gap, draw(st.floats(0.0, 50.0)))
+               for n in counts]
+    return layouts, draw(media_strategy), collimated_bundle(shape, draw(st.integers(1, 301)))
+
+
+class TestTraceArrays:
+    @given(shared_line_runs())
+    @example(ALL_LOST)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_one_trace_per_layout(self, run):
+        layouts, media, h0 = run
+        shared = trace_arrays(layouts, media, h0)
+        assert len(shared) == len(layouts)
+        for layout, (batch, focus) in zip(layouts, shared):
+            alone, alone_focus = trace_array(layout, media, h0)
+            for name in alone.__dataclass_fields__:
+                got, want = getattr(batch, name), getattr(alone, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert focus_fields(focus) == focus_fields(alone_focus)
+
+    def test_every_ray_lost_before_the_last_cell(self):
+        layouts, media, h0 = ALL_LOST
+        batch, focus = trace_arrays(layouts, media, h0)[0]
+        assert (batch.status != "arrived").all()
+        assert batch.loss_cell.max() < 17
+        assert focus.cells[-1].illumination_radius == 0.0
+
+    @pytest.mark.parametrize("change", [{"gap": 4.0}, {"source_gap": 4.0},
+                                        {"shape": Spherical(10.0)},
+                                        {"shape": Fusiform(30.0, 19.0)}])
+    def test_layouts_off_the_line_rejected(self, change):
+        layout = ArrayLayout(Fusiform(30.0, 20.0), 3, 5.0, 5.0, 0.0)
+        with pytest.raises(ValueError, match="share shape, gap and source_gap"):
+            trace_arrays([layout, replace(layout, **change)], MEDIA,
+                         collimated_bundle(layout.shape, 11))

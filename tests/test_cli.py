@@ -24,7 +24,10 @@ from cellray.config import (
     Scenario,
     default_scenario,
     scenario_from_dict,
+    sweep_points,
+    sweep_ray_cells,
     sweep_values,
+    trace_groups,
     validate,
 )
 from cellray.geometry import (
@@ -145,6 +148,35 @@ class TestScenarioConfig:
             assert len(sweep_values(sc)) == points, grid
             named = [v for v in validate(sc) if v.startswith("sweep") and "d_l_um" in v]
             assert bool(named) == (points == 0), grid
+
+    def test_sweep_trace_groups_and_charge(self):
+        sc = default_scenario()
+        sc.k_rays = 301
+        sc.sweep = {"parameter": "n_cells", "start": 1, "stop": 18}
+        points = sweep_points(sc)
+        assert [p.n_cells for p in points] == list(range(1, 19))
+        assert trace_groups(points) == [list(range(18))]
+        # The battery's sweep: one trace through 18 cells, 17 more detector legs.
+        assert sweep_ray_cells(points) == 1000 * (18 + 17)
+        sc.sweep = {"parameter": "d_l_um", "values": [1.0, 3.0, 1.0]}
+        assert trace_groups(sweep_points(sc)) == [[0, 2], [1]]
+        assert sweep_ray_cells(sweep_points(sc)) == 1000 * 19 + 1000 * 18
+        sc.sweep = {"parameter": "total_um", "values": [450.0, 500.0]}
+        assert trace_groups(sweep_points(sc)) == [[0, 1]]
+        # An int and the equal float may round apart (h_c**2): no sharing.
+        sc.sweep = {"parameter": "h_c_um", "values": [30, 30.0]}
+        assert trace_groups(sweep_points(sc)) == [[0], [1]]
+
+    def test_sweep_over_the_ray_cell_cap_names_sweep(self):
+        sc = default_scenario()
+        sc.k_rays = 10_000
+        sc.sweep = {"parameter": "d_l_um", "values": [1.0, 2.0]}
+        assert sweep_ray_cells(sweep_points(sc)) == 2 * 10_000 * 18
+        assert validate(sc) == []
+        sc.sweep["values"] = [1.0, 2.0] * 7  # 2 traces, 7 legs each
+        assert validate(sc) == []
+        sc.sweep["values"] = [0.5 * i for i in range(14)]  # 14 traces
+        assert [v.split(":")[0] for v in validate(sc)] == ["sweep"]
 
     @pytest.mark.parametrize("param", sorted(k for k, rule in SCHEMA.items() if rule.pulse))
     def test_pulse_key_sweep_rejected(self, param):
@@ -289,6 +321,50 @@ class TestCliCommands:
         cir_files = sorted(tmp_path.glob("cir_*.csv"))
         assert len(cir_files) == 18
 
+    @pytest.mark.parametrize("shape", ["fusiform", "spherical", "pyramidal"])
+    @pytest.mark.parametrize("param, grid", [
+        ("n_cells", [0, 5, 2, 5]),            # one shared trace
+        ("total_um", [450.0, 471.5, 500.0]),  # one shared trace
+        ("d_l_um", [1.0, 5.0, 3.0]),          # one trace per point
+    ])
+    def test_sweep_points_equal_single_runs(self, tmp_path, capsys, shape, param, grid):
+        base = ["--set", f"shape={shape}", "--set", "k_rays=101"]
+        sweep = tmp_path / "sweep"
+        assert main(["--command", "sweep", "--out", str(sweep), *base, "--set",
+                     f"sweep={param}={','.join(map(str, grid))}"]) == 0
+        rows = read_csv(sweep / "sweep_summary.csv")[1:]
+        assert len(rows) == len(grid)
+        for i, (value, row) in enumerate(zip(grid, rows)):
+            single = tmp_path / f"point-{i}"
+            assert main(["--command", "cir", "--out", str(single), *base,
+                         "--set", f"{param}={value}"]) == 0
+            assert (sweep / f"cir_{i:03d}.csv").read_bytes() == \
+                (single / "cir.csv").read_bytes()
+            report = json.loads((single / "report.json").read_text())
+            assert row == ["%.12e" % value, "%.12e" % report["dominant_delay_s"],
+                           "%.12e" % report["total_gain"], "%.12e" % report["path_loss_db"],
+                           str(report["counts"]["leaked"]),
+                           str(report["counts"]["deviated"])]
+
+    @pytest.mark.parametrize("grid, failing", [
+        ([40.0, 0.001, 0.0, 40.0], 1),  # exit 3 before an invalid point
+        ([40.0, 0.0, 0.001, 40.0], 1),  # an invalid point before exit 3
+        ([40.0, 40.0, 0.001], 2),
+    ])
+    def test_failing_sweep_reports_its_first_failing_point(self, tmp_path, capsys, grid,
+                                                           failing):
+        # Free space, 10 rays, none on the axis: a 0.001 um detector catches
+        # none (exit 3), and a 0 um one is invalid (exit 2).
+        base = ["--set", "n_cells=0", "--set", "k_rays=10"]
+        code = main(["--command", "sweep", "--out", str(tmp_path / "sweep"), *base,
+                     "--set", f"sweep=detector_width_um={','.join(map(str, grid))}"])
+        err = capsys.readouterr().err
+        single = main(["--command", "cir", "--out", str(tmp_path / "single"), *base,
+                       "--set", f"detector_width_um={grid[failing]}"])
+        assert (code, err) == (single, capsys.readouterr().err)
+        assert code in (2, 3)
+        assert list((tmp_path / "sweep").iterdir()) == []
+
     @pytest.mark.parametrize("sweep, named", [
         ('{"parameter": "n_cells", "values": [1.5, 2.7]}', "n_cells"),
         ('{"parameter": "k_rays", "values": [11, 20.5]}', "k_rays"),
@@ -404,6 +480,11 @@ REJECTED_INPUTS = [
     ("trace", ["k_rays=1", "n_cells=2501", "total_um=9e4"], "n_cells"),
     # 40,001 pulse samples times 1,019,570 CIR bins to convolve.
     ("pulse", ["tau_fs=10", "waveform_dt_fs=0.002", "k_rays=11"], "waveform_dt_fs"),
+    # 1,997 points of 2,000,000 ray-cells each: each point fits, the sweep
+    # would trace for about 35 minutes.
+    ("sweep", ["k_rays=1000", "n_cells=2000", "total_um=60000",
+               'sweep={"parameter":"n_cell","start":1.36,"stop":1.37,"step":0.00000501}'],
+     "sweep"),
 ]
 
 
