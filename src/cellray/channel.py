@@ -59,15 +59,13 @@ class Atoms:
 
     delay_s: np.ndarray
     gain: np.ndarray
-    ray_index: np.ndarray
     detector_coordinate_um: np.ndarray
 
     def __len__(self) -> int:
         return len(self.delay_s)
 
     def select(self, mask: np.ndarray) -> "Atoms":
-        return Atoms(self.delay_s[mask], self.gain[mask], self.ray_index[mask],
-                     self.detector_coordinate_um[mask])
+        return Atoms(self.delay_s[mask], self.gain[mask], self.detector_coordinate_um[mask])
 
 
 @dataclass
@@ -127,7 +125,7 @@ def contributions(batch: RayBatch, media: Media,
     delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
     gain = transmittance(media.cell, d_a_um / UM_PER_MM)
     gain *= transmittance(media.tissue, d_e_um / UM_PER_MM)
-    atoms = Atoms(delay, gain, batch.ray_index[delivered], coord)
+    atoms = Atoms(delay, gain, coord)
     if detector_extent_um is None:
         off = np.zeros(len(coord), dtype=bool)
     else:
@@ -344,8 +342,8 @@ def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
     Each block of CSV_BLOCK_ROWS rows is built as one matrix of NUL-padded
     fields: %.12e fields by format_e12, %d and %s fields by numpy's
     astype("S"), which writes str() of an integer or a float.  The
-    separators go in between, one boolean mask drops the NUL bytes, and
-    one call writes the block.  Any other conversion raises ValueError.
+    separators go in between, one bytes.translate drops the NUL bytes,
+    and one call writes the block.  Any other conversion raises ValueError.
     """
     conversions = row_format.split(",")
     unknown = set(conversions) - {"%.12e", "%d", "%s"}
@@ -375,8 +373,7 @@ def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
                 block[:, pos + width] = _COMMA
                 pos += width + 1
             block[:, -1] = _CRLF
-            text = block.view(np.uint8).ravel()
-            fh.write(text[text != 0].tobytes())
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def write_cir_csv(cir: ImpulseResponse, path) -> None:

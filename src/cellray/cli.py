@@ -192,7 +192,7 @@ def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
         ["ray_index", "status", "loss_cell", "h0_um", "exit_x_um",
          "exit_h_um", "exit_theta_rad", "cell_path_um", "tissue_path_um"],
         "%d,%s,%s" + ",%.12e" * 6,
-        [paths.ray_index, paths.status, np.where(loss < 0, "", loss.astype(str)),
+        [np.arange(len(paths)), paths.status, np.where(loss < 0, "", loss.astype(str)),
          chan.h0, paths.exit_x, paths.exit_h, paths.exit_theta,
          paths.cell_length, paths.tissue_length],
     )
@@ -359,8 +359,7 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
     }[command]
     try:
         report = handler(scenario, out)
-    except (ch.EmptyChannel, ch.DegenerateFocus, sig.IllConditioned,
-            sig.UnderResolved, BeyondPole) as exc:
+    except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
         raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -264,9 +264,11 @@ def _range_problems(s: Scenario) -> list[tuple[str, str]]:
         if gap < 0.0:
             problems.append(("d_R_um", f"detector gap resolves to {gap:.6g} um; "
                                        "cells do not fit the total length"))
-    if s.waveform_dt_fs > 0.0 and s.tau_fs > 0.0 and s.waveform_dt_fs >= s.tau_fs / 10.0:
-        problems.append(("waveform_dt_fs", f"must be under tau/10 = {s.tau_fs / 10.0} fs to "
-                                           f"resolve the envelope, got {s.waveform_dt_fs}"))
+    # Judged in seconds, as gaussian_pulse judges it: the fs values can round apart.
+    tau, dt, _ = s.pulse_grid_s()
+    if s.waveform_dt_fs > 0.0 and s.tau_fs > 0.0 and dt >= tau / 10.0:
+        problems.append(("waveform_dt_fs", "must be under tau/10 to resolve the envelope, "
+                                           f"got a {dt!r} s step for tau/10 = {tau / 10.0!r} s"))
     if s.sweep is not None:
         problems += [("sweep", problem) for problem in _sweep_problems(s)]
     return problems

@@ -266,49 +266,31 @@ class CellTrace:
 
 @dataclass
 class RayPath:
-    """Per-ray segment ledger plus termination bookkeeping.
+    """Ray ray_index of a RayBatch, read off its arrays: fate and exit state.
 
-    segments alternate ("tissue", length)/("cell", length); zero-length legs
-    (e.g. a zero detector gap) are dropped.  status is "arrived", "leaked"
-    or "deviated"; loss_cell is the index of the first cell the ray failed
-    to traverse, None for arrived rays.
+    status is "arrived", "leaked" or "deviated"; loss_cell is the index of
+    the first cell the ray failed to traverse, None for arrived rays.
     """
 
     ray_index: int
-    segments: list[tuple[str, float]]
     status: str
     loss_cell: Optional[int]
     exit: RayState
 
-    def medium_length(self, tag: str) -> float:
-        return sum(length for t, length in self.segments if t == tag)
-
-    @property
-    def cell_length(self) -> float:
-        return self.medium_length("cell")
-
-    @property
-    def tissue_length(self) -> float:
-        return self.medium_length("tissue")
-
 
 @dataclass(eq=False)
 class RayBatch:
-    """Traced rays as arrays: entry i of every array belongs to one ray.
+    """Traced rays as arrays: entry i of every array belongs to ray i.
 
     status holds "arrived", "leaked" or "deviated" and loss_cell the first
     cell a ray failed to traverse (-1 for arrived rays).  The exit arrays
     give the detector-plane state of arrived and deviated rays and the last
     state before the loss of leaked ones.  cell_length and tissue_length are
-    the summed per-medium path lengths.  legs[i, c] and chords[i, c] are the
-    tissue leg into cell c and the chord through it, valid for the cells the
-    ray traversed; final_leg is the leg on to the detector plane (0 for
-    leaked rays).
+    the summed per-medium path lengths, all that a ray's channel atom reads.
 
     Indexing or iterating builds RayPath views.
     """
 
-    ray_index: np.ndarray
     status: np.ndarray
     loss_cell: np.ndarray
     exit_x: np.ndarray
@@ -316,9 +298,6 @@ class RayBatch:
     exit_theta: np.ndarray
     cell_length: np.ndarray
     tissue_length: np.ndarray
-    legs: np.ndarray         # (K, N)
-    chords: np.ndarray       # (K, N)
-    final_leg: np.ndarray    # (K,)
 
     def __len__(self) -> int:
         return len(self.status)
@@ -329,23 +308,10 @@ class RayBatch:
     def __getitem__(self, i: int) -> RayPath:
         i = range(len(self))[i]
         loss = int(self.loss_cell[i])
-        crossed = self.legs.shape[1] if loss < 0 else loss
-        segments: list[tuple[str, float]] = []
-        for leg, chord in zip(self.legs[i, :crossed].tolist(),
-                              self.chords[i, :crossed].tolist()):
-            if leg > TOL:
-                segments.append(("tissue", leg))
-            if chord > TOL:
-                segments.append(("cell", chord))
-        final = float(self.final_leg[i])
-        if final > TOL:
-            segments.append(("tissue", final))
         exit_state = RayState(float(self.exit_x[i]), float(self.exit_h[i]),
                               float(self.exit_theta[i]))
-        return RayPath(ray_index=int(self.ray_index[i]), segments=segments,
-                       status=str(self.status[i]),
-                       loss_cell=None if loss < 0 else loss,
-                       exit=exit_state)
+        return RayPath(ray_index=i, status=str(self.status[i]),
+                       loss_cell=None if loss < 0 else loss, exit=exit_state)
 
 
 @dataclass(frozen=True)
@@ -653,8 +619,7 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
     vertex does not depend on the cell count, so the rays leave every cell
     two such layouts share in the same state, bit for bit.  The rays are
     traced once through the largest count; on reaching a layout's count the
-    state is copied and run on to that layout's own detector plane.  The
-    legs and chords of every result are column prefixes of one matrix.
+    state is copied and run on to that layout's own detector plane.
     """
     if len(h0) == 0:
         raise ValueError("empty ray bundle")
@@ -675,7 +640,6 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
     source_radius = float(np.max(np.abs(rays[1])))
     status = np.full(k, "arrived", dtype="<U8")
     loss_cell = np.full(k, -1)
-    legs, chords = np.zeros((k, n_max)), np.zeros((k, n_max))
     radii = [0.0] * n_max
     focus: list[Optional[FocusEntry]] = [None] * n_max
 
@@ -688,8 +652,7 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
             state = own(rays)
             state[:, live] = run
             results[i] = _to_detector(layouts[i], state, own(status), own(loss_cell),
-                                      legs[:, :cell], chords[:, :cell], radii[:cell],
-                                      focus[:cell], source_radius)
+                                      radii[:cell], focus[:cell], source_radius)
         if cell == n_max or not live.size:
             continue
         entry_x = layouts[0].cell_entry_x(cell)
@@ -703,8 +666,6 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
             live, run = live[~stopped], run[:, ~stopped]
             if not live.size:
                 continue
-        legs[live, cell] = c.tissue_leg
-        chords[live, cell] = c.chord
         # Lengths accumulate cell by cell, as a per-ray sum would.
         run[3] += np.where(c.chord > TOL, c.chord, 0.0)
         run[4] += np.where(c.tissue_leg > TOL, c.tissue_leg, 0.0)
@@ -717,8 +678,8 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
 
 
 def _to_detector(layout: ArrayLayout, rays: np.ndarray, status: np.ndarray,
-                 loss_cell: np.ndarray, legs: np.ndarray, chords: np.ndarray,
-                 radii: list[float], focus: list[Optional[FocusEntry]],
+                 loss_cell: np.ndarray, radii: list[float],
+                 focus: list[Optional[FocusEntry]],
                  source_radius: float) -> tuple[RayBatch, FocusReport]:
     """Run the rays past layout's last cell on to its detector plane.
 
@@ -726,25 +687,19 @@ def _to_detector(layout: ArrayLayout, rays: np.ndarray, status: np.ndarray,
     after that cell and is updated in place; status, loss_cell and the rest
     are the per-ray and per-cell records of layout's cells.
     """
-    k = len(status)
     x, h, theta, cell_length, tissue_length = rays
     delivered = np.flatnonzero(status != "leaked")
     d_total = layout.total_length
     remaining = d_total - x[delivered]
-    final_leg = np.zeros(k)
-    final_leg[delivered] = remaining / np.cos(theta[delivered])
-    tissue_length[delivered] += np.where(final_leg[delivered] > TOL,
-                                         final_leg[delivered], 0.0)
+    final_leg = remaining / np.cos(theta[delivered])
+    tissue_length[delivered] += np.where(final_leg > TOL, final_leg, 0.0)
     h[delivered] += _tan(theta[delivered]) * remaining
     x[delivered] = d_total
     detector_radius = float(np.max(np.abs(h[delivered]))) if delivered.size else 0.0
 
-    batch = RayBatch(
-        ray_index=np.arange(k), status=status, loss_cell=loss_cell,
-        exit_x=x, exit_h=h, exit_theta=theta,
-        cell_length=cell_length, tissue_length=tissue_length,
-        legs=legs, chords=chords, final_leg=final_leg,
-    )
+    batch = RayBatch(status=status, loss_cell=loss_cell, exit_x=x, exit_h=h,
+                     exit_theta=theta, cell_length=cell_length,
+                     tissue_length=tissue_length)
     cells = [
         CellFocus(
             cell_index=i,

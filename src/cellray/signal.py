@@ -37,7 +37,6 @@ class Waveform:
         samples: real field values
         omega0: carrier angular frequency (rad/s)
         tau: envelope FWHM (s)
-        e0: peak field amplitude
     """
 
     t0: float
@@ -45,7 +44,6 @@ class Waveform:
     samples: np.ndarray
     omega0: float
     tau: float
-    e0: float
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
@@ -69,20 +67,19 @@ class Waveform:
 class Spectrum:
     """One-sided discrete spectrum of a real waveform."""
 
-    f0: float
     df: float
     amps: np.ndarray
 
     @property
     def frequencies(self) -> np.ndarray:
-        return self.f0 + self.df * np.arange(len(self.amps))
+        return self.df * np.arange(len(self.amps))
 
     @property
     def magnitude(self) -> np.ndarray:
         return np.abs(self.amps)
 
     def peak_frequency(self) -> float:
-        return self.f0 + self.df * int(np.argmax(np.abs(self.amps)))
+        return self.df * int(np.argmax(np.abs(self.amps)))
 
 
 def _field(t: np.ndarray, e0: float, tau: float, omega0: float) -> np.ndarray:
@@ -118,7 +115,7 @@ def gaussian_pulse(e0: float, tau_s: float, wavelength: Wavelength,
     omega0 = wavelength.omega0_rad_per_s
     return Waveform(t0=-half * dt_s, dt=dt_s,
                     samples=_field(t, e0, tau_s, omega0),
-                    omega0=omega0, tau=tau_s, e0=e0)
+                    omega0=omega0, tau=tau_s)
 
 
 def received_pulse(tx: Waveform, t_d_s: float, gamma: float,
@@ -133,7 +130,7 @@ def received_pulse(tx: Waveform, t_d_s: float, gamma: float,
         raise ValueError("delay must be non-negative")
     scale = gamma * attenuation
     return Waveform(t0=tx.t0 + t_d_s, dt=tx.dt, samples=scale * tx.samples,
-                    omega0=tx.omega0, tau=tx.tau, e0=tx.e0)
+                    omega0=tx.omega0, tau=tx.tau)
 
 
 def propagate(tx: Waveform, cir: ImpulseResponse) -> Waveform:
@@ -146,7 +143,7 @@ def propagate(tx: Waveform, cir: ImpulseResponse) -> Waveform:
         raise ValueError("waveform and channel must share one sample step")
     samples = np.convolve(tx.samples, cir.bins)
     return Waveform(t0=tx.t0 + cir.t0, dt=tx.dt, samples=samples,
-                    omega0=tx.omega0, tau=tx.tau, e0=tx.e0)
+                    omega0=tx.omega0, tau=tx.tau)
 
 
 def envelope(w: Waveform) -> np.ndarray:
@@ -166,7 +163,7 @@ def envelope(w: Waveform) -> np.ndarray:
 def spectrum(w: Waveform) -> Spectrum:
     """One-sided discrete Fourier spectrum."""
     n = len(w.samples)
-    return Spectrum(f0=0.0, df=1.0 / (n * w.dt), amps=np.fft.rfft(w.samples))
+    return Spectrum(df=1.0 / (n * w.dt), amps=np.fft.rfft(w.samples))
 
 
 def estimate_channel(tx: Waveform, rx: Waveform, eps: float | None = None,

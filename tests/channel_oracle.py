@@ -29,7 +29,6 @@ class PathContribution:
 
     delay_s: float
     gain: float
-    ray_index: int
     detector_coordinate_um: float
 
 
@@ -63,15 +62,13 @@ def contributions(batch: RayBatch, media: Media,
         off = np.abs(coord) > 0.5 * detector_extent_um
     detected: list[PathContribution] = []
     outside: list[PathContribution] = []
-    for index, delay_s, a_mm, e_mm, h, is_off in zip(
-            batch.ray_index[delivered].tolist(), delay.tolist(),
-            (d_a_um / UM_PER_MM).tolist(), (d_e_um / UM_PER_MM).tolist(),
+    for delay_s, a_mm, e_mm, h, is_off in zip(
+            delay.tolist(), (d_a_um / UM_PER_MM).tolist(), (d_e_um / UM_PER_MM).tolist(),
             coord.tolist(), off.tolist()):
         gain = transmittance(media.cell, a_mm, wavelength)
         gain *= transmittance(media.tissue, e_mm, wavelength)
         (outside if is_off else detected).append(
-            PathContribution(delay_s=delay_s, gain=gain, ray_index=index,
-                             detector_coordinate_um=h))
+            PathContribution(delay_s=delay_s, gain=gain, detector_coordinate_um=h))
     return detected, outside
 
 

@@ -47,7 +47,6 @@ def assert_same_channel(paths, media, focus):
         for atoms, expected in zip(got, want):
             assert atoms.delay_s.tolist() == [c.delay_s for c in expected]
             assert atoms.gain.tolist() == [c.gain for c in expected]
-            assert atoms.ray_index.tolist() == [c.ray_index for c in expected]
             assert atoms.detector_coordinate_um.tolist() == \
                 [c.detector_coordinate_um for c in expected]
         for mode, aggregate in (("per-path", None), ("aggregate", gamma)):

@@ -43,8 +43,7 @@ MEDIA = Media(cell=CELL, tissue=TISSUE)
 def synthetic_batch(tissue_um, cell_um=0.0, exit_h=0.0, status="arrived"):
     """A RayBatch of axial rays with the given per-medium path lengths.
 
-    One ray per entry of tissue_um; the other arguments are broadcast.  The
-    rays cross no cell of a layout, so legs and chords have no columns.
+    One ray per entry of tissue_um; the other arguments are broadcast.
     """
     tissue = np.atleast_1d(np.asarray(tissue_um, dtype=float))
     k = len(tissue)
@@ -54,12 +53,9 @@ def synthetic_batch(tissue_um, cell_um=0.0, exit_h=0.0, status="arrived"):
 
     statuses = column(status, "<U8")
     cell = column(cell_um)
-    return RayBatch(ray_index=np.arange(k), status=statuses,
-                    loss_cell=np.where(statuses == "arrived", -1, 0),
+    return RayBatch(status=statuses, loss_cell=np.where(statuses == "arrived", -1, 0),
                     exit_x=cell + tissue, exit_h=column(exit_h),
-                    exit_theta=np.zeros(k), cell_length=cell, tissue_length=tissue,
-                    legs=np.zeros((k, 0)), chords=np.zeros((k, 0)),
-                    final_leg=np.zeros(k))
+                    exit_theta=np.zeros(k), cell_length=cell, tissue_length=tissue)
 
 
 def atom(batch, detector_extent_um=None):

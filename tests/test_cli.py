@@ -38,6 +38,7 @@ from cellray.geometry import (
     collimated_bundle,
     trace_array,
 )
+from cellray.signal import UnderResolved, gaussian_pulse
 
 FLOAT_KEYS = [f.name for f in fields(Scenario) if "float" in f.type]
 
@@ -480,6 +481,10 @@ REJECTED_INPUTS = [
     ("trace", ["k_rays=1", "n_cells=2501", "total_um=9e4"], "n_cells"),
     # 40,001 pulse samples times 1,019,570 CIR bins to convolve.
     ("pulse", ["tau_fs=10", "waveform_dt_fs=0.002", "k_rays=11"], "waveform_dt_fs"),
+    # Under tau/10 in femtoseconds but not in the seconds the pulse is built
+    # in: validate passed it and the pulse failed with UnderResolved (exit 3).
+    ("pulse", ["tau_fs=76.37982415147164", "waveform_dt_fs=7.637982415147163"],
+     "waveform_dt_fs"),
     # 1,997 points of 2,000,000 ray-cells each: each point fits, the sweep
     # would trace for about 35 minutes.
     ("sweep", ["k_rays=1000", "n_cells=2000", "total_um=60000",
@@ -500,6 +505,23 @@ def test_rejected_naming_key_without_files(tmp_path, capsys, command, overrides,
     assert record["error"] == "validation"
     assert any(v.startswith(f"{key}:") for v in record["detail"]), record
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@given(st.floats(1e-3, 1e3), st.sampled_from([-math.inf, math.inf]))
+@settings(max_examples=300, deadline=None)
+def test_step_rule_agrees_with_gaussian_pulse(tau_fs, side):
+    """At one ulp either side of tau_fs/10, validate passes the step exactly
+    when gaussian_pulse resolves the pulse on the scenario's grid."""
+    scenario = replace(default_scenario(), tau_fs=tau_fs,
+                       waveform_dt_fs=math.nextafter(tau_fs / 10.0, side))
+    tau, dt, span = scenario.pulse_grid_s()
+    try:
+        gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt, span_s=span)
+    except UnderResolved:
+        accepted = False
+    else:
+        accepted = True
+    assert (validate(scenario) == []) == accepted
 
 
 def test_schema_covers_every_key():

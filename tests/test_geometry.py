@@ -12,6 +12,7 @@ from cellray.geometry import (
     Pyramidal,
     RayState,
     Spherical,
+    TOL,
     TotalInternalReflection,
     avg_distances,
     collimated_bundle,
@@ -249,55 +250,77 @@ def default_layout(shape, n=18, gap=5.0, d_src=5.0, d_det=0.0):
                        source_gap=d_src, detector_gap=d_det)
 
 
+def walked_cells(layout, h):
+    """The CellTrace of each cell the ray launched at h crosses, by trace_cell."""
+    state, cells = RayState(0.0, h, 0.0), []
+    for i in range(layout.n_cells):
+        try:
+            ct = trace_cell(layout.shape, MEDIA, state, layout.cell_entry_x(i))
+        except (NoIntersection, TotalInternalReflection):
+            break
+        cells.append(ct)
+        state = ct.outgoing
+    return cells
+
+
 class TestTraceArray:
     def test_empty_array_single_tissue_segment(self):
         layout = ArrayLayout(Fusiform(30.0, 20.0), 0, 5.0, 5.0, 445.0)
-        paths, report = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 11))
-        assert all(p.status == "arrived" for p in paths)
-        for p in paths:
-            assert p.segments == [("tissue", pytest.approx(450.0))]
+        batch, report = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 11))
+        assert (batch.status == "arrived").all()
+        assert batch.cell_length.tolist() == [0.0] * 11
+        assert batch.tissue_length.tolist() == pytest.approx([450.0] * 11)
         assert report.cells == []
 
     def test_fusiform_survivors_traverse_all_cells(self):
         layout = default_layout(Fusiform(30.0, 20.0))
-        paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 301))
-        arrived = [p for p in paths if p.status == "arrived"]
-        assert arrived
-        for p in arrived:
-            assert sum(1 for tag, _ in p.segments if tag == "cell") == 18
+        bundle = collimated_bundle(layout.shape, 301)
+        batch, _ = trace_array(layout, MEDIA, bundle)
+        arrived = batch.status == "arrived"
+        assert arrived.any()
+        assert (batch.loss_cell[arrived] == -1).all()
+        for h in bundle[arrived].tolist():
+            chords = [ct.chord for ct in walked_cells(layout, h)]
+            assert len(chords) == 18 and all(chord > TOL for chord in chords)
 
     def test_segment_ledger_structure(self):
         layout = default_layout(Spherical(10.0), d_det=5.0)
-        paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 101))
-        for p in paths:
-            if p.status != "arrived":
-                continue
-            tags = [tag for tag, _ in p.segments]
-            assert tags[0] == "tissue" and tags[-1] == "tissue"
-            assert all(a != b for a, b in zip(tags, tags[1:]))
-            assert all(length > 0.0 for _, length in p.segments)
-            assert p.cell_length <= layout.n_cells * layout.shape.max_chord
-            assert p.exit.x == pytest.approx(layout.total_length)
+        bundle = collimated_bundle(layout.shape, 101)
+        batch, _ = trace_array(layout, MEDIA, bundle)
+        arrived = np.flatnonzero(batch.status == "arrived")
+        assert arrived.size
+        for i in arrived.tolist():
+            # Tissue leg and chord alternate, each positive, and end in a
+            # tissue leg to the detector; their sums are the batch's lengths.
+            cells = walked_cells(layout, bundle[i])
+            assert len(cells) == layout.n_cells
+            assert all(ct.tissue_leg > TOL and ct.chord > TOL for ct in cells)
+            assert batch.cell_length[i] == sum(ct.chord for ct in cells)
+            last = cells[-1].outgoing
+            final = (layout.total_length - last.x) / math.cos(last.theta)
+            assert final > TOL
+            assert batch.tissue_length[i] == \
+                pytest.approx(sum(ct.tissue_leg for ct in cells) + final, rel=1e-12)
+            assert batch.cell_length[i] <= layout.n_cells * layout.shape.max_chord
+            assert batch.exit_x[i] == pytest.approx(layout.total_length)
 
     def test_monotone_leakage_with_gap(self):
         counts = []
         for gap in (2.0, 5.0, 10.0, 20.0, 40.0):
             layout = ArrayLayout(Spherical(10.0), 18, gap, 5.0, 5.0)
-            paths, _ = trace_array(layout, MEDIA,
-                                   collimated_bundle(layout.shape, 301))
-            counts.append(sum(p.status == "leaked" for p in paths))
+            batch, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 301))
+            counts.append(int(np.count_nonzero(batch.status == "leaked")))
         assert counts == sorted(counts)
 
     def test_pyramidal_deviation_walks_downward(self):
         layout = default_layout(Pyramidal(30.0, 20.0))
-        paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 301))
-        statuses = {p.status for p in paths}
-        assert "deviated" in statuses and "leaked" in statuses
-        for p in paths:
-            if p.status == "deviated":
-                assert p.loss_cell is not None
-                assert p.exit.theta < 0.0  # prism pushes rays toward the base
-                assert p.exit.x == pytest.approx(layout.total_length)
+        batch, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 301))
+        assert {"deviated", "leaked"} <= set(batch.status.tolist())
+        deviated = batch.status == "deviated"
+        assert (batch.loss_cell[deviated] >= 0).all()
+        assert (batch.exit_theta[deviated] < 0.0).all()  # prism pushes rays toward the base
+        assert batch.exit_x[deviated].tolist() == \
+            pytest.approx([layout.total_length] * int(deviated.sum()))
 
     def test_radial_alternation_visible_in_radii(self):
         layout = default_layout(Fusiform(30.0, 20.0))
@@ -313,13 +336,12 @@ class TestTraceArray:
         flat = Media(cell=Medium(1.35, 0.9, 3.43), tissue=Medium(1.35, 1.34, 3.43))
         layout = default_layout(Spherical(10.0), d_det=5.0)
         bundle = collimated_bundle(layout.shape, 51)
-        paths, _ = trace_array(layout, flat, bundle)
-        for h, p in zip(bundle.tolist(), paths):
-            assert p.status == "arrived"
-            assert p.exit.h == pytest.approx(h, abs=1e-9)
-            assert p.exit.theta == pytest.approx(0.0, abs=1e-12)
-            expected_cell = 18 * layout.shape.chord_at(h)
-            assert p.cell_length == pytest.approx(expected_cell, abs=1e-6)
+        batch, _ = trace_array(layout, flat, bundle)
+        assert (batch.status == "arrived").all()
+        np.testing.assert_allclose(batch.exit_h, bundle, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(batch.exit_theta, 0.0, rtol=0.0, atol=1e-12)
+        expected_cell = [18 * layout.shape.chord_at(h) for h in bundle.tolist()]
+        np.testing.assert_allclose(batch.cell_length, expected_cell, rtol=0.0, atol=1e-6)
 
     def test_bundle_is_deterministic_and_uniform(self):
         bundle = collimated_bundle(Fusiform(30.0, 20.0), 5)

@@ -140,7 +140,7 @@ class TestPropagate:
         tx2 = gaussian_pulse(0.4, TAU, LAM, DT, 8 * TAU)
         cir = delta_channel(0.5e-12, 0.7)
         mixed = Waveform(tx1.t0, DT, a * tx1.samples + b * tx2.samples,
-                         tx1.omega0, TAU, 1.0)
+                         tx1.omega0, TAU)
         lhs = propagate(mixed, cir).samples
         rhs = a * propagate(tx1, cir).samples + b * propagate(tx2, cir).samples
         scale = np.max(np.abs(rhs)) or 1.0
@@ -172,10 +172,10 @@ class TestEstimateChannel:
         pad = 64
         tx_shift = Waveform(tx.t0 - pad * DT, DT,
                             np.concatenate([np.zeros(pad), tx.samples]),
-                            tx.omega0, TAU, 1.0)
+                            tx.omega0, TAU)
         rx_shift = Waveform(rx.t0 - pad * DT, DT,
                             np.concatenate([np.zeros(pad), rx.samples]),
-                            rx.omega0, TAU, 1.0)
+                            rx.omega0, TAU)
         h = estimate_channel(tx, rx)
         h_shift = estimate_channel(tx_shift, rx_shift)
         assert h_shift.dominant_bin()[0] == pytest.approx(h.dominant_bin()[0],
@@ -233,9 +233,9 @@ class TestSpectrum:
 
 def test_waveform_validation():
     with pytest.raises(UnderResolved):
-        Waveform(0.0, 0.2e-15, np.zeros(100), 1.0, TAU, 1.0)
+        Waveform(0.0, 0.2e-15, np.zeros(100), 1.0, TAU)
     with pytest.raises(ValueError):
-        Waveform(0.0, DT, np.zeros(10), 1.0, TAU, 1.0)  # shorter than 8 tau
+        Waveform(0.0, DT, np.zeros(10), 1.0, TAU)  # shorter than 8 tau
 
 
 def test_rebin_then_propagate_roundtrip(media, lam):
