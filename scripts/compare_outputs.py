@@ -10,7 +10,10 @@ detector, a 3-point sweep, two sweeps that fail at a point and two error
 cases (exit 2 and exit 3). Sweeps whose points share one trace (n_cells
 with 0, repeats and unsorted values, total_um, d_R_um) and one whose
 points do not (d_l_um, with a repeat) run on the three shapes in both
-gamma modes too. Every job's exit code, stdout, stderr and output files
+gamma modes too. Two kinds of pulse job cover the convolution window and
+the CSV writer's fixed-width path: K=101 at 0.02 fs steps on the three
+shapes (~100k-row waveforms), and a free-space pulse whose window starts
+at bin 0. Every job's exit code, stdout, stderr and output files
 are compared byte for byte. The jobs that differ are listed, and the exit
 code is 1 on any difference, 0 when every job matches.
 """
@@ -61,6 +64,13 @@ def jobs() -> dict[str, list[str]]:
         **{f"sweep-fails-{code}": ["--command", "sweep", "--set", "n_cells=0", "--set",
                                    "k_rays=10", "--set", f"sweep=detector_width_um={grid}"]
            for code, grid in (("exit-3", "40,0.001,0,40"), ("exit-2", "40,0,0.001,40"))},
+        **{f"{shape}-pulse-k101-dt0.02": ["--command", "pulse", "--set", f"shape={shape}",
+                                          "--set", "k_rays=101", "--set", "waveform_dt_fs=0.02"]
+           for shape in SHAPES},
+        # 10 um of free space and a 10 fs pulse: the one atom lies at bin 901,
+        # within the 1,601-sample pulse of bin 0, so the window starts there.
+        "window-at-bin-0-pulse": ["--command", "pulse", "--set", "n_cells=0",
+                                  "--set", "total_um=10", "--set", "tau_fs=10"],
         "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],

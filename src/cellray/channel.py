@@ -13,9 +13,14 @@ build_cir and detector_map read them.  build_cir merges them by binned
 addition with np.bincount, in ray order, so the merge order cannot change
 results beyond floating-point associativity (1e-12 relative).  Every output
 table is written by write_csv, which builds blocks of rows as numpy byte
-matrices; its %.12e fields come from format_e12, a vectorised formatter
-that gives the bytes of Python's '%.12e' and leaves to Python's % only the
-values whose rounding it cannot prove (see E12_GUARD).
+matrices of NUL-padded fields.  Its %.12e fields come from format_e12, a
+vectorised formatter that gives the bytes of Python's '%.12e' right-aligned
+in 20-byte fields, stamps the fields of zeros when most values are zeros,
+and leaves to Python's % only the values whose rounding it cannot prove
+(see E12_GUARD).  A block of %.12e columns whose fields each have one
+width per column (finite values of one sign with two-digit exponents) is
+written as byte-column slices of its matrix, with no NUL byte to drop; any
+other block drops its NUL padding with one bytes.translate.
 """
 
 from __future__ import annotations
@@ -160,24 +165,6 @@ def build_cir(detected: Atoms, n_rays: int, dt_s: float = 10e-15,
     return ImpulseResponse(t0=0.0, dt=dt_s, bins=bins)
 
 
-def rebin(cir: ImpulseResponse, dt_s: float) -> ImpulseResponse:
-    """Re-deposit bin masses onto a new grid; total gain is conserved.
-
-    Masses move as atoms at their bin times, never interpolated as curves;
-    the new grid starts at t = 0, so no mass may lie before it.
-    """
-    if dt_s <= 0.0:
-        raise ValueError("bin width must be positive")
-    times = cir.times
-    n_bins = int(round(times[-1] / dt_s)) + 1 if len(times) else 1
-    mass = cir.bins != 0.0
-    slots = np.rint(times[mass] / dt_s).astype(np.intp)
-    if (slots < 0).any():
-        raise ValueError("rebin cannot place mass before t = 0")
-    bins = np.bincount(slots, weights=cir.bins[mass], minlength=max(n_bins, 1))
-    return ImpulseResponse(t0=0.0, dt=dt_s, bins=bins)
-
-
 def power_delay_profile(cir: ImpulseResponse) -> ImpulseResponse:
     """Elementwise |h|^2 on the same bin geometry."""
     return ImpulseResponse(t0=cir.t0, dt=cir.dt, bins=cir.bins**2)
@@ -221,7 +208,7 @@ def coordinate_clusters(dmap: DetectorMap, gap_um: float = 1.0,
 
 
 # Rows formatted per block: bounds the memory of the block's byte matrix.
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 8192
 
 # format_e12 formats x = |value| from s = x * 10**(12 - e), which two
 # roundings (the power of ten's and the product's) put within (2u + u**2)*s
@@ -256,32 +243,22 @@ def _chars(text: bytes) -> np.ndarray:
 _DIGIT = _chars(b"0123456789")
 
 
-# The words of a %.12e field: the head (pad, sign, lead digit, point), three
-# words of four digits, and the tail ("e", the exponent's sign, two digits).
+# The words of a %.12e field, right-aligned: the head (pad, sign, lead digit,
+# point), three words of four digits, and the tail ("e", the exponent's sign,
+# two digits).  A field's bytes are NULs, then its text.
 E12_WORDS = 5
+_FIELD_BYTES = 4 * E12_WORDS
 _HEAD = _words(_ascii(_chars(b"\0"), _chars(b"\0-"), _DIGIT, _chars(b"."))).ravel()
 _DIGITS4 = _words(_ascii(_DIGIT, _DIGIT, _DIGIT, _DIGIT)).ravel()  # at i: i
 # The tails of the exponents -99 .. 99, in that order.
 _TAIL = _words(_ascii(_chars(b"e"), _chars(b"+-"), _DIGIT, _DIGIT)).ravel()[
     np.r_[199:100:-1, 0:100]]
 _COMMA, _CRLF = np.frombuffer(b",\0\0\0\r\n\0\0", np.uint32)
+_SPACE_TO_NUL = bytes.maketrans(b" ", b"\0")
 
 
-def format_e12(values, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The '%.12e' text of each value, as (n, E12_WORDS) uint32 words of NUL-padded ASCII.
-
-    The words go to out when it is given, which may be a column slice of a
-    larger uint32 matrix.
-
-    The decimal exponent e is log10 of |x| rounded to the nearest integer,
-    less one where |x| lies below the correctly rounded 10**e: one exact
-    correction.  The 13-digit significand is rint(|x| * 10**(12 - e)), and
-    a significand of 10**13 carries into e + 1.  A value the kernel cannot
-    prove correct is formatted by Python's %: NaN, +-inf, subnormals,
-    exponents of 100 or more in magnitude, and a scaled fraction within
-    E12_GUARD of .5 (0.8 % of random values).
-    """
-    x = np.asarray(values, dtype=np.float64)
+def _format_e12(x: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Write the fields of the float64 values x to field; return field."""
     a = np.abs(x)
     zero = a == 0.0
     a[zero] = 1.0  # formatted as 1e0, then given a zero significand
@@ -305,7 +282,6 @@ def format_e12(values, out: Optional[np.ndarray] = None) -> np.ndarray:
     low = significand - top * 10**8
     lead = top // 10**4
     mid = low // 10**4
-    field = np.empty((len(x), E12_WORDS), np.uint32) if out is None else out
     field[:, 0] = _HEAD[np.signbit(x) * 10 + lead]
     field[:, 1] = _DIGITS4[top - lead * 10**4]
     field[:, 2] = _DIGITS4[mid]
@@ -314,9 +290,43 @@ def format_e12(values, out: Optional[np.ndarray] = None) -> np.ndarray:
 
     slow = np.flatnonzero(slow)
     if len(slow):
-        text = ("%.12e\n" * len(slow) % tuple(x[slow].tolist())).encode().split(b"\n")
-        field[slow] = np.array(text[:-1], dtype=f"S{4 * E12_WORDS}") \
-            .view(np.uint32).reshape(len(slow), E12_WORDS)
+        # No %.12e text is wider than 20 bytes ("-1.797693134862e+308").
+        text = ("%20.12e" * len(slow) % tuple(x[slow].tolist())).encode()
+        field[slow] = np.frombuffer(text.translate(_SPACE_TO_NUL), np.uint32) \
+            .reshape(len(slow), E12_WORDS)
+    return field
+
+
+# The fields of +0.0 and -0.0.
+_ZERO = _format_e12(np.array([0.0, -0.0]), np.empty((2, E12_WORDS), np.uint32))
+
+
+def format_e12(values, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The '%.12e' text of each value, right-aligned in (n, E12_WORDS) uint32 words.
+
+    Each field's 4 * E12_WORDS bytes are NULs, then the ASCII text.  The
+    words go to out when it is given, which may be a column slice of a
+    larger uint32 matrix.
+
+    The decimal exponent e is log10 of |x| rounded to the nearest integer,
+    less one where |x| lies below the correctly rounded 10**e: one exact
+    correction.  The 13-digit significand is rint(|x| * 10**(12 - e)), and
+    a significand of 10**13 carries into e + 1.  A value the kernel cannot
+    prove correct is formatted by Python's %, as '%20.12e' with its spaces
+    made NULs: NaN, +-inf, subnormals, exponents of 100 or more in
+    magnitude, and a scaled fraction within E12_GUARD of .5 (0.8 % of
+    random values).  When most values are zeros, as in a sparse waveform,
+    the fields of +0.0 and -0.0 are stamped and only the others formatted.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    field = np.empty((len(x), E12_WORDS), np.uint32) if out is None else out
+    nonzero = x != 0.0  # NaN included
+    if 2 * np.count_nonzero(nonzero) >= len(x):
+        return _format_e12(x, field)
+    nonzero = np.flatnonzero(nonzero)
+    field[:] = _ZERO[0]
+    field[np.signbit(x)] = _ZERO[1]
+    field[nonzero] = _format_e12(x[nonzero], np.empty((len(nonzero), E12_WORDS), np.uint32))
     return field
 
 
@@ -329,6 +339,26 @@ def _text_words(conversion: str, column: np.ndarray) -> np.ndarray:
     return text.view(np.uint32).reshape(len(text), -1)
 
 
+def _fixed_width(rows: np.ndarray, n_fields: int) -> Optional[list[np.ndarray]]:
+    """The byte columns that hold a %.12e block's text, or None if a field width varies.
+
+    rows is the block as bytes: per column, one right-aligned field and one
+    separator word.  A column's fields have one width when every row's text
+    starts where row 0's does: that byte is not NUL in any row, and the one
+    before it is NUL in every row.  Then each column's text and separator
+    are one slice of rows.
+    """
+    parts = []
+    for j in range(n_fields):
+        at = 4 * (E12_WORDS + 1) * j
+        first = at + int(np.argmax(rows[0, at:at + _FIELD_BYTES] != 0))
+        if not rows[:, first].all() or (first > at and rows[:, first - 1].any()):
+            return None
+        separator = 2 if j == n_fields - 1 else 1  # "\r\n" or ","
+        parts.append(rows[:, first:at + _FIELD_BYTES + separator])
+    return parts
+
+
 def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
     """Write a header line and one row per entry of the columns, CRLF-ended.
 
@@ -338,12 +368,22 @@ def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
     writer never quotes: fields must be ASCII and hold no comma, quote, line
     break or NUL, and a row must not be one empty field, which csv.writer
     would write as "".  Numbers and the status words written here qualify.
+    Any other conversion raises ValueError.
 
     Each block of CSV_BLOCK_ROWS rows is built as one matrix of NUL-padded
-    fields: %.12e fields by format_e12, %d and %s fields by numpy's
-    astype("S"), which writes str() of an integer or a float.  The
-    separators go in between, one bytes.translate drops the NUL bytes,
-    and one call writes the block.  Any other conversion raises ValueError.
+    fields, each followed by its separator word: %.12e fields by format_e12,
+    right-aligned; %d and %s fields by numpy's astype("S"), which writes
+    str() of an integer or a float, left-aligned.  One call writes the
+    block, by one of two paths:
+
+    - fixed width: every column is %.12e and each column's fields have one
+      width, which holds for finite values of one sign with exponents below
+      100 in magnitude, such as most blocks of a waveform or a spectrum.
+      One np.concatenate joins each column's byte-column slice of text and
+      separator into the rows.
+    - translate: every other block (a column of mixed signs, a %d or %s
+      column, NaN, +-inf, a three-digit exponent).  One bytes.translate
+      drops the NUL bytes.
     """
     conversions = row_format.split(",")
     unknown = set(conversions) - {"%.12e", "%d", "%s"}
@@ -356,6 +396,7 @@ def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
         raise ValueError("columns must have equal lengths")
+    e12_only = all(conversion == "%.12e" for conversion in conversions)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
@@ -373,7 +414,11 @@ def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
                 block[:, pos + width] = _COMMA
                 pos += width + 1
             block[:, -1] = _CRLF
-            fh.write(block.tobytes().translate(None, b"\0"))
+            parts = _fixed_width(block.view(np.uint8), len(columns)) if e12_only else None
+            if parts is None:
+                fh.write(block.tobytes().translate(None, b"\0"))
+            else:
+                fh.write(np.concatenate(parts, axis=1))
 
 
 def write_cir_csv(cir: ImpulseResponse, path) -> None:

@@ -134,14 +134,23 @@ def received_pulse(tx: Waveform, t_d_s: float, gamma: float,
 
 
 def propagate(tx: Waveform, cir: ImpulseResponse) -> Waveform:
-    """Discrete linear convolution of the waveform with the channel atoms.
+    """Discrete linear convolution of the waveform with the channel bins.
 
-    Requires matching sample steps; re-deposit the channel onto the
-    waveform grid first (channel.rebin) when they differ.
+    Requires matching sample steps.  Only the CIR's bins from
+    start = max(first non-zero bin - (len(tx.samples) - 1), 0) on are
+    convolved.  Every output sample before start sums only zero bins,
+    which np.convolve makes +0.0, and every later one is the dot product
+    the full np.convolve takes, over the same values and the same window
+    length, so the samples are bit for bit those of
+    np.convolve(tx.samples, cir.bins).  A CIR of all zeros gives
+    first = 0 and is convolved in full.
     """
     if not math.isclose(tx.dt, cir.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ValueError("waveform and channel must share one sample step")
-    samples = np.convolve(tx.samples, cir.bins)
+    first = int(np.argmax(cir.bins != 0.0)) if len(cir.bins) else 0
+    start = max(first - (len(tx.samples) - 1), 0)
+    samples = np.zeros(len(tx.samples) + len(cir.bins) - 1)
+    samples[start:] = np.convolve(tx.samples, cir.bins[start:])
     return Waveform(t0=tx.t0 + cir.t0, dt=tx.dt, samples=samples,
                     omega0=tx.omega0, tau=tx.tau)
 

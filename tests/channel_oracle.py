@@ -1,13 +1,13 @@
 """The per-atom channel loops that the array channel replaced.
 
-contributions, build_cir, rebin and detector_map are the loops
-cellray.channel ran before its atoms became arrays, with the scalar
-Beer-Lambert transmittance they called; they read a RayBatch's arrays and
-keep their own per-atom PathContribution.  center_line_profile is the
-1 um walk cellray.cli's path-loss curve ran before its numpy grid.
-tests/test_array_atoms.py, tests/test_channel.py and tests/test_cli.py
-compare the package against them with exact equality; this is a test
-oracle, not part of the package.
+contributions, build_cir and detector_map are the loops cellray.channel
+ran before its atoms became arrays, with the scalar Beer-Lambert
+transmittance they called; they read a RayBatch's arrays and keep their
+own per-atom PathContribution.  center_line_profile is the 1 um walk
+cellray.cli's path-loss curve ran before its numpy grid.
+tests/test_array_atoms.py and tests/test_cli.py compare the package
+against them with exact equality; this is a test oracle, not part of the
+package.
 """
 
 from __future__ import annotations
@@ -93,18 +93,6 @@ def build_cir(paths: RayBatch, media: Media,
         if aggregate_gamma is None:
             raise ValueError("aggregate mode needs the cumulative focusing ratio")
         bins *= aggregate_gamma
-    return ImpulseResponse(t0=0.0, dt=dt_s, bins=bins)
-
-
-def rebin(cir: ImpulseResponse, dt_s: float) -> ImpulseResponse:
-    if dt_s <= 0.0:
-        raise ValueError("bin width must be positive")
-    times = cir.times
-    n_bins = int(round(times[-1] / dt_s)) + 1 if len(times) else 1
-    bins = np.zeros(max(n_bins, 1))
-    for t, mass in zip(times, cir.bins):
-        if mass != 0.0:
-            bins[int(round(t / dt_s))] += mass
     return ImpulseResponse(t0=0.0, dt=dt_s, bins=bins)
 
 

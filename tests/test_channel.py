@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import channel_oracle as oracle
 from cellray.channel import (
     CSV_BLOCK_ROWS,
     DegenerateFocus,
@@ -21,7 +20,6 @@ from cellray.channel import (
     focusing_gain,
     format_e12,
     power_delay_profile,
-    rebin,
     write_csv,
 )
 from cellray.config import default_scenario
@@ -146,30 +144,6 @@ class TestBuildCir:
         backward = cir_of(reversed_batch(paths))
         np.testing.assert_allclose(forward.bins, backward.bins, rtol=1e-12)
 
-    def test_rebin_conserves_gain(self):
-        layout = ArrayLayout(Spherical(10.0), 18, 5.0, 5.0, 0.0)
-        paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 201))
-        cir = cir_of(paths)
-        halved = rebin(cir, 5e-15)
-        assert halved.total_gain() == pytest.approx(cir.total_gain(), rel=1e-12)
-        assert halved.dt == 5e-15
-
-    @given(st.lists(st.one_of(st.just(0.0), st.just(-0.0),
-                              st.floats(-1.0, 1.0, allow_nan=False)), max_size=300),
-           st.floats(0.0, 1e-12), st.floats(1e-16, 1e-13), st.floats(0.03, 30.0))
-    @settings(max_examples=300, deadline=None)
-    def test_rebin_matches_loop(self, bins, t0, dt, ratio):
-        cir = ImpulseResponse(t0, dt, np.array(bins))
-        got = rebin(cir, dt * ratio)
-        want = oracle.rebin(cir, dt * ratio)
-        assert got.bins.tolist() == want.bins.tolist()
-        assert (got.t0, got.dt) == (want.t0, want.dt)
-
-    def test_rebin_rejects_mass_before_zero(self):
-        cir = ImpulseResponse(-1e-13, 1e-14, np.ones(4))
-        with pytest.raises(ValueError):
-            rebin(cir, 1e-14)
-
     def test_delay_ordering_and_gain_bounds(self):
         layout = ArrayLayout(Spherical(10.0), 18, 5.0, 5.0, 0.0)
         paths, report = trace_array(layout, MEDIA,
@@ -285,10 +259,27 @@ FLOATS = st.one_of(
                      math.nan]))
 PLAIN_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126,
                                    blacklist_characters=',"'), max_size=8)
+# Finite, with two-digit exponents: a column of one sign drawn from one of
+# these has one field width, which write_csv writes by its fixed-width path.
+NON_NEGATIVE = st.just(0.0) | st.floats(1e-99, 9e99)
+NEGATIVE = st.just(-0.0) | st.floats(-9e99, -1e-99)
+
+
+def mostly_zero(values):
+    """A few values among more zeros, -0.0 among them or not: format_e12 stamps the zeros."""
+    return st.tuples(st.lists(values, min_size=1, max_size=3), st.integers(4, 12),
+                     st.booleans()).map(lambda t: t[0] + [0.0] * t[1] + [-0.0] * t[2])
+
+
+E12_FIELDS = st.tuples(
+    st.just("%.12e"),
+    st.one_of(*(st.lists(values, min_size=1, max_size=12) for values in
+                (FLOATS, NON_NEGATIVE, NEGATIVE)),
+              *(mostly_zero(values) for values in (FLOATS, NON_NEGATIVE, NEGATIVE))),
+    st.just(lambda v: f"{v:.12e}"))
 # (conversion, values, the field csv.writer gets for a value)
 FIELDS = st.one_of(
-    st.tuples(st.just("%.12e"), st.lists(FLOATS, min_size=1, max_size=12),
-              st.just(lambda v: f"{v:.12e}")),
+    E12_FIELDS,
     st.tuples(st.just("%s"), st.lists(FLOATS, min_size=1, max_size=12),
               st.just(lambda v: v)),
     st.tuples(st.just("%d"), st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
@@ -301,14 +292,19 @@ FIELDS = st.one_of(
 class TestWriteCsv:
     @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                                         CSV_BLOCK_ROWS + 1])
-    @given(fields=st.lists(FIELDS, min_size=2, max_size=5))
+    @given(fields=st.lists(FIELDS, min_size=2, max_size=5)
+           | st.lists(E12_FIELDS, min_size=1, max_size=4),
+           runs=st.lists(st.sampled_from([1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS]),
+                         min_size=5, max_size=5))
     @settings(max_examples=25, deadline=None)
-    def test_same_bytes_as_csv_writer(self, tmp_path_factory, n_rows, fields):
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, n_rows, fields, runs):
         tmp = tmp_path_factory.mktemp("csv")
         header = [f"c{j}" for j in range(len(fields))]
-        # Column j cycles through its drawn values, offset so rows differ.
-        columns = [[values[(i + j) % len(values)] for i in range(n_rows)]
-                   for j, (_, values, _) in enumerate(fields)]
+        # Column j cycles through its drawn values, offset so rows differ,
+        # moving on every runs[j] rows: every row, or at or one row before
+        # a block edge.
+        columns = [[values[(i // run + j) % len(values)] for i in range(n_rows)]
+                   for j, ((_, values, _), run) in enumerate(zip(fields, runs))]
         row_format = ",".join(conversion for conversion, _, _ in fields)
         write_csv(tmp / "got.csv", header, row_format, columns)
         rows = [[field(column[i]) for (_, _, field), column in zip(fields, columns)]
@@ -322,8 +318,13 @@ class TestWriteCsv:
 
 
 def e12_text(values):
-    """format_e12's fields as text, with the NUL padding dropped."""
-    return [row.tobytes().replace(b"\0", b"").decode() for row in format_e12(values)]
+    """format_e12's fields as text, after checking that each is right-aligned.
+
+    A right-aligned field has no NUL byte after its first non-NUL byte.
+    """
+    texts = [row.tobytes().lstrip(b"\0") for row in format_e12(values)]
+    assert not any(b"\0" in text for text in texts)
+    return [text.decode() for text in texts]
 
 
 def neighbours(values, ulps):
@@ -357,10 +358,16 @@ class TestFormatE12:
         # Powers of ten, the carry, halfway points inside the guard band,
         # subnormals, 3-digit exponents, signed zeros and non-finite values.
         assert e12_text(E12_TARGETS) == ["%.12e" % v for v in E12_TARGETS.tolist()]
+        # Mostly zeros of both signs: the zero fields are stamped.
+        sparse = np.zeros(3 * len(E12_TARGETS))
+        sparse[1::6] = -0.0
+        sparse[::3] = E12_TARGETS
+        assert e12_text(sparse) == ["%.12e" % v for v in sparse.tolist()]
 
     @given(st.lists(st.one_of(
         st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
-        st.sampled_from(E12_TARGETS.tolist())), min_size=1, max_size=64))
+        st.sampled_from(E12_TARGETS.tolist()), st.sampled_from([0.0, -0.0])),
+        min_size=1, max_size=64))
     @settings(max_examples=300, deadline=None)
     def test_same_text_as_percent(self, values):
         assert e12_text(values) == ["%.12e" % v for v in values]

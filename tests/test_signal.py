@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cellray.channel import ImpulseResponse, build_cir, contributions, rebin
+import cellray
+from cellray.channel import ImpulseResponse, build_cir, contributions
 from cellray.geometry import ArrayLayout, Fusiform, collimated_bundle, trace_array
 from cellray.optics import SPEED_OF_LIGHT_M_PER_S, Media, Wavelength
 from cellray.signal import (
@@ -96,6 +101,48 @@ class TestReceivedPulse:
         assert rx.samples.max() == pytest.approx(2.25 * 0.8 * tx.samples.max())
 
 
+@st.composite
+def sparse_bins(draw) -> np.ndarray:
+    """CIR bins: a zero run, a body of atoms, +-0.0 among them, and a zero tail.
+
+    The runs straddle len(tx.samples) - 1 = 160, where the window starts
+    moving off bin 0.
+    """
+    lead = draw(st.sampled_from([0, 1, 159, 160, 161]) | st.integers(0, 3000))
+    body = draw(st.lists(st.sampled_from([0.0, -0.0])
+                         | st.floats(-2.0, 2.0, allow_subnormal=False),
+                         min_size=1, max_size=40))
+    tail = draw(st.sampled_from([0, 1]) | st.integers(0, 300))
+    bins = np.zeros(lead + len(body) + tail)
+    bins[lead:lead + len(body)] = body
+    return bins
+
+
+# propagate against np.convolve on window edge cases, for a child process
+# that runs another BLAS dot kernel or numpy SIMD dispatch.
+WINDOW_CHECK = """
+import numpy as np
+from cellray.channel import ImpulseResponse
+from cellray.optics import Wavelength
+from cellray.signal import gaussian_pulse, propagate
+
+tx = gaussian_pulse(1.0, 1e-15, Wavelength(456.0), 0.02e-15, 8e-15)
+rng = np.random.default_rng(0)
+cases = [np.zeros(5000), np.full(5000, -0.0), np.r_[np.zeros(4999), 0.7]]
+for lead in (0, 1, 399, 400, 401, 4000, 100000):
+    for tail in (0, 1, 777):
+        body = rng.uniform(-2.0, 2.0, 38)
+        body[rng.integers(0, 38, 10)] = 0.0
+        body[[0, 7]] = -0.0, 0.0
+        cases.append(np.r_[np.zeros(lead), body, np.zeros(tail)])
+for bins in cases:
+    got = propagate(tx, ImpulseResponse(0.0, tx.dt, bins)).samples
+    want = np.convolve(tx.samples, bins)
+    assert np.array_equal(got, want), len(bins)
+    assert np.array_equal(np.signbit(got), np.signbit(want)), len(bins)
+"""
+
+
 class TestPropagate:
     def test_unit_delta_identity(self, tx):
         cir = ImpulseResponse(0.0, DT, np.array([1.0]))
@@ -145,6 +192,35 @@ class TestPropagate:
         rhs = a * propagate(tx1, cir).samples + b * propagate(tx2, cir).samples
         scale = np.max(np.abs(rhs)) or 1.0
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
+
+    @given(sparse_bins())
+    @example(np.zeros(400))  # no non-zero bin
+    @example(np.full(400, -0.0))
+    @example(np.r_[0.5, np.zeros(399)])  # an atom at bin 0
+    @example(np.r_[np.zeros(3000), 0.5])  # an atom at the last bin only
+    @example(np.r_[np.zeros(3000), -0.0, 0.5, -0.25, 0.0])
+    @settings(max_examples=200, deadline=None)
+    def test_window_equals_full_convolution(self, bins):
+        tx = gaussian_pulse(1.0, TAU, LAM, DT, 8 * TAU)
+        got = propagate(tx, ImpulseResponse(0.0, DT, bins)).samples
+        want = np.convolve(tx.samples, bins)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("env", [
+        {"OPENBLAS_CORETYPE": "Prescott"},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"OPENBLAS_CORETYPE": "Sandybridge"},
+        {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"},
+    ], ids=lambda env: next(iter(env.values())).split()[0])
+    def test_window_under_other_kernels(self, env):
+        # A dot kernel whose sums depend on the length or alignment of the
+        # window would make the windowed samples differ from np.convolve's.
+        src = str(Path(cellray.__file__).resolve().parent.parent)
+        child = subprocess.run([sys.executable, "-c", WINDOW_CHECK],
+                               env={**os.environ, **env, "PYTHONPATH": src},
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
 
 
 class TestEstimateChannel:
@@ -236,15 +312,3 @@ def test_waveform_validation():
         Waveform(0.0, 0.2e-15, np.zeros(100), 1.0, TAU)
     with pytest.raises(ValueError):
         Waveform(0.0, DT, np.zeros(10), 1.0, TAU)  # shorter than 8 tau
-
-
-def test_rebin_then_propagate_roundtrip(media, lam):
-    # Channel built at the coarse grid re-deposits exactly onto the fine one.
-    layout = ArrayLayout(Fusiform(30.0, 20.0), 6, 5.0, 5.0, 300.0)
-    paths, _ = trace_array(layout, media, collimated_bundle(layout.shape, 101))
-    coarse = build_cir(contributions(paths, media)[0], len(paths), 10e-15)
-    fine = rebin(coarse, DT)
-    assert fine.total_gain() == pytest.approx(coarse.total_gain(), rel=1e-12)
-    tx = gaussian_pulse(1.0, TAU, lam, DT, 8 * TAU)
-    rx = propagate(tx, fine)
-    assert rx.energy() <= tx.energy()
