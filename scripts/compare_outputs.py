@@ -5,12 +5,12 @@ Usage: python scripts/compare_outputs.py OTHER_TREE
 
 Runs one fixed job matrix through `cellray.cli.main` for each tree, in one
 subprocess per tree with PYTHONPATH=<tree>/src: the five single-scenario
-commands on the three shapes in both gamma modes, plus K=1, N=0, a tiny
-detector, a 3-point sweep, two sweeps that fail at a point and two error
-cases (exit 2 and exit 3). Sweeps whose points share one trace (n_cells
-with 0, repeats and unsorted values, total_um, d_R_um) and one whose
-points do not (d_l_um, with a repeat) run on the three shapes in both
-gamma modes too. Two kinds of pulse job cover the convolution window and
+commands on the three shapes in both gamma modes, plus K=1, N=0 (cir and
+trace), a tiny detector, a 3-point sweep, two sweeps that fail at a point
+and two error cases (exit 2 and exit 3). Sweeps whose points share one
+trace (n_cells with 0, repeats and unsorted values, total_um, d_R_um) and
+one whose points do not (d_l_um, with a repeat) run on the three shapes in
+both gamma modes too. Two kinds of pulse job cover the convolution window and
 the CSV writer's fixed-width path: K=101 at 0.02 fs steps on the three
 shapes (~100k-row waveforms), and a free-space pulse whose window starts
 at bin 0. Every job's exit code, stdout, stderr and output files
@@ -56,6 +56,8 @@ def jobs() -> dict[str, list[str]]:
     matrix.update({
         "k1-pulse": ["--command", "pulse", "--set", "k_rays=1"],
         "n0-cir": ["--command", "cir", "--set", "n_cells=0"],
+        # No cells: focus_report.csv's columns are empty, so numpy types them float64.
+        "n0-trace": ["--command", "trace", "--set", "n_cells=0"],
         "tiny-detector": ["--command", "detector", "--set", "detector_width_um=0.01"],
         "sweep-3": ["--command", "sweep", "--set", "sweep=n_cells=1..3",
                     "--set", "k_rays=301"],

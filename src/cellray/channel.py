@@ -12,15 +12,16 @@ per-ray path-length arrays and returns the atoms as arrays (Atoms);
 build_cir and detector_map read them.  build_cir merges them by binned
 addition with np.bincount, in ray order, so the merge order cannot change
 results beyond floating-point associativity (1e-12 relative).  Every output
-table is written by write_csv, which builds blocks of rows as numpy byte
-matrices of NUL-padded fields.  Its %.12e fields come from format_e12, a
-vectorised formatter that gives the bytes of Python's '%.12e' right-aligned
-in 20-byte fields, stamps the fields of zeros when most values are zeros,
-and leaves to Python's % only the values whose rounding it cannot prove
-(see E12_GUARD).  A block of %.12e columns whose fields each have one
-width per column (finite values of one sign with two-digit exponents) is
-written as byte-column slices of its matrix, with no NUL byte to drop; any
-other block drops its NUL padding with one bytes.translate.
+table is written by write_csv, which formats each column by its dtype and
+builds blocks of rows as numpy byte matrices of NUL-padded fields.  A
+float column's %.12e fields come from format_e12, a vectorised formatter
+that gives the bytes of Python's '%.12e' right-aligned in 20-byte fields,
+stamps the fields of zeros when most values are zeros, and leaves to
+Python's % only the values whose rounding it cannot prove (see E12_GUARD).
+A block of float columns whose fields each have one width per column
+(finite values of one sign with two-digit exponents) is written as
+byte-column slices of its matrix, with no NUL byte to drop; any other
+block drops its NUL padding with one bytes.translate.
 """
 
 from __future__ import annotations
@@ -114,14 +115,14 @@ class DetectorMap:
 
 
 def contributions(batch: RayBatch, media: Media,
-                  detector_extent_um: Optional[float] = None,
-                  ) -> tuple[Atoms, Atoms]:
+                  detector_extent_um: float) -> tuple[Atoms, Atoms]:
     """Atoms of the delivered rays, split into detected and out-of-detector.
 
     The gain multiplies the cell-medium and tissue-medium transmittances,
     each with its DPF evaluated on that medium's total distance.  Leaked
-    rays give no atom; with no detector extent every delivered ray is
-    detected.
+    rays give no atom.  A ray is out of the detector where its exit height
+    lies farther than half the extent from the axis; an extent of math.inf
+    detects every delivered ray.
     """
     delivered = batch.status != "leaked"
     d_a_um = batch.cell_length[delivered]
@@ -131,10 +132,7 @@ def contributions(batch: RayBatch, media: Media,
     gain = transmittance(media.cell, d_a_um / UM_PER_MM)
     gain *= transmittance(media.tissue, d_e_um / UM_PER_MM)
     atoms = Atoms(delay, gain, coord)
-    if detector_extent_um is None:
-        off = np.zeros(len(coord), dtype=bool)
-    else:
-        off = np.abs(coord) > 0.5 * detector_extent_um
+    off = np.abs(coord) > 0.5 * detector_extent_um
     return atoms.select(~off), atoms.select(off)
 
 
@@ -330,10 +328,8 @@ def format_e12(values, out: Optional[np.ndarray] = None) -> np.ndarray:
     return field
 
 
-def _text_words(conversion: str, column: np.ndarray) -> np.ndarray:
-    """A %d or %s column's fields as (rows, width) uint32 words of NUL-padded ASCII."""
-    if conversion == "%d" and column.dtype.kind not in "iu":
-        column = column.astype(np.int64)  # as %d, which truncates a float
+def _text_words(column: np.ndarray) -> np.ndarray:
+    """An integer or string column as (rows, width) uint32 words of NUL-padded ASCII."""
     text = column.astype("S")
     text = text.astype(f"S{-(-text.itemsize // 4) * 4}")  # whole words
     return text.view(np.uint32).reshape(len(text), -1)
@@ -359,50 +355,50 @@ def _fixed_width(rows: np.ndarray, n_fields: int) -> Optional[list[np.ndarray]]:
     return parts
 
 
-def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
+def write_csv(path, header: Sequence[str], columns) -> None:
     """Write a header line and one row per entry of the columns, CRLF-ended.
 
-    row_format names one conversion per column, comma-separated, such as
-    "%d,%s,%.12e"; columns are equal-length arrays or sequences.  The bytes
-    equal those csv.writer writes for the %-formatted fields, because the
-    writer never quotes: fields must be ASCII and hold no comma, quote, line
-    break or NUL, and a row must not be one empty field, which csv.writer
-    would write as "".  Numbers and the status words written here qualify.
-    Any other conversion raises ValueError.
+    columns are equal-length arrays or sequences, one per header name.  Each
+    column's dtype sets its format: a float column is written as %.12e, a
+    signed or unsigned integer column as %d and a str or bytes column as %s;
+    any other dtype (bool, complex, object, ...) raises ValueError.  An
+    empty sequence is a float column.  The bytes equal those csv.writer
+    writes for the %-formatted fields, because the writer never quotes:
+    fields must be ASCII and hold no comma, quote, line break or NUL, and a
+    row must not be one empty field, which csv.writer would write as "".
+    Numbers and the status words written here qualify.
 
     Each block of CSV_BLOCK_ROWS rows is built as one matrix of NUL-padded
-    fields, each followed by its separator word: %.12e fields by format_e12,
-    right-aligned; %d and %s fields by numpy's astype("S"), which writes
-    str() of an integer or a float, left-aligned.  One call writes the
-    block, by one of two paths:
+    fields, each followed by its separator word: float fields by format_e12,
+    right-aligned; integer and string fields by numpy's astype("S"),
+    left-aligned.  One call writes the block, by one of two paths:
 
-    - fixed width: every column is %.12e and each column's fields have one
-      width, which holds for finite values of one sign with exponents below
-      100 in magnitude, such as most blocks of a waveform or a spectrum.
-      One np.concatenate joins each column's byte-column slice of text and
-      separator into the rows.
-    - translate: every other block (a column of mixed signs, a %d or %s
-      column, NaN, +-inf, a three-digit exponent).  One bytes.translate
-      drops the NUL bytes.
+    - fixed width: every column is a float column and each column's fields
+      have one width, which holds for finite values of one sign with
+      exponents below 100 in magnitude, such as most blocks of a waveform
+      or a spectrum.  One np.concatenate joins each column's byte-column
+      slice of text and separator into the rows.
+    - translate: every other block (a column of mixed signs, an integer or
+      string column, NaN, +-inf, a three-digit exponent).  One
+      bytes.translate drops the NUL bytes.
     """
-    conversions = row_format.split(",")
-    unknown = set(conversions) - {"%.12e", "%d", "%s"}
-    if unknown:
-        raise ValueError(f"write_csv formats %.12e, %d and %s only, got {sorted(unknown)}")
     columns = [np.asarray(c) for c in columns]
-    if len(conversions) != len(columns):
-        raise ValueError(f"{row_format!r} formats {len(conversions)} columns, "
-                         f"got {len(columns)}")
+    other = [str(c.dtype) for c in columns if c.dtype.kind not in "fiuSU"]
+    if other:
+        raise ValueError(f"write_csv writes float, integer and string columns only, "
+                         f"got {other}")
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
         raise ValueError("columns must have equal lengths")
-    e12_only = all(conversion == "%.12e" for conversion in conversions)
+    floats = [c.dtype.kind == "f" for c in columns]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for start in range(0, n_rows, CSV_BLOCK_ROWS):
             values = [c[start:start + CSV_BLOCK_ROWS] for c in columns]
-            texts = [None if conversion == "%.12e" else _text_words(conversion, v)
-                     for conversion, v in zip(conversions, values)]
+            texts = [None if is_float else _text_words(v)
+                     for is_float, v in zip(floats, values)]
             widths = [E12_WORDS if t is None else t.shape[1] for t in texts]
             block = np.empty((len(values[0]), sum(widths) + len(widths)), np.uint32)
             pos = 0
@@ -414,7 +410,7 @@ def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
                 block[:, pos + width] = _COMMA
                 pos += width + 1
             block[:, -1] = _CRLF
-            parts = _fixed_width(block.view(np.uint8), len(columns)) if e12_only else None
+            parts = _fixed_width(block.view(np.uint8), len(columns)) if all(floats) else None
             if parts is None:
                 fh.write(block.tobytes().translate(None, b"\0"))
             else:
@@ -422,13 +418,12 @@ def write_csv(path, header: Sequence[str], row_format: str, columns) -> None:
 
 
 def write_cir_csv(cir: ImpulseResponse, path) -> None:
-    write_csv(path, ("time_s", "amplitude"), "%.12e,%.12e", (cir.times, cir.bins))
+    write_csv(path, ("time_s", "amplitude"), (cir.times, cir.bins))
 
 
 def write_pdp_csv(pdp: ImpulseResponse, path) -> None:
-    write_csv(path, ("time_s", "power"), "%.12e,%.12e", (pdp.times, pdp.bins))
+    write_csv(path, ("time_s", "power"), (pdp.times, pdp.bins))
 
 
 def write_detector_csv(dmap: DetectorMap, path) -> None:
-    write_csv(path, ("coordinate_um", "power_norm", "delay_s"), "%.12e,%.12e,%.12e",
-              dmap.samples.T)
+    write_csv(path, ("coordinate_um", "power_norm", "delay_s"), dmap.samples.T)

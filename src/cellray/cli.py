@@ -50,7 +50,7 @@ def _parse_override(text: str):
         raise CliError("usage", f"--set needs key=value, got {text!r}", 2)
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # too deep a value is text too
         value = raw
     return key.strip(), value
 
@@ -59,12 +59,16 @@ def load_scenario(path: str | None, overrides: list[str]) -> cfg.Scenario:
     data: dict = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
             raise CliError("io", f"cannot read scenario file: {exc}", 2)
         except json.JSONDecodeError as exc:
             raise CliError("io", f"scenario file is not valid JSON: {exc}", 2)
+        except UnicodeDecodeError as exc:
+            raise CliError("io", f"scenario file is not UTF-8 text: {exc}", 2)
+        except RecursionError:
+            raise CliError("io", "scenario file nests JSON too deeply to parse", 2)
         if not isinstance(data, dict):
             raise CliError("io", "scenario file must hold a JSON object", 2)
     for item in overrides:
@@ -191,7 +195,6 @@ def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
         rays_csv,
         ["ray_index", "status", "loss_cell", "h0_um", "exit_x_um",
          "exit_h_um", "exit_theta_rad", "cell_path_um", "tissue_path_um"],
-        "%d,%s,%s" + ",%.12e" * 6,
         [np.arange(len(paths)), paths.status, np.where(loss < 0, "", loss.astype(str)),
          chan.h0, paths.exit_x, paths.exit_h, paths.exit_theta,
          paths.cell_length, paths.tissue_length],
@@ -200,7 +203,6 @@ def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
     ch.write_csv(
         focus_csv,
         ["cell_index", "theta_f_rad", "x_f_um", "illumination_radius_um"],
-        "%d,%s,%s,%.12e",
         [[c.cell_index for c in focus.cells],
          ["" if c.theta_f is None else _fmt(c.theta_f) for c in focus.cells],
          ["" if c.x_f is None else _fmt(c.x_f) for c in focus.cells],
@@ -248,8 +250,7 @@ def cmd_pathloss(scenario: cfg.Scenario, out: Path) -> dict:
         "center_line_path_loss_db": float(_fmt(pathloss[-1])),
         "files": [curve_csv.name],
     }
-    ch.write_csv(curve_csv, ["distance_um", "pathloss_db"], "%.12e,%.12e",
-                 [distance, pathloss])
+    ch.write_csv(curve_csv, ["distance_um", "pathloss_db"], [distance, pathloss])
     return report
 
 
@@ -267,8 +268,8 @@ def cmd_cir(scenario: cfg.Scenario, out: Path) -> dict:
 
 
 def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
-    tau, dt, span = scenario.pulse_grid_s()
-    tx = sig.gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt, span_s=span)
+    tau, dt = scenario.pulse_grid_s()
+    tx = sig.gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt)
     chan = _channel(scenario)
     cir = chan.cir("waveform_dt_fs")
     if len(tx.samples) * len(cir.bins) > cfg.MAX_CONVOLUTION:
@@ -339,7 +340,7 @@ def cmd_sweep(scenario: cfg.Scenario, out: Path) -> dict:
         files.append(name)
     summary_csv = out / "sweep_summary.csv"
     header = [param, "dominant_delay_s", "total_gain", "pathloss_db", "leaked", "deviated"]
-    ch.write_csv(summary_csv, header, "%.12e,%.12e,%.12e,%.12e,%d,%d",
+    ch.write_csv(summary_csv, header,
                  [[row[j] for _, row in results] for j in range(len(header))])
     files.append(summary_csv.name)
     return {"scenario": scenario.to_dict(), "sweep_parameter": param,
@@ -348,7 +349,6 @@ def cmd_sweep(scenario: cfg.Scenario, out: Path) -> dict:
 
 def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
     _require_valid(scenario)
-    out.mkdir(parents=True, exist_ok=True)
     handler = {
         "trace": cmd_trace,
         "pathloss": cmd_pathloss,
@@ -358,12 +358,15 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
         "sweep": cmd_sweep,
     }[command]
     try:
+        out.mkdir(parents=True, exist_ok=True)
         report = handler(scenario, out)
+        with open(out / "report.json", "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
         raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    except OSError as exc:
+        raise CliError("io", f"cannot write outputs: {exc}", 2)
     return report
 
 

@@ -123,13 +123,9 @@ class Scenario:
         span = n * self.build_shape().axial_extent + max(n - 1, 0) * self.d_l_um
         return self.total_um - self.d_E_um - span
 
-    def pulse_grid_s(self) -> tuple[float, float, float]:
-        """The transmitted pulse's FWHM, sample step and span, in seconds.
-
-        The span is the 8 tau minimum that gaussian_pulse accepts.
-        """
-        tau = self.tau_fs * 1e-15
-        return tau, self.waveform_dt_fs * 1e-15, 8.0 * tau
+    def pulse_grid_s(self) -> tuple[float, float]:
+        """The transmitted pulse's FWHM and sample step, in seconds."""
+        return self.tau_fs * 1e-15, self.waveform_dt_fs * 1e-15
 
     # -- builders -----------------------------------------------------------
 
@@ -265,7 +261,7 @@ def _range_problems(s: Scenario) -> list[tuple[str, str]]:
             problems.append(("d_R_um", f"detector gap resolves to {gap:.6g} um; "
                                        "cells do not fit the total length"))
     # Judged in seconds, as gaussian_pulse judges it: the fs values can round apart.
-    tau, dt, _ = s.pulse_grid_s()
+    tau, dt = s.pulse_grid_s()
     if s.waveform_dt_fs > 0.0 and s.tau_fs > 0.0 and dt >= tau / 10.0:
         problems.append(("waveform_dt_fs", "must be under tau/10 to resolve the envelope, "
                                            f"got a {dt!r} s step for tau/10 = {tau / 10.0!r} s"))
@@ -334,10 +330,11 @@ def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
         problems.append(("total_um" if s.d_R_um is None else "d_R_um",
                          f"the {layout.total_length:.6g} um center line needs more than "
                          f"{MAX_PATH_SAMPLES} path-loss samples"))
-    _, dt, span = s.pulse_grid_s()
-    if not pulse_samples(span, dt) <= MAX_PULSE_SAMPLES:
-        problems.append(("waveform_dt_fs", f"a {span:.6g} s pulse span at {dt:.6g} s steps "
-                                           f"needs more than {MAX_PULSE_SAMPLES} samples"))
+    tau, dt = s.pulse_grid_s()
+    if not pulse_samples(tau, dt) <= MAX_PULSE_SAMPLES:
+        problems.append(("waveform_dt_fs", f"a {8.0 * tau:.6g} s pulse span at "
+                                           f"{dt:.6g} s steps needs more than "
+                                           f"{MAX_PULSE_SAMPLES} samples"))
     return problems
 
 

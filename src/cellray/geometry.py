@@ -153,10 +153,6 @@ class Pyramidal:
             raise ValueError("pyramidal dimensions must be positive")
 
     @property
-    def apex_half_angle(self) -> float:
-        return math.atan(self.w_c / (2.0 * self.h_c))
-
-    @property
     def axial_extent(self) -> float:
         return self.w_c
 

@@ -86,31 +86,28 @@ def _field(t: np.ndarray, e0: float, tau: float, omega0: float) -> np.ndarray:
     return e0 * np.exp(-4.0 * LN2 * (t / tau) ** 2) * np.cos(omega0 * t)
 
 
-def pulse_samples(span_s: float, dt_s: float) -> float:
-    """Samples on gaussian_pulse's grid: 2*round(span/(2 dt)) + 1.
+def pulse_samples(tau_s: float, dt_s: float) -> float:
+    """Samples on gaussian_pulse's 8 tau grid: 2*round(4 tau/dt) + 1.
 
     A float, so that a step of 0 s or one too fine for the span gives inf
-    (NaN when the span is 0 s too) rather than an error.
+    (NaN when tau is 0 s too) rather than an error.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return 2.0 * float(np.rint(np.float64(0.5 * span_s) / dt_s)) + 1.0
+        return 2.0 * float(np.rint(np.float64(4.0 * tau_s) / dt_s)) + 1.0
 
 
 def gaussian_pulse(e0: float, tau_s: float, wavelength: Wavelength,
-                   dt_s: float, span_s: float) -> Waveform:
-    """Carrier-resolved Gaussian pulse centred on t = 0.
+                   dt_s: float) -> Waveform:
+    """Carrier-resolved Gaussian pulse centred on t = 0, spanning 8 tau.
 
     The grid is symmetric and lands exactly on t = 0, where the field
-    equals e0.  Raises UnderResolved for dt >= tau/10 and ValueError for a
-    span shorter than 8 tau.
+    equals e0.  Raises UnderResolved for dt >= tau/10.
     """
     if tau_s <= 0.0:
         raise ValueError("tau must be positive")
     if dt_s >= tau_s / 10.0:
         raise UnderResolved(f"dt {dt_s} cannot resolve tau {tau_s}")
-    if span_s < 8.0 * tau_s:
-        raise ValueError("span must cover at least 8 tau")
-    half = int(pulse_samples(span_s, dt_s)) // 2
+    half = int(pulse_samples(tau_s, dt_s)) // 2
     t = dt_s * np.arange(-half, half + 1)
     omega0 = wavelength.omega0_rad_per_s
     return Waveform(t0=-half * dt_s, dt=dt_s,
@@ -175,50 +172,42 @@ def spectrum(w: Waveform) -> Spectrum:
     return Spectrum(df=1.0 / (n * w.dt), amps=np.fft.rfft(w.samples))
 
 
-def estimate_channel(tx: Waveform, rx: Waveform, eps: float | None = None,
-                     regularized: bool = True) -> ImpulseResponse:
+def estimate_channel(tx: Waveform, rx: Waveform) -> ImpulseResponse:
     """Estimate the channel by Fourier-domain deconvolution of rx against tx.
 
-    The default is the Wiener-regularized division
+    The division is Wiener-regularized,
         H = RX conj(TX) / (|TX|^2 + eps * max|TX|^2),    eps = 1e-6,
-    rescaled by the regularization window's self-response peak so isolated
-    path gains come out unbiased: without the rescale the window's band
-    limit would shrink every recovered peak by the occupied-band fraction.
-    regularized=False performs the literal division RX/TX, exact for
-    synthetic noise-free data but fragile outside the pulse band.
+    and rescaled by the regularization window's self-response peak so
+    isolated path gains come out unbiased: without the rescale the window's
+    band limit would shrink every recovered peak by the occupied-band
+    fraction.
 
     Raises IllConditioned when |TX|^2 sits below the regularization floor
     over more than half of the band occupied by rx.
     """
     if not math.isclose(tx.dt, rx.dt, rel_tol=1e-12, abs_tol=0.0):
         raise ValueError("waveforms must share one sample step")
-    eps_rel = 1e-6 if eps is None else eps
     n = 1 << max(len(rx.samples), 2 * len(tx.samples)).bit_length()
     tx_f = np.fft.fft(tx.samples, n)
     rx_f = np.fft.fft(rx.samples, n)
     power = np.abs(tx_f) ** 2
-    eps_abs = eps_rel * power.max()
+    eps_abs = 1e-6 * power.max()
 
     occupied = np.abs(rx_f) > 1e-3 * np.abs(rx_f).max()
     if occupied.any() and np.mean(power[occupied] < eps_abs) > 0.5:
         raise IllConditioned("excitation spectrum empty over the received band")
 
-    if regularized:
-        window = power / (power + eps_abs)
-        h = np.fft.ifft(rx_f * np.conj(tx_f) / (power + eps_abs)).real
-        peak_response = window.mean()
-        if peak_response > 0.0:
-            h = h / peak_response
-    else:
-        ratio = np.divide(rx_f, tx_f, out=np.zeros_like(rx_f), where=tx_f != 0)
-        h = np.fft.ifft(ratio).real
+    window = power / (power + eps_abs)
+    h = np.fft.ifft(rx_f * np.conj(tx_f) / (power + eps_abs)).real
+    peak_response = window.mean()
+    if peak_response > 0.0:
+        h = h / peak_response
     return ImpulseResponse(t0=rx.t0 - tx.t0, dt=tx.dt, bins=h)
 
 
 def write_waveform_csv(w: Waveform, path) -> None:
-    write_csv(path, ("time_s", "field"), "%.12e,%.12e", (w.times, w.samples))
+    write_csv(path, ("time_s", "field"), (w.times, w.samples))
 
 
 def write_spectrum_csv(s: Spectrum, path) -> None:
-    write_csv(path, ("frequency_hz", "magnitude"), "%.12e,%.12e",
-              (s.frequencies, s.magnitude))
+    write_csv(path, ("frequency_hz", "magnitude"), (s.frequencies, s.magnitude))

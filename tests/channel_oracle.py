@@ -48,7 +48,7 @@ def transmittance(medium: Medium, d_mm: float, wavelength: Wavelength | None = N
 
 def contributions(batch: RayBatch, media: Media,
                   wavelength: Wavelength | None = None,
-                  detector_extent_um: Optional[float] = None,
+                  detector_extent_um: float = math.inf,
                   ) -> tuple[list[PathContribution], list[PathContribution]]:
     """Split paths into detected atoms and out-of-detector diagnostics."""
     delivered = batch.status != "leaked"
@@ -56,10 +56,7 @@ def contributions(batch: RayBatch, media: Media,
     d_e_um = batch.tissue_length[delivered]
     coord = batch.exit_h[delivered]
     delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
-    if detector_extent_um is None:
-        off = np.zeros(len(coord), dtype=bool)
-    else:
-        off = np.abs(coord) > 0.5 * detector_extent_um
+    off = np.abs(coord) > 0.5 * detector_extent_um
     detected: list[PathContribution] = []
     outside: list[PathContribution] = []
     for delay_s, a_mm, e_mm, h, is_off in zip(
@@ -75,7 +72,7 @@ def contributions(batch: RayBatch, media: Media,
 def build_cir(paths: RayBatch, media: Media,
               wavelength: Wavelength | None = None, dt_s: float = 10e-15,
               gamma_mode: str = "per-path",
-              detector_extent_um: Optional[float] = None,
+              detector_extent_um: float = math.inf,
               aggregate_gamma: Optional[float] = None) -> ImpulseResponse:
     if dt_s <= 0.0:
         raise ValueError("bin width must be positive")

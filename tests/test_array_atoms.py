@@ -5,6 +5,7 @@ same floating-point operations in the same order as in tests/channel_oracle.py,
 so any difference is a defect, not noise.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,7 @@ from cellray.geometry import collimated_bundle, trace_array
 from conftest import reversed_batch
 
 SHAPES = ("fusiform", "spherical", "pyramidal")
-EXTENTS = (None, 40.0, 0.001)
+EXTENTS = (math.inf, 40.0, 0.001)
 
 
 def scenario_run(shape, **overrides):
@@ -55,9 +56,8 @@ def assert_same_channel(paths, media, focus):
             assert cir_outcome(ch.build_cir, got[0], len(paths), 10e-15, aggregate) == \
                 cir_outcome(oracle.build_cir, paths, media, None, 10e-15, mode,
                             extent, aggregate)
-        if extent is not None:
-            assert ch.detector_map(got[0]).samples.tolist() == \
-                oracle.detector_map(paths, media, None, extent).samples.tolist()
+        assert ch.detector_map(got[0]).samples.tolist() == \
+            oracle.detector_map(paths, media, None, extent).samples.tolist()
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -191,9 +191,9 @@ class TestRayBatch:
         assert batch.loss_cell.tolist() == [0, 0, 0, 0]
         assert batch.exit_h.tolist() == [-14.0, -11.0, 11.0, 14.0]
         assert batch.tissue_length.tolist() == [0.0] * 4
-        assert [len(atoms) for atoms in contributions(batch, MEDIA)] == [0, 0]
+        assert [len(atoms) for atoms in contributions(batch, MEDIA, math.inf)] == [0, 0]
         with pytest.raises(EmptyChannel):
-            build_cir(contributions(batch, MEDIA)[0], len(batch), 10e-15)
+            build_cir(contributions(batch, MEDIA, math.inf)[0], len(batch), 10e-15)
 
     def test_pyramidal_base_exit(self):
         shape = Pyramidal(30.0, 20.0)

@@ -56,7 +56,7 @@ def synthetic_batch(tissue_um, cell_um=0.0, exit_h=0.0, status="arrived"):
                     exit_theta=np.zeros(k), cell_length=cell, tissue_length=tissue)
 
 
-def atom(batch, detector_extent_um=None):
+def atom(batch, detector_extent_um=math.inf):
     """(delay_s, gain) of the batch's only detected atom."""
     detected, _ = contributions(batch, MEDIA, detector_extent_um)
     assert len(detected) == 1
@@ -65,7 +65,7 @@ def atom(batch, detector_extent_um=None):
 
 def cir_of(batch, dt_s=10e-15, aggregate_gamma=None):
     """The CIR of the batch's detected atoms."""
-    detected, _ = contributions(batch, MEDIA)
+    detected, _ = contributions(batch, MEDIA, math.inf)
     return build_cir(detected, len(batch), dt_s, aggregate_gamma)
 
 
@@ -149,7 +149,7 @@ class TestBuildCir:
         paths, report = trace_array(layout, MEDIA,
                                     collimated_bundle(layout.shape, 201))
         floor = layout.total_length * 1e-6 * 1.35 / SPEED_OF_LIGHT_M_PER_S
-        detected, _ = contributions(paths, MEDIA)
+        detected, _ = contributions(paths, MEDIA, math.inf)
         assert detected
         assert (detected.delay_s >= floor * (1.0 - 1e-12)).all()
         assert ((0.0 < detected.gain) & (detected.gain < 1.0)).all()
@@ -272,20 +272,24 @@ def mostly_zero(values):
 
 
 E12_FIELDS = st.tuples(
-    st.just("%.12e"),
+    st.just(np.float64),
     st.one_of(*(st.lists(values, min_size=1, max_size=12) for values in
                 (FLOATS, NON_NEGATIVE, NEGATIVE)),
               *(mostly_zero(values) for values in (FLOATS, NON_NEGATIVE, NEGATIVE))),
     st.just(lambda v: f"{v:.12e}"))
-# (conversion, values, the field csv.writer gets for a value)
+INTEGER_FIELDS = st.sampled_from([np.int8, np.int64, np.uint8, np.uint64]).flatmap(
+    lambda dtype: st.tuples(
+        st.just(dtype),
+        st.lists(st.integers(int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)),
+                 min_size=1, max_size=12),
+        st.just(lambda v: v)))
+# (column dtype, values, the field csv.writer gets for a value): the dtype
+# sets the format, %.12e for floats, %d for integers and %s for str and bytes.
 FIELDS = st.one_of(
     E12_FIELDS,
-    st.tuples(st.just("%s"), st.lists(FLOATS, min_size=1, max_size=12),
-              st.just(lambda v: v)),
-    st.tuples(st.just("%d"), st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
-                                      max_size=12), st.just(lambda v: v)),
-    st.tuples(st.just("%s"), st.lists(PLAIN_TEXT, min_size=1, max_size=12),
-              st.just(lambda v: v)),
+    INTEGER_FIELDS,
+    st.tuples(st.sampled_from([np.str_, np.bytes_]),
+              st.lists(PLAIN_TEXT, min_size=1, max_size=12), st.just(lambda v: v)),
 )
 
 
@@ -305,8 +309,9 @@ class TestWriteCsv:
         # a block edge.
         columns = [[values[(i // run + j) % len(values)] for i in range(n_rows)]
                    for j, ((_, values, _), run) in enumerate(zip(fields, runs))]
-        row_format = ",".join(conversion for conversion, _, _ in fields)
-        write_csv(tmp / "got.csv", header, row_format, columns)
+        write_csv(tmp / "got.csv", header,
+                  [np.array(column, dtype=dtype) for (dtype, _, _), column
+                   in zip(fields, columns)])
         rows = [[field(column[i]) for (_, _, field), column in zip(fields, columns)]
                 for i in range(n_rows)]
         assert (tmp / "got.csv").read_bytes() == \
@@ -314,7 +319,16 @@ class TestWriteCsv:
 
     def test_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv(tmp_path / "x.csv", ["a", "b"], "%d,%d", [[1, 2], [1]])
+            write_csv(tmp_path / "x.csv", ["a", "b"], [[1, 2], [1]])
+
+    def test_rejects_header_of_other_length(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "x.csv", ["a"], [[1], [2]])
+
+    def test_empty_columns_write_the_header(self, tmp_path):
+        # numpy types an empty sequence as float64, so it takes %.12e and no row.
+        write_csv(tmp_path / "x.csv", ["a", "b"], [[], np.array([], dtype="<U1")])
+        assert (tmp_path / "x.csv").read_bytes() == b"a,b\r\n"
 
 
 def e12_text(values):
@@ -376,17 +390,17 @@ class TestFormatE12:
         assert format_e12([]).shape == (0, 5)
 
 
-@pytest.mark.parametrize("row_format", ["%r", "%.6f", "%d,%r", "%.12e,%.6f", "x%d"])
-def test_write_csv_rejects_other_conversions(tmp_path, row_format):
-    columns = [[1.0]] * (row_format.count(",") + 1)
+@pytest.mark.parametrize("column", [[True], [1 + 2j], np.array([1.0], dtype=object)],
+                         ids=["bool", "complex", "object"])
+def test_write_csv_rejects_other_dtypes(tmp_path, column):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "x.csv", ["c"] * len(columns), row_format, columns)
+        write_csv(tmp_path / "x.csv", ["a", "b"], [[1.0], column])
     assert not (tmp_path / "x.csv").exists()
 
 
 @given(st.sampled_from(["fusiform", "spherical", "pyramidal"]), st.integers(1, 301),
        st.integers(0, 18), st.floats(0.0, 10.0), st.floats(0.0, 100.0),
-       st.one_of(st.none(), st.floats(0.001, 200.0)))
+       st.one_of(st.just(math.inf), st.floats(0.001, 200.0)))
 @settings(max_examples=60, deadline=None)
 def test_atom_gain_in_unit_interval(shape, k, n_cells, gap, detector_gap, extent):
     # A gain is a product of two transmittances: positive and at most 1.

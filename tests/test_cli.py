@@ -5,6 +5,8 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -507,6 +509,48 @@ def test_rejected_naming_key_without_files(tmp_path, capsys, command, overrides,
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def _deep_json(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def _unusable_input(tmp_path: Path, case: str) -> tuple[list[str], str]:
+    """(cellray arguments, expected error kind) of one unusable input case."""
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    scenario = tmp_path / "scenario.json"
+    if case == "out-is-a-file":
+        return ["--command", "pathloss", "--out", str(a_file)], "io"
+    if case == "out-under-a-file":
+        return ["--command", "pathloss", "--out", str(a_file / "out")], "io"
+    if case == "report-json-is-a-directory":
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        return ["--command", "pathloss", "--out", str(tmp_path / "out")], "io"
+    if case == "scenario-not-utf8":
+        scenario.write_bytes(b'{"d_l_um": "\xff"}')
+    elif case == "scenario-nested-200k-deep":
+        scenario.write_text(_deep_json(200_000))
+    elif case == "set-nested-20k-deep":
+        # Too deep to parse, so the value stays text: not a number.
+        return ["--command", "pathloss", "--out", str(tmp_path / "out"),
+                "--set", f"d_l_um={_deep_json(20_000)}"], "validation"
+    return ["--command", "pathloss", "--scenario", str(scenario),
+            "--out", str(tmp_path / "out")], "io"
+
+
+@pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
+                                  "report-json-is-a-directory", "scenario-not-utf8",
+                                  "scenario-nested-200k-deep", "set-nested-20k-deep"])
+def test_unusable_input_exits_2_without_traceback(tmp_path, case):
+    argv, kind = _unusable_input(tmp_path, case)
+    src = str(Path(ch.__file__).resolve().parent.parent)
+    child = subprocess.run([sys.executable, "-m", "cellray.cli", *argv],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 2, child.stderr
+    assert "Traceback" not in child.stderr
+    assert json.loads(child.stderr)["error"] == kind
+
+
 @given(st.floats(1e-3, 1e3), st.sampled_from([-math.inf, math.inf]))
 @settings(max_examples=300, deadline=None)
 def test_step_rule_agrees_with_gaussian_pulse(tau_fs, side):
@@ -514,9 +558,9 @@ def test_step_rule_agrees_with_gaussian_pulse(tau_fs, side):
     when gaussian_pulse resolves the pulse on the scenario's grid."""
     scenario = replace(default_scenario(), tau_fs=tau_fs,
                        waveform_dt_fs=math.nextafter(tau_fs / 10.0, side))
-    tau, dt, span = scenario.pulse_grid_s()
+    tau, dt = scenario.pulse_grid_s()
     try:
-        gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt, span_s=span)
+        gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt)
     except UnderResolved:
         accepted = False
     else:
