@@ -13,7 +13,8 @@ one whose points do not (d_l_um, with a repeat) run on the three shapes in
 both gamma modes too. Two kinds of pulse job cover the convolution window and
 the CSV writer's fixed-width path: K=101 at 0.02 fs steps on the three
 shapes (~100k-row waveforms), and a free-space pulse whose window starts
-at bin 0. Every job's exit code, stdout, stderr and output files
+at bin 0. A trace through cells less dense than the tissue covers every
+way a ray is lost. Every job's exit code, stdout, stderr and output files
 are compared byte for byte. The jobs that differ are listed, and the exit
 code is 1 on any difference, 0 when every job matches.
 """
@@ -73,6 +74,11 @@ def jobs() -> dict[str, list[str]]:
         # within the 1,601-sample pulse of bin 0, so the window starts there.
         "window-at-bin-0-pulse": ["--command", "pulse", "--set", "n_cells=0",
                                   "--set", "total_um=10", "--set", "tau_fs=10"],
+        # Cells less dense than the tissue: rays stop by miss, TIR and
+        # backward turn, so rays.csv maps every leaked fate to its word.
+        "index-contrast-trace": ["--command", "trace", "--scenario",
+                                 str(ROOT / "scenarios" / "spherical.json"),
+                                 "--set", "n_cell=1.0", "--set", "n_tissue=1.6"],
         "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],

@@ -124,7 +124,7 @@ def contributions(batch: RayBatch, media: Media,
     lies farther than half the extent from the axis; an extent of math.inf
     detects every delivered ray.
     """
-    delivered = batch.status != "leaked"
+    delivered = batch.delivered
     d_a_um = batch.cell_length[delivered]
     d_e_um = batch.tissue_length[delivered]
     coord = batch.exit_h[delivered]

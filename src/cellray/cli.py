@@ -11,11 +11,13 @@ example an empty channel).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Iterator
 
@@ -162,19 +164,25 @@ def _channel(scenario: cfg.Scenario) -> Channel:
     return next(_channels([scenario]))
 
 
+def _sum_in_order(values: list[float]) -> float:
+    """Left to right from 0.0, as sum() did before Python 3.12 compensated it."""
+    return reduce(operator.add, values, 0.0)
+
+
 def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
     """The report fields of every traced command; cir is chan's CIR at cir_dt_fs."""
+    per_fate = np.bincount(chan.paths.fate, minlength=len(geo.STATUS))
     report = {
         "scenario": chan.scenario.to_dict(),
         "path_loss_db": total_path_loss(chan.layout, chan.media),
-        "counts": {status: int(np.count_nonzero(chan.paths.status == status))
-                   for status in ("arrived", "leaked", "deviated")},
+        "counts": {word: int(per_fate[geo.STATUS == word].sum())
+                   for word in ("arrived", "leaked", "deviated")},
         "files": [],
     }
     if chan.detected:
-        # Python's sum, in ray order: the report's bytes depend on it.
+        # Summed in ray order: the report's bytes depend on it.
         report["total_received_fraction"] = \
-            sum(chan.detected.gain.tolist()) / len(chan.paths)
+            _sum_in_order(chan.detected.gain.tolist()) / len(chan.paths)
         if cir is None:
             cir = chan.cir("cir_dt_fs")
         report["dominant_delay_s"] = cir.dominant_bin()[0]
@@ -195,7 +203,7 @@ def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
         rays_csv,
         ["ray_index", "status", "loss_cell", "h0_um", "exit_x_um",
          "exit_h_um", "exit_theta_rad", "cell_path_um", "tissue_path_um"],
-        [np.arange(len(paths)), paths.status, np.where(loss < 0, "", loss.astype(str)),
+        [np.arange(len(paths)), geo.STATUS[paths.fate], np.where(loss < 0, "", loss.astype(str)),
          chan.h0, paths.exit_x, paths.exit_h, paths.exit_theta,
          paths.cell_length, paths.tissue_length],
     )
@@ -357,8 +365,12 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
         "detector": cmd_detector,
         "sweep": cmd_sweep,
     }[command]
+    created: list[Path] = []  # the directories the run makes, deepest first
+    kept = None  # out's entries before the run, once listed
     try:
+        created = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
+        kept = set(out.iterdir())
         report = handler(scenario, out)
         with open(out / "report.json", "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -366,6 +378,14 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
     except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
         raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
     except OSError as exc:
+        # Undo what the run added; a file it overwrote keeps its new bytes.
+        if kept is not None:
+            with contextlib.suppress(OSError):
+                for path in set(out.iterdir()) - kept:
+                    path.unlink()
+        for directory in created:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise CliError("io", f"cannot write outputs: {exc}", 2)
     return report
 

@@ -13,14 +13,17 @@ Three cell cross-sections are supported:
     h = -h_c/2 and the apex at +h_c/2, acting as a prism that deviates rays
     toward the base.
 
-Tracing is struct-of-arrays.  For cell i, one numpy step takes the x, h and
-theta arrays of every ray still on the line, solves the circle or segment
-intersections, refracts by Snell's law and gives each ray a stop code:
-crossed, missed, total internal reflection or turned backward.  A ray's
-stop code is that of the first check it fails, in the order the surfaces
-are met, so the arrays hold for every ray exactly what tracing it alone
-would give.  The launch is an array too: collimated_bundle gives the K
-launch heights, and trace_array traces them as axis-parallel rays from the
+Tracing is struct-of-arrays.  For cell i, one numpy step (_cross) takes the
+x, h and theta arrays of every ray still on the line, solves the circle or
+segment intersections and refracts by Snell's law.  It returns a stop code
+and the entry and exit crossing (distance, point, normal, direction) of
+every input ray.  The stop code, CROSSED, MISS, TIR (total internal
+reflection) or BACKWARD, is that of the first check a ray fails, in the
+order the surfaces are met, so the arrays hold for every ray exactly what
+tracing it alone would give.  It becomes the ray's int8 fate in RayBatch,
+a pyramidal MISS as DEVIATED; STATUS gives each fate's word (arrived,
+leaked or deviated).  The launch is an array too: collimated_bundle gives
+the K launch heights, and trace_array traces them as axis-parallel rays from the
 source plane into a RayBatch of per-ray arrays.  trace_arrays does that
 for several layouts on one cell line (equal shape, gap and source gap) in
 one pass through the longest: cell i's entry vertex does not depend on the
@@ -57,8 +60,12 @@ from .optics import Media
 # Intersection/arc-membership slop, in micrometres.
 TOL = 1e-9
 
-# Stop codes of one cell crossing, in the order a ray can meet them.
-CROSSED, MISS, TIR, BACKWARD = 0, 1, 2, 3
+# Fate codes: the stop codes of a cell crossing, in the order a ray can meet
+# them, and DEVIATED for a pyramidal miss, which runs on to the detector.
+CROSSED, MISS, TIR, BACKWARD, DEVIATED = range(5)
+# Each fate's word in rays.csv, the report's counts and RayPath.status.
+STATUS = np.array(["arrived", "leaked", "leaked", "leaked", "deviated"])
+STATUS.flags.writeable = False
 
 
 class NoIntersection(Exception):
@@ -278,16 +285,16 @@ class RayPath:
 class RayBatch:
     """Traced rays as arrays: entry i of every array belongs to ray i.
 
-    status holds "arrived", "leaked" or "deviated" and loss_cell the first
-    cell a ray failed to traverse (-1 for arrived rays).  The exit arrays
-    give the detector-plane state of arrived and deviated rays and the last
-    state before the loss of leaked ones.  cell_length and tissue_length are
-    the summed per-medium path lengths, all that a ray's channel atom reads.
+    fate holds each ray's int8 fate code and loss_cell the first cell it
+    failed to traverse (-1 for arrived rays).  The exit arrays give the
+    detector-plane state of delivered rays and the last state before the
+    loss of leaked ones.  cell_length and tissue_length are the summed
+    per-medium path lengths, all that a ray's channel atom reads.
 
     Indexing or iterating builds RayPath views.
     """
 
-    status: np.ndarray
+    fate: np.ndarray
     loss_cell: np.ndarray
     exit_x: np.ndarray
     exit_h: np.ndarray
@@ -296,7 +303,12 @@ class RayBatch:
     tissue_length: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.status)
+        return len(self.fate)
+
+    @property
+    def delivered(self) -> np.ndarray:
+        """Where a ray reaches the detector plane: it arrived or deviated."""
+        return (self.fate == CROSSED) | (self.fate == DEVIATED)
 
     def __iter__(self) -> Iterator[RayPath]:
         return map(self.__getitem__, range(len(self)))
@@ -306,7 +318,7 @@ class RayBatch:
         loss = int(self.loss_cell[i])
         exit_state = RayState(float(self.exit_x[i]), float(self.exit_h[i]),
                               float(self.exit_theta[i]))
-        return RayPath(ray_index=i, status=str(self.status[i]),
+        return RayPath(ray_index=i, status=str(STATUS[self.fate[i]]),
                        loss_cell=None if loss < 0 else loss, exit=exit_state)
 
 
@@ -337,11 +349,6 @@ def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _tan(x: np.ndarray) -> np.ndarray:
     """Elementwise math.tan (see the module docstring for why not numpy's)."""
     return np.fromiter(map(math.tan, x.tolist()), float, len(x))
-
-
-def _stop(fate: np.ndarray, where: np.ndarray, code: int) -> None:
-    """Give `code` to the rays still crossing for which `where` holds."""
-    fate[(fate == CROSSED) & where] = code
 
 
 def _refract(dx, dy, nx, ny, n_in: float, n_out: float):
@@ -398,124 +405,72 @@ def _on_segment(s: np.ndarray) -> np.ndarray:
     return (-1e-12 <= s) & (s <= 1.0 + 1e-12)
 
 
-@dataclass
-class _Crossing:
-    """K rays pushed through one cell.
+def _fate(*checks) -> np.ndarray:
+    """Stop code of each ray: that of the first (where, code) check it fails.
 
-    fate and surfaces cover every input ray; the other arrays hold only the
-    rays that crossed, in input order.
+    Written last check first, so an earlier failing check overwrites a later.
     """
-
-    fate: np.ndarray
-    tissue_leg: np.ndarray
-    entry_x: np.ndarray
-    entry_h: np.ndarray
-    chord: np.ndarray
-    x: np.ndarray          # at the exit surface
-    h: np.ndarray
-    theta: np.ndarray      # after refraction
-    dx: np.ndarray
-    dy: np.ndarray
-    # Per input ray: entry point, entry normal and in-cell direction, and
-    # exit point and exit normal, each as (x, h) or (nx, ny) / (dx, dy).
-    surfaces: tuple
-
-    def focus(self, j: int, exit_vertex_x: float) -> FocusEntry:
-        """Axis crossing of crossed ray j behind a radial cell."""
-        theta_f = abs(float(self.theta[j]))
-        dx, dy = float(self.dx[j]), float(self.dy[j])
-        if abs(dy) < 1e-15:
-            return FocusEntry(theta_f=theta_f, x_f=math.inf)
-        x_cross = float(self.x[j]) - float(self.h[j]) * dx / dy
-        return FocusEntry(theta_f=theta_f, x_f=x_cross - exit_vertex_x)
-
-    def events(self, media: Media, theta_in: float) -> tuple[RefractionEvent, ...]:
-        """Entry and exit refraction of input ray 0, which must have crossed."""
-        def first(v) -> float:
-            return float(v[0]) if np.ndim(v) else v
-
-        def angle(v) -> float:
-            return math.atan2(first(v[1]), first(v[0]))
-
-        (ex, eh, n1, d1), (xx, xh, n2) = self.surfaces
-        theta_mid = angle(d1)
-        return (
-            RefractionEvent(first(ex), first(eh), angle(n1), theta_in, theta_mid,
-                            media.tissue.n, media.cell.n),
-            RefractionEvent(first(xx), first(xh), angle(n2), theta_mid,
-                            float(self.theta[0]), media.cell.n, media.tissue.n),
-        )
+    fate = np.zeros(len(checks[0][0]), dtype=np.int8)
+    for where, code in reversed(checks):
+        fate[where] = code
+    return fate
 
 
-def _crossing(fate, t_entry, ex, eh, n1, d1, t_exit, xx, xh, n2, d2) -> _Crossing:
-    """Keep the crossed rays of one cell step.
-
-    n1 and n2 are the entry and exit surface normals, arrays or scalars.
-    """
-    ok = fate == CROSSED
-    dx, dy = d2[0][ok], d2[1][ok]
-    t_entry = t_entry[ok]
-    return _Crossing(
-        fate=fate,
-        tissue_leg=np.where(0.0 > t_entry, 0.0, t_entry),
-        entry_x=ex[ok], entry_h=eh[ok], chord=t_exit[ok],
-        x=xx[ok], h=xh[ok], theta=_atan2(dy, dx), dx=dx, dy=dy,
-        surfaces=((ex, eh, n1, d1), (xx, xh, n2)),
-    )
+def _focus(x: float, h: float, dx: float, dy: float, theta: float,
+           exit_vertex_x: float) -> FocusEntry:
+    """Axis crossing of the ray leaving a radial cell at (x, h) along (dx, dy)."""
+    theta_f = abs(theta)
+    if abs(dy) < 1e-15:
+        return FocusEntry(theta_f=theta_f, x_f=math.inf)
+    x_cross = x - h * dx / dy
+    return FocusEntry(theta_f=theta_f, x_f=x_cross - exit_vertex_x)
 
 
 def _cross_radial(c1x: float, c2x: float, r: float, mid_x: Optional[float],
-                  media: Media, px, py, theta) -> _Crossing:
+                  media: Media, px, py, theta) -> tuple:
     """Circle surfaces centred on the axis at c1x (entry) and c2x (exit).
 
     Fusiform cells pass the midplane mid_x between their two arcs.
     """
-    fate = np.zeros(len(px), dtype=np.int8)
     dx, dy = np.cos(theta), np.sin(theta)
-
     t_entry, t_far, real = _circle_roots(px, py, dx, dy, c1x, r)
-    _stop(fate, ~real | (t_entry < -TOL) | (t_far <= TOL), MISS)
+    miss_in = ~real | (t_entry < -TOL) | (t_far <= TOL)
     ex, eh = px + t_entry * dx, py + t_entry * dy
     if mid_x is not None:
         # First hit is beyond the arc's extent: the ray skims past the lens.
-        _stop(fate, ex > mid_x + TOL, MISS)
+        miss_in |= ex > mid_x + TOL
     n1x, n1y = (ex - c1x) / r, eh / r
-    d1x, d1y, tir = _refract(dx, dy, n1x, n1y, media.tissue.n, media.cell.n)
-    _stop(fate, tir, TIR)
-    _stop(fate, d1x <= 0.0, BACKWARD)
+    d1x, d1y, tir_in = _refract(dx, dy, n1x, n1y, media.tissue.n, media.cell.n)
 
     _, t_exit, real = _circle_roots(ex, eh, d1x, d1y, c2x, r)
-    _stop(fate, ~real | (t_exit <= TOL), MISS)
+    miss_out = ~real | (t_exit <= TOL)
     xx, xh = ex + t_exit * d1x, eh + t_exit * d1y
     if mid_x is not None:
-        _stop(fate, xx < mid_x - TOL, MISS)
+        miss_out |= xx < mid_x - TOL
     n2x, n2y = (xx - c2x) / r, xh / r
-    d2x, d2y, tir = _refract(d1x, d1y, n2x, n2y, media.cell.n, media.tissue.n)
-    _stop(fate, tir, TIR)
-    _stop(fate, d2x <= 0.0, BACKWARD)
-    return _crossing(fate, t_entry, ex, eh, (n1x, n1y), (d1x, d1y),
-                     t_exit, xx, xh, (n2x, n2y), (d2x, d2y))
+    d2x, d2y, tir_out = _refract(d1x, d1y, n2x, n2y, media.cell.n, media.tissue.n)
+    fate = _fate((miss_in, MISS), (tir_in, TIR), (d1x <= 0.0, BACKWARD),
+                 (miss_out, MISS), (tir_out, TIR), (d2x <= 0.0, BACKWARD))
+    return (fate, t_entry, ex, eh, (n1x, n1y), (d1x, d1y),
+            t_exit, xx, xh, (n2x, n2y), (d2x, d2y))
 
 
 def _cross_pyramidal(shape: Pyramidal, media: Media, entry_x: float,
-                     px, py, theta) -> _Crossing:
+                     px, py, theta) -> tuple:
     half = shape.half_aperture
     ax, ay = entry_x, -half                      # base-left corner
     bx, by = entry_x + shape.w_c, -half          # base-right corner
     tx_, ty_ = entry_x + 0.5 * shape.w_c, half   # apex
-    fate = np.zeros(len(px), dtype=np.int8)
     dx, dy = np.cos(theta), np.sin(theta)
 
     t_entry, s, hit = _segment_hit(px, py, dx, dy, ax, ay, tx_, ty_)
-    _stop(fate, ~hit | (t_entry < -TOL) | ~_on_segment(s), MISS)
+    miss_in = ~hit | (t_entry < -TOL) | ~_on_segment(s)
     ex, eh = px + t_entry * dx, py + t_entry * dy
     # Left face normal, perpendicular to (apex - base-left).
     fx, fy = tx_ - ax, ty_ - ay
     norm = math.hypot(fx, fy)
     n1x, n1y = fy / norm, -fx / norm
-    d1x, d1y, tir = _refract(dx, dy, n1x, n1y, media.tissue.n, media.cell.n)
-    _stop(fate, tir, TIR)
-    _stop(fate, d1x <= 0.0, BACKWARD)
+    d1x, d1y, tir_in = _refract(dx, dy, n1x, n1y, media.tissue.n, media.cell.n)
 
     # Exit through the right face or, for steeply descending rays, the base:
     # the nearer valid hit, the right face on a tie.
@@ -523,24 +478,28 @@ def _cross_pyramidal(shape: Pyramidal, media: Media, entry_x: float,
     right = hit & (t_right > TOL) & _on_segment(s)
     t_base, s, hit = _segment_hit(ex, eh, d1x, d1y, bx, by, ax, ay)
     base = hit & (t_base > TOL) & _on_segment(s)
-    _stop(fate, ~(right | base), MISS)
     use_base = base & (~right | (t_base < t_right))
     t_exit = np.where(use_base, t_base, t_right)
     n2x = np.where(use_base, 0.0, fy / norm)     # base or right face normal
     n2y = np.where(use_base, -1.0, fx / norm)
     xx, xh = ex + t_exit * d1x, eh + t_exit * d1y
-    d2x, d2y, tir = _refract(d1x, d1y, n2x, n2y, media.cell.n, media.tissue.n)
-    _stop(fate, tir, TIR)
-    _stop(fate, d2x <= 0.0, BACKWARD)
-    return _crossing(fate, t_entry, ex, eh, (n1x, n1y), (d1x, d1y),
-                     t_exit, xx, xh, (n2x, n2y), (d2x, d2y))
+    d2x, d2y, tir_out = _refract(d1x, d1y, n2x, n2y, media.cell.n, media.tissue.n)
+    fate = _fate((miss_in, MISS), (tir_in, TIR), (d1x <= 0.0, BACKWARD),
+                 (~(right | base), MISS), (tir_out, TIR), (d2x <= 0.0, BACKWARD))
+    return (fate, t_entry, ex, eh, (n1x, n1y), (d1x, d1y),
+            t_exit, xx, xh, (n2x, n2y), (d2x, d2y))
 
 
-def _cross(shape: CellShape, media: Media, entry_x: float, x, h, theta) -> _Crossing:
+def _cross(shape: CellShape, media: Media, entry_x: float, x, h, theta) -> tuple:
     """Push rays through the cell whose entry vertex sits at entry_x.
 
-    Circle surfaces take the upstream root for the entry surface and the
-    downstream root for the exit surface.
+    Returns (fate, t_entry, ex, eh, n1, d1, t_exit, xx, xh, n2, d2) over
+    every input ray: the stop code; the distance to the entry point (ex,
+    eh), its normal and the direction after refraction; the same at the
+    exit, whose distance is the chord.  Normals and directions are (x, h)
+    pairs; a flat face's normal may be floats.  Values past a ray's stop
+    are meaningless.  Circle surfaces take the upstream root for the entry
+    surface and the downstream root for the exit surface.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         if isinstance(shape, Spherical):
@@ -562,22 +521,34 @@ def trace_cell(shape: CellShape, media: Media, incoming: RayState,
     Raises NoIntersection when the ray misses the cell and
     TotalInternalReflection when a surface cannot refract it forward.
     """
-    c = _cross(shape, media, entry_x, np.array([incoming.x]),
-               np.array([incoming.h]), np.array([incoming.theta]))
-    if c.fate[0] == MISS:
+    fate, t_entry, ex, eh, n1, d1, t_exit, xx, xh, n2, d2 = _cross(
+        shape, media, entry_x, np.array([incoming.x]), np.array([incoming.h]),
+        np.array([incoming.theta]))
+    if fate[0] == MISS:
         raise NoIntersection
-    if c.fate[0] != CROSSED:
+    if fate[0] != CROSSED:
         raise TotalInternalReflection
-    theta = incoming.theta
+
+    def angle(v) -> float:  # of ray 0's (x, h) pair; a face normal may be floats
+        return math.atan2(float(np.ravel(v[1])[0]), float(np.ravel(v[0])[0]))
+
+    theta_in, theta_mid, theta_out = incoming.theta, angle(d1), angle(d2)
+    x, h = float(xx[0]), float(xh[0])
     return CellTrace(
-        tissue_leg=float(c.tissue_leg[0]),
-        entry=RayState(float(c.entry_x[0]), float(c.entry_h[0]),
-                       math.atan2(math.sin(theta), math.cos(theta))),
-        outgoing=RayState(float(c.x[0]), float(c.h[0]), float(c.theta[0])),
-        chord=float(c.chord[0]),
+        tissue_leg=max(float(t_entry[0]), 0.0),
+        entry=RayState(float(ex[0]), float(eh[0]),
+                       math.atan2(math.sin(theta_in), math.cos(theta_in))),
+        outgoing=RayState(x, h, theta_out),
+        chord=float(t_exit[0]),
         focus=None if isinstance(shape, Pyramidal)
-        else c.focus(0, entry_x + shape.axial_extent),
-        events=c.events(media, theta),
+        else _focus(x, h, float(d2[0][0]), float(d2[1][0]), theta_out,
+                    entry_x + shape.axial_extent),
+        events=(
+            RefractionEvent(float(ex[0]), float(eh[0]), angle(n1), theta_in, theta_mid,
+                            media.tissue.n, media.cell.n),
+            RefractionEvent(x, h, angle(n2), theta_mid, theta_out,
+                            media.cell.n, media.tissue.n),
+        ),
     )
 
 
@@ -627,14 +598,14 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
         at_count.setdefault(layout.n_cells, []).append(i)
     results: list = [None] * len(layouts)
     shape, k, n_max = layouts[0].shape, len(h0), max(at_count)
-    miss_status = "deviated" if isinstance(shape, Pyramidal) else "leaked"
+    miss_fate = DEVIATED if isinstance(shape, Pyramidal) else MISS
     # Rows x, h, theta, cell length, tissue length: `rays` for every ray,
     # `run` for the rays still on the line (indexed by `live`).  A ray's row
     # is written back to `rays` when it stops and when a layout ends.
     rays = np.zeros((5, k))
     rays[1] = h0
     source_radius = float(np.max(np.abs(rays[1])))
-    status = np.full(k, "arrived", dtype="<U8")
+    fate = np.full(k, CROSSED, dtype=np.int8)
     loss_cell = np.full(k, -1)
     radii = [0.0] * n_max
     focus: list[Optional[FocusEntry]] = [None] * n_max
@@ -647,44 +618,54 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
             own = np.asarray if (cell, i) == last else np.copy
             state = own(rays)
             state[:, live] = run
-            results[i] = _to_detector(layouts[i], state, own(status), own(loss_cell),
+            results[i] = _to_detector(layouts[i], state, own(fate), own(loss_cell),
                                       radii[:cell], focus[:cell], source_radius)
         if cell == n_max or not live.size:
             continue
         entry_x = layouts[0].cell_entry_x(cell)
-        c = _cross(shape, media, entry_x, run[0], run[1], run[2])
-        stopped = c.fate != CROSSED
+        step, t_entry, _, eh, _, _, t_exit, xx, xh, _, (dx, dy) = _cross(
+            shape, media, entry_x, run[0], run[1], run[2])
+        stopped = step != CROSSED
         if stopped.any():
             lost = live[stopped]
             loss_cell[lost] = cell
-            status[lost] = np.where(c.fate[stopped] == MISS, miss_status, "leaked")
+            fate[lost] = np.where(step[stopped] == MISS, miss_fate, step[stopped])
             rays[:, lost] = run[:, stopped]
-            live, run = live[~stopped], run[:, ~stopped]
+            crossed = ~stopped
+            live, run = live[crossed], run[:, crossed]
             if not live.size:
                 continue
-        # Lengths accumulate cell by cell, as a per-ray sum would.
-        run[3] += np.where(c.chord > TOL, c.chord, 0.0)
-        run[4] += np.where(c.tissue_leg > TOL, c.tissue_leg, 0.0)
-        run[:3] = c.x, c.h, c.theta
-        radii[cell] = float(np.max(np.abs(c.h)))
+            t_entry, eh, t_exit, xx, xh, dx, dy = (
+                a[crossed] for a in (t_entry, eh, t_exit, xx, xh, dx, dy))
+        # Lengths accumulate cell by cell, as a per-ray sum would; a leg not
+        # above TOL, a negative t_entry included, adds nothing.
+        run[3] += np.where(t_exit > TOL, t_exit, 0.0)
+        run[4] += np.where(t_entry > TOL, t_entry, 0.0)
+        theta = _atan2(dy, dx)
+        run[:3] = xx, xh, theta
+        radii[cell] = float(np.max(np.abs(xh)))
         if not isinstance(shape, Pyramidal):
-            marginal = int(np.argmax(np.abs(c.entry_h)))
-            focus[cell] = c.focus(marginal, entry_x + shape.axial_extent)
+            j = int(np.argmax(np.abs(eh)))  # the marginal ray
+            focus[cell] = _focus(float(xx[j]), float(xh[j]), float(dx[j]), float(dy[j]),
+                                 float(theta[j]), entry_x + shape.axial_extent)
     return results
 
 
-def _to_detector(layout: ArrayLayout, rays: np.ndarray, status: np.ndarray,
+def _to_detector(layout: ArrayLayout, rays: np.ndarray, fate: np.ndarray,
                  loss_cell: np.ndarray, radii: list[float],
                  focus: list[Optional[FocusEntry]],
                  source_radius: float) -> tuple[RayBatch, FocusReport]:
     """Run the rays past layout's last cell on to its detector plane.
 
     rays holds trace_arrays' five rows (x, h, theta, cell and tissue length)
-    after that cell and is updated in place; status, loss_cell and the rest
+    after that cell and is updated in place; fate, loss_cell and the rest
     are the per-ray and per-cell records of layout's cells.
     """
     x, h, theta, cell_length, tissue_length = rays
-    delivered = np.flatnonzero(status != "leaked")
+    batch = RayBatch(fate=fate, loss_cell=loss_cell, exit_x=x, exit_h=h,
+                     exit_theta=theta, cell_length=cell_length,
+                     tissue_length=tissue_length)
+    delivered = np.flatnonzero(batch.delivered)
     d_total = layout.total_length
     remaining = d_total - x[delivered]
     final_leg = remaining / np.cos(theta[delivered])
@@ -692,10 +673,6 @@ def _to_detector(layout: ArrayLayout, rays: np.ndarray, status: np.ndarray,
     h[delivered] += _tan(theta[delivered]) * remaining
     x[delivered] = d_total
     detector_radius = float(np.max(np.abs(h[delivered]))) if delivered.size else 0.0
-
-    batch = RayBatch(status=status, loss_cell=loss_cell, exit_x=x, exit_h=h,
-                     exit_theta=theta, cell_length=cell_length,
-                     tissue_length=tissue_length)
     cells = [
         CellFocus(
             cell_index=i,

@@ -51,7 +51,7 @@ def contributions(batch: RayBatch, media: Media,
                   detector_extent_um: float = math.inf,
                   ) -> tuple[list[PathContribution], list[PathContribution]]:
     """Split paths into detected atoms and out-of-detector diagnostics."""
-    delivered = batch.status != "leaked"
+    delivered = batch.delivered
     d_a_um = batch.cell_length[delivered]
     d_e_um = batch.tissue_length[delivered]
     coord = batch.exit_h[delivered]

@@ -15,6 +15,12 @@ import scalar_tracer as oracle
 from cellray.channel import EmptyChannel, build_cir, contributions
 from cellray.config import default_scenario
 from cellray.geometry import (
+    BACKWARD,
+    CROSSED,
+    DEVIATED,
+    MISS,
+    STATUS,
+    TIR,
     ArrayLayout,
     Fusiform,
     NoIntersection,
@@ -62,7 +68,8 @@ def walked_events(layout, media, h):
 
 
 def oracle_columns(paths):
-    """The oracle's per-ray ledger as the columns of a RayBatch."""
+    """The oracle's per-ray ledger as the columns of a RayBatch, with the
+    status word in place of the fate code."""
     return {
         "status": [p.status for p in paths],
         "loss_cell": [-1 if p.loss_cell is None else p.loss_cell for p in paths],
@@ -85,8 +92,9 @@ def assert_same_trace(layout, media, h0, events=False):
     paths, report = oracle.trace_array(
         layout, media, [oracle.RayState(0.0, h, 0.0) for h in h0])
     batch, focus = trace_array(layout, media, np.array(h0, dtype=float))
-    assert {f.name: getattr(batch, f.name).tolist() for f in fields(RayBatch)} == \
-        oracle_columns(paths)
+    columns = {f.name: getattr(batch, f.name).tolist() for f in fields(RayBatch)}
+    columns["status"] = STATUS[columns.pop("fate")].tolist()
+    assert columns == oracle_columns(paths)
     if events:
         assert [event_fields(walked_events(layout, media, h)) for h in h0] == \
             [event_fields(p.events) for p in paths]
@@ -142,11 +150,43 @@ def random_run(draw):
     return layout, draw(media_strategy), h0
 
 
+def walked_fate(layout, media, h):
+    """(fates allowed, loss cell) of the ray launched at h, walked cell by
+    cell through the oracle's trace_cell until it raises."""
+    state = oracle.RayState(0.0, h, 0.0)
+    for cell in range(layout.n_cells):
+        try:
+            ct = oracle.trace_cell(layout.shape, media, state, layout.cell_entry_x(cell))
+        except NoIntersection:
+            return {DEVIATED if isinstance(layout.shape, Pyramidal) else MISS}, cell
+        except TotalInternalReflection:  # raised for a backward turn too
+            return {TIR, BACKWARD}, cell
+        state = ct.outgoing
+    return {CROSSED}, -1
+
+
+# Cells less dense than the tissue: 152 rays miss, 144 meet total internal
+# reflection and 4 turn backward.
+INDEX_CONTRAST = scenario_trace("spherical", n_cell=1.0, n_tissue=1.6, k_rays=301)
+
+
 class TestRandomLayouts:
     @given(random_run(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_trace_array(self, run, events):
         assert_same_trace(*run, events=events)
+
+    @given(random_run())
+    @example(INDEX_CONTRAST)
+    @settings(max_examples=300, deadline=None)
+    def test_fate_against_walk(self, run):
+        layout, media, h0 = run
+        batch, _ = trace_array(layout, media, np.array(h0, dtype=float))
+        for h, fate, loss in zip(h0, batch.fate.tolist(), batch.loss_cell.tolist()):
+            allowed, walked_loss = walked_fate(layout, media, h)
+            assert fate in allowed and loss == walked_loss
+        per_fate = np.bincount(batch.fate, minlength=len(STATUS))
+        assert len(per_fate) == len(STATUS) and per_fate.sum() == len(h0)
 
     @given(shape_strategy, media_strategy, st.floats(-1.2, 1.2),
            st.floats(-0.5, 0.5))
@@ -173,13 +213,13 @@ class TestRayBatch:
     def test_single_ray(self):
         layout, media, h0 = scenario_trace("fusiform", k_rays=1)
         batch = assert_same_trace(layout, media, h0, events=True)
-        assert len(batch) == 1 and batch.status.tolist() == ["arrived"]
+        assert len(batch) == 1 and batch.fate.tolist() == [CROSSED]
         assert len(walked_events(layout, media, h0[0])) == 2 * layout.n_cells
 
     def test_no_cells_single_tissue_segment(self):
         layout, media, h0 = scenario_trace("spherical", n_cells=0, k_rays=11)
         batch = assert_same_trace(layout, media, h0)
-        assert (batch.status == "arrived").all()
+        assert (batch.fate == CROSSED).all()
         # One axis-parallel tissue leg from the source to the detector plane.
         assert batch.cell_length.tolist() == [0.0] * 11
         assert batch.tissue_length.tolist() == [layout.total_length] * 11
@@ -187,7 +227,7 @@ class TestRayBatch:
     def test_every_ray_lost(self):
         layout = ArrayLayout(Spherical(10.0), 18, 5.0, 5.0, 0.0)
         batch = assert_same_trace(layout, MEDIA, [-14.0, -11.0, 11.0, 14.0])
-        assert (batch.status == "leaked").all()
+        assert (batch.fate == MISS).all()
         assert batch.loss_cell.tolist() == [0, 0, 0, 0]
         assert batch.exit_h.tolist() == [-14.0, -11.0, 11.0, 14.0]
         assert batch.tissue_length.tolist() == [0.0] * 4
@@ -208,7 +248,7 @@ class TestRayBatch:
         exits = [e.normal_angle for e in walked_events(layout, dense, 10.0)[1::2]]
         assert exits[2] == -0.5 * math.pi and len(exits) == 3
         batch = assert_same_trace(layout, dense, [10.0], events=True)
-        assert batch.status.tolist() == ["deviated"] and batch.loss_cell.tolist() == [3]
+        assert batch.fate.tolist() == [DEVIATED] and batch.loss_cell.tolist() == [3]
 
     def test_sequence_protocol(self):
         """Iterating or indexing a batch gives views of entry i of its arrays."""
@@ -219,7 +259,7 @@ class TestRayBatch:
                 RayPath(ray_index=i, status=status, loss_cell=None if loss < 0 else loss,
                         exit=RayState(x, h, theta))
                 for i, (status, loss, x, h, theta) in enumerate(zip(
-                    batch.status.tolist(), batch.loss_cell.tolist(), batch.exit_x.tolist(),
+                    STATUS[batch.fate].tolist(), batch.loss_cell.tolist(), batch.exit_x.tolist(),
                     batch.exit_h.tolist(), batch.exit_theta.tolist()))
             ]
             assert list(batch) == expected
@@ -229,7 +269,7 @@ class TestRayBatch:
                 batch[len(batch)]
             # The delivered-ray count that perfbench takes by iterating a batch.
             assert sum(p.status != "leaked" for p in batch) == \
-                np.count_nonzero(batch.status != "leaked")
+                np.count_nonzero(batch.delivered)
 
     def test_trace_cell_stops(self):
         with pytest.raises(NoIntersection):
@@ -277,7 +317,7 @@ class TestTraceArrays:
     def test_every_ray_lost_before_the_last_cell(self):
         layouts, media, h0 = ALL_LOST
         batch, focus = trace_arrays(layouts, media, h0)[0]
-        assert (batch.status != "arrived").all()
+        assert (batch.fate != CROSSED).all()
         assert batch.loss_cell.max() < 17
         assert focus.cells[-1].illumination_radius == 0.0
 

@@ -27,6 +27,8 @@ from cellray.geometry import (
     ArrayLayout,
     CellFocus,
     FocusReport,
+    CROSSED,
+    MISS,
     RayBatch,
     Spherical,
     collimated_bundle,
@@ -38,7 +40,7 @@ from conftest import CELL, TISSUE, reversed_batch
 MEDIA = Media(cell=CELL, tissue=TISSUE)
 
 
-def synthetic_batch(tissue_um, cell_um=0.0, exit_h=0.0, status="arrived"):
+def synthetic_batch(tissue_um, cell_um=0.0, exit_h=0.0, fate=CROSSED):
     """A RayBatch of axial rays with the given per-medium path lengths.
 
     One ray per entry of tissue_um; the other arguments are broadcast.
@@ -49,9 +51,9 @@ def synthetic_batch(tissue_um, cell_um=0.0, exit_h=0.0, status="arrived"):
     def column(value, dtype=float):
         return np.broadcast_to(np.asarray(value, dtype=dtype), (k,)).copy()
 
-    statuses = column(status, "<U8")
+    fates = column(fate, np.int8)
     cell = column(cell_um)
-    return RayBatch(status=statuses, loss_cell=np.where(statuses == "arrived", -1, 0),
+    return RayBatch(fate=fates, loss_cell=np.where(fates == CROSSED, -1, 0),
                     exit_x=cell + tissue, exit_h=column(exit_h),
                     exit_theta=np.zeros(k), cell_length=cell, tissue_length=tissue)
 
@@ -100,7 +102,7 @@ class TestPathContribution:
 
     def test_rejects_leaked(self):
         # A leaked ray gives no atom, detected or outside.
-        batch = synthetic_batch(10.0, status="leaked")
+        batch = synthetic_batch(10.0, fate=MISS)
         assert [len(atoms) for atoms in contributions(batch, MEDIA, 40.0)] == [0, 0]
 
     def test_detector_extent(self):
@@ -128,7 +130,7 @@ class TestBuildCir:
 
     def test_empty_channel(self):
         with pytest.raises(EmptyChannel):
-            cir_of(synthetic_batch(10.0, status="leaked"))
+            cir_of(synthetic_batch(10.0, fate=MISS))
 
     def test_aggregate_mode_scales(self):
         batch = synthetic_batch(450.0)

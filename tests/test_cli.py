@@ -14,13 +14,15 @@ from dataclasses import fields, replace
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cellray.channel as ch
 import cellray.geometry as geo
+import cellray.signal as sig
 import channel_oracle as oracle
-from cellray.cli import center_line_profile, main
+from cellray.cli import _sum_in_order, center_line_profile, load_scenario, main
 from cellray.config import (
     SCHEMA,
     Scenario,
@@ -549,6 +551,59 @@ def test_unusable_input_exits_2_without_traceback(tmp_path, case):
     assert child.returncode == 2, child.stderr
     assert "Traceback" not in child.stderr
     assert json.loads(child.stderr)["error"] == kind
+
+
+@pytest.mark.parametrize("command, blocked, extra", [("pulse", "rx.csv", ["--set", "k_rays=11"]),
+                                                   ("pathloss", "report.json", [])])
+def test_output_error_removes_the_runs_files(tmp_path, capsys, command, blocked, extra):
+    # The run fails on `blocked`, a directory, after writing other files.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    (out / "notes.txt").write_text("kept")
+    assert main(["--command", command, "--out", str(out), *extra]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert sorted(p.name for p in out.iterdir()) == sorted([blocked, "notes.txt"])
+
+
+def test_output_error_removes_the_out_it_made(tmp_path, capsys, monkeypatch):
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sig, "write_spectrum_csv", disk_full)  # after three waveforms
+    out = tmp_path / "new" / "out"
+    assert main(["--command", "pulse", "--out", str(out), "--set", "k_rays=11"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert list(tmp_path.iterdir()) == []
+
+
+@given(st.lists(st.floats()))
+@example([1e16, 1.0, -1e16])  # 0.0 left to right; a compensated sum gives 1.0
+def test_received_fraction_sum_is_a_plain_loop(values):
+    total = 0.0
+    for value in values:
+        total += value
+    assert repr(_sum_in_order(values)) == repr(total)
+
+
+def test_counts_and_status_words_come_from_fate(tmp_path, capsys):
+    # Cells less dense than the tissue: rays leak by miss, TIR and backward turn.
+    overrides = ["shape=spherical", "n_cell=1.0", "n_tissue=1.6", "k_rays=301"]
+    argv = ["--command", "trace", "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    scenario = load_scenario(None, overrides)
+    layout = scenario.build_layout()
+    batch, _ = trace_array(layout, scenario.build_media(),
+                           collimated_bundle(layout.shape, scenario.k_rays))
+    per_fate = np.bincount(batch.fate, minlength=len(geo.STATUS))
+    assert len(per_fate) == len(geo.STATUS) and per_fate.sum() == scenario.k_rays
+    assert (per_fate[[geo.MISS, geo.TIR, geo.BACKWARD]] > 0).all()
+    leaked = per_fate[[geo.MISS, geo.TIR, geo.BACKWARD]].sum()
+    assert json.loads((tmp_path / "report.json").read_text())["counts"] == {
+        "arrived": per_fate[geo.CROSSED], "leaked": leaked, "deviated": per_fate[geo.DEVIATED]}
+    assert [row[1] for row in read_csv(tmp_path / "rays.csv")[1:]] == \
+        geo.STATUS[batch.fate].tolist()
 
 
 @given(st.floats(1e-3, 1e3), st.sampled_from([-math.inf, math.inf]))

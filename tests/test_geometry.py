@@ -6,6 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from cellray.geometry import (
+    CROSSED,
+    DEVIATED,
+    STATUS,
     ArrayLayout,
     Fusiform,
     NoIntersection,
@@ -267,7 +270,7 @@ class TestTraceArray:
     def test_empty_array_single_tissue_segment(self):
         layout = ArrayLayout(Fusiform(30.0, 20.0), 0, 5.0, 5.0, 445.0)
         batch, report = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 11))
-        assert (batch.status == "arrived").all()
+        assert (batch.fate == CROSSED).all()
         assert batch.cell_length.tolist() == [0.0] * 11
         assert batch.tissue_length.tolist() == pytest.approx([450.0] * 11)
         assert report.cells == []
@@ -276,7 +279,7 @@ class TestTraceArray:
         layout = default_layout(Fusiform(30.0, 20.0))
         bundle = collimated_bundle(layout.shape, 301)
         batch, _ = trace_array(layout, MEDIA, bundle)
-        arrived = batch.status == "arrived"
+        arrived = batch.fate == CROSSED
         assert arrived.any()
         assert (batch.loss_cell[arrived] == -1).all()
         for h in bundle[arrived].tolist():
@@ -287,7 +290,7 @@ class TestTraceArray:
         layout = default_layout(Spherical(10.0), d_det=5.0)
         bundle = collimated_bundle(layout.shape, 101)
         batch, _ = trace_array(layout, MEDIA, bundle)
-        arrived = np.flatnonzero(batch.status == "arrived")
+        arrived = np.flatnonzero(batch.fate == CROSSED)
         assert arrived.size
         for i in arrived.tolist():
             # Tissue leg and chord alternate, each positive, and end in a
@@ -309,14 +312,14 @@ class TestTraceArray:
         for gap in (2.0, 5.0, 10.0, 20.0, 40.0):
             layout = ArrayLayout(Spherical(10.0), 18, gap, 5.0, 5.0)
             batch, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 301))
-            counts.append(int(np.count_nonzero(batch.status == "leaked")))
+            counts.append(int(np.count_nonzero(~batch.delivered)))
         assert counts == sorted(counts)
 
     def test_pyramidal_deviation_walks_downward(self):
         layout = default_layout(Pyramidal(30.0, 20.0))
         batch, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 301))
-        assert {"deviated", "leaked"} <= set(batch.status.tolist())
-        deviated = batch.status == "deviated"
+        assert {"deviated", "leaked"} <= set(STATUS[batch.fate].tolist())
+        deviated = batch.fate == DEVIATED
         assert (batch.loss_cell[deviated] >= 0).all()
         assert (batch.exit_theta[deviated] < 0.0).all()  # prism pushes rays toward the base
         assert batch.exit_x[deviated].tolist() == \
@@ -337,7 +340,7 @@ class TestTraceArray:
         layout = default_layout(Spherical(10.0), d_det=5.0)
         bundle = collimated_bundle(layout.shape, 51)
         batch, _ = trace_array(layout, flat, bundle)
-        assert (batch.status == "arrived").all()
+        assert (batch.fate == CROSSED).all()
         np.testing.assert_allclose(batch.exit_h, bundle, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(batch.exit_theta, 0.0, rtol=0.0, atol=1e-12)
         expected_cell = [18 * layout.shape.chord_at(h) for h in bundle.tolist()]
@@ -363,5 +366,5 @@ def test_radial_bundle_is_mirror_symmetric(shape, k, n_cells, gap, detector_gap)
     layout = ArrayLayout(shape=shape, n_cells=n_cells, gap=gap, source_gap=5.0,
                          detector_gap=detector_gap)
     batch, _ = trace_array(layout, MEDIA, collimated_bundle(shape, k))
-    assert batch.status.tolist() == batch.status[::-1].tolist()
+    assert batch.fate.tolist() == batch.fate[::-1].tolist()
     np.testing.assert_allclose(batch.exit_h, -batch.exit_h[::-1], rtol=0.0, atol=1e-9)
