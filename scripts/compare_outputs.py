@@ -7,16 +7,20 @@ Runs one fixed job matrix through `cellray.cli.main` for each tree, in one
 subprocess per tree with PYTHONPATH=<tree>/src: the five single-scenario
 commands on the three shapes in both gamma modes, plus K=1, N=0 (cir and
 trace), a tiny detector, a 3-point sweep, two sweeps that fail at a point
-and two error cases (exit 2 and exit 3). Sweeps whose points share one
-trace (n_cells with 0, repeats and unsorted values, total_um, d_R_um) and
-one whose points do not (d_l_um, with a repeat) run on the three shapes in
-both gamma modes too. Two kinds of pulse job cover the convolution window and
-the CSV writer's fixed-width path: K=101 at 0.02 fs steps on the three
-shapes (~100k-row waveforms), and a free-space pulse whose window starts
-at bin 0. A trace through cells less dense than the tissue covers every
-way a ray is lost. Every job's exit code, stdout, stderr and output files
-are compared byte for byte. The jobs that differ are listed, and the exit
-code is 1 on any difference, 0 when every job matches.
+and five error cases: a negative gap (exit 2), an empty channel (exit 3),
+too many CIR bins and the convolution cap (each exit 2, raised inside the
+command), and a wavelength whose carrier divides by zero (exit 2). Sweeps
+whose points share one trace (n_cells with 0, repeats and unsorted values,
+total_um, d_R_um) and one whose points do not (d_l_um, with a repeat) run
+on the three shapes in both gamma modes too. Two kinds of pulse job cover
+the convolution window and the CSV writer's fixed-width path: K=101 at
+0.02 fs steps on the three shapes (~100k-row waveforms), and a free-space
+pulse whose window starts at bin 0. A trace through cells less dense than
+the tissue covers every way a ray is lost. Every job's exit code, stdout,
+stderr and output files are compared byte for byte, and so is whether its
+--out exists, since a failed run must not leave even an empty directory.
+The jobs that differ are listed, and the exit code is 1 on any difference,
+0 when every job matches.
 """
 
 from __future__ import annotations
@@ -82,6 +86,13 @@ def jobs() -> dict[str, list[str]]:
         "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],
+        "error-cir-bins": ["--command", "cir", "--set", "k_rays=11",
+                           "--set", "cir_dt_fs=1e-12"],
+        # 80,001 pulse samples times 509,730 CIR bins.
+        "error-convolution-cap": ["--command", "pulse", "--set", "tau_fs=40", "--set",
+                                  "waveform_dt_fs=0.004", "--set", "k_rays=11"],
+        "error-tiny-wavelength": ["--command", "pulse", "--set", "k_rays=11",
+                                  "--set", "lambda_nm=5e-324"],
     })
     return matrix
 
@@ -123,7 +134,11 @@ def differences(a_dir: Path, a: dict, b_dir: Path, b: dict) -> tuple[dict[str, l
     diff, compared = {}, 0
     for job_id in jobs():
         what = [key for key in ("code", "stdout", "stderr") if a[job_id][key] != b[job_id][key]]
-        a_files, b_files = files(a_dir / "jobs" / job_id), files(b_dir / "jobs" / job_id)
+        a_out, b_out = a_dir / "jobs" / job_id, b_dir / "jobs" / job_id
+        if a_out.exists() != b_out.exists():
+            what.append(f"--out exists in {'this' if a_out.exists() else 'the other'} "
+                        "tree only")
+        a_files, b_files = files(a_out), files(b_out)
         what += [f"only in one tree: {name}" for name in sorted(a_files.keys() ^ b_files.keys())]
         shared = sorted(a_files.keys() & b_files.keys())
         what += [f"bytes of {name}" for name in shared if a_files[name] != b_files[name]]

@@ -5,7 +5,9 @@ validate.  Identical scenario files produce byte-identical output files;
 there is no hidden randomness anywhere in the pipeline.
 
 Exit codes: 0 success, 2 validation or input error, 3 physics error (for
-example an empty channel).
+example an empty channel).  A command computes every output before --out
+is created, so a run that exits 2 or 3 leaves no file and no directory; an
+output error removes what the run created.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,6 +33,10 @@ from .optics import (DB_PER_NEPER, UM_PER_MM, BeyondPole, Media, absorbance,
                      total_path_loss)
 
 COMMANDS = ("trace", "pathloss", "cir", "pulse", "detector", "sweep", "validate")
+
+# What a command returns besides its report: output file name -> writer of
+# that file's path, in the order the files are written and listed.
+Outputs = dict[str, Callable[[Path], None]]
 
 
 class CliError(Exception):
@@ -177,7 +183,6 @@ def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
         "path_loss_db": total_path_loss(chan.layout, chan.media),
         "counts": {word: int(per_fate[geo.STATUS == word].sum())
                    for word in ("arrived", "leaked", "deviated")},
-        "files": [],
     }
     if chan.detected:
         # Summed in ray order: the report's bytes depend on it.
@@ -192,35 +197,31 @@ def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
     return report
 
 
-def cmd_trace(scenario: cfg.Scenario, out: Path) -> dict:
+def cmd_trace(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     chan = _channel(scenario)
     paths, focus = chan.paths, chan.focus
-    # Before any file is written: a degenerate focus fails the whole run.
     report = _base_report(chan)
-    rays_csv = out / "rays.csv"
-    loss = paths.loss_cell
-    ch.write_csv(
-        rays_csv,
-        ["ray_index", "status", "loss_cell", "h0_um", "exit_x_um",
-         "exit_h_um", "exit_theta_rad", "cell_path_um", "tissue_path_um"],
-        [np.arange(len(paths)), geo.STATUS[paths.fate], np.where(loss < 0, "", loss.astype(str)),
-         chan.h0, paths.exit_x, paths.exit_h, paths.exit_theta,
-         paths.cell_length, paths.tissue_length],
-    )
-    focus_csv = out / "focus_report.csv"
-    ch.write_csv(
-        focus_csv,
-        ["cell_index", "theta_f_rad", "x_f_um", "illumination_radius_um"],
-        [[c.cell_index for c in focus.cells],
-         ["" if c.theta_f is None else _fmt(c.theta_f) for c in focus.cells],
-         ["" if c.x_f is None else _fmt(c.x_f) for c in focus.cells],
-         [c.illumination_radius for c in focus.cells]],
-    )
     report["source_radius_um"] = focus.source_radius
     report["detector_radius_um"] = None if math.isnan(focus.detector_radius) \
         else focus.detector_radius
-    report["files"] = [rays_csv.name, focus_csv.name]
-    return report
+    loss = paths.loss_cell
+    return report, {
+        "rays.csv": partial(
+            ch.write_csv,
+            header=["ray_index", "status", "loss_cell", "h0_um", "exit_x_um",
+                    "exit_h_um", "exit_theta_rad", "cell_path_um", "tissue_path_um"],
+            columns=[np.arange(len(paths)), geo.STATUS[paths.fate],
+                     np.where(loss < 0, "", loss.astype(str)), chan.h0, paths.exit_x,
+                     paths.exit_h, paths.exit_theta, paths.cell_length,
+                     paths.tissue_length]),
+        "focus_report.csv": partial(
+            ch.write_csv,
+            header=["cell_index", "theta_f_rad", "x_f_um", "illumination_radius_um"],
+            columns=[[c.cell_index for c in focus.cells],
+                     ["" if c.theta_f is None else _fmt(c.theta_f) for c in focus.cells],
+                     ["" if c.x_f is None else _fmt(c.x_f) for c in focus.cells],
+                     [c.illumination_radius for c in focus.cells]]),
+    }
 
 
 def center_line_profile(layout: geo.ArrayLayout) -> tuple[np.ndarray, ...]:
@@ -241,7 +242,7 @@ def center_line_profile(layout: geo.ArrayLayout) -> tuple[np.ndarray, ...]:
     return tuple(map(np.concatenate, (distance, cell_um, tissue_um)))
 
 
-def cmd_pathloss(scenario: cfg.Scenario, out: Path) -> dict:
+def cmd_pathloss(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     layout = scenario.build_layout()
     media = scenario.build_media()
     # Cumulative center-line loss profile, each DPF on the running
@@ -249,33 +250,26 @@ def cmd_pathloss(scenario: cfg.Scenario, out: Path) -> dict:
     distance, cell_um, tissue_um = center_line_profile(layout)
     pathloss = DB_PER_NEPER * (absorbance(media.cell, cell_um / UM_PER_MM)
                                + absorbance(media.tissue, tissue_um / UM_PER_MM))
-
-    curve_csv = out / "pathloss_curve.csv"
-    report = {  # before the curve is written: total_path_loss can raise BeyondPole
+    report = {
         "scenario": scenario.to_dict(),
         "path_loss_db": total_path_loss(layout, media),
         # The value as written to the curve's last row.
         "center_line_path_loss_db": float(_fmt(pathloss[-1])),
-        "files": [curve_csv.name],
     }
-    ch.write_csv(curve_csv, ["distance_um", "pathloss_db"], [distance, pathloss])
-    return report
+    return report, {"pathloss_curve.csv": partial(
+        ch.write_csv, header=["distance_um", "pathloss_db"], columns=[distance, pathloss])}
 
 
-def cmd_cir(scenario: cfg.Scenario, out: Path) -> dict:
+def cmd_cir(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     chan = _channel(scenario)
     cir = chan.cir("cir_dt_fs")
-    pdp = ch.power_delay_profile(cir)
-    report = _base_report(chan, cir)  # before any file is written
-    cir_csv, pdp_csv = out / "cir.csv", out / "pdp.csv"
-    ch.write_cir_csv(cir, cir_csv)
-    ch.write_pdp_csv(pdp, pdp_csv)
+    report = _base_report(chan, cir)
     report["total_gain"] = cir.total_gain()
-    report["files"] = [cir_csv.name, pdp_csv.name]
-    return report
+    return report, {"cir.csv": partial(ch.write_cir_csv, cir),
+                    "pdp.csv": partial(ch.write_pdp_csv, ch.power_delay_profile(cir))}
 
 
-def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
+def cmd_pulse(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     tau, dt = scenario.pulse_grid_s()
     tx = sig.gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt)
     chan = _channel(scenario)
@@ -290,72 +284,61 @@ def cmd_pulse(scenario: cfg.Scenario, out: Path) -> dict:
     summary = sig.received_pulse(tx, dominant_delay,
                                  1.0 if chan.gamma is None else chan.gamma,
                                  cir.total_gain())
-    report = _base_report(chan)  # before any file is written
-    files = []
-    for name, wave in (("tx.csv", tx), ("rx.csv", rx), ("rx_summary.csv", summary)):
-        sig.write_waveform_csv(wave, out / name)
-        files.append(name)
     tx_spectrum, rx_spectrum = sig.spectrum(tx), sig.spectrum(rx)
-    for name, spec in (("tx_spectrum.csv", tx_spectrum), ("rx_spectrum.csv", rx_spectrum)):
-        sig.write_spectrum_csv(spec, out / name)
-        files.append(name)
+    report = _base_report(chan)
     report["tx_peak_power"] = float(sig.envelope(tx).max() ** 2)
     report["rx_summary_peak_power"] = float(sig.envelope(summary).max() ** 2)
     report["tx_peak_frequency_hz"] = tx_spectrum.peak_frequency()
     report["rx_peak_frequency_hz"] = rx_spectrum.peak_frequency()
-    report["files"] = files
-    return report
+    return report, {
+        "tx.csv": partial(sig.write_waveform_csv, tx),
+        "rx.csv": partial(sig.write_waveform_csv, rx),
+        "rx_summary.csv": partial(sig.write_waveform_csv, summary),
+        "tx_spectrum.csv": partial(sig.write_spectrum_csv, tx_spectrum),
+        "rx_spectrum.csv": partial(sig.write_spectrum_csv, rx_spectrum),
+    }
 
 
-def cmd_detector(scenario: cfg.Scenario, out: Path) -> dict:
+def cmd_detector(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     chan = _channel(scenario)
-    report = _base_report(chan)  # before the map is written, as in cmd_trace
+    report = _base_report(chan)
     dmap = ch.detector_map(chan.detected)
-    det_csv = out / "detector_map.csv"
-    ch.write_detector_csv(dmap, det_csv)
     report["detected_rays"] = len(dmap.samples)
     if len(dmap.samples):
         best = int(np.argmax(dmap.samples[:, 1]))
         report["max_power_coordinate_um"] = float(dmap.samples[best, 0])
-    report["files"] = [det_csv.name]
-    return report
+    return report, {"detector_map.csv": partial(ch.write_detector_csv, dmap)}
 
 
-def cmd_sweep(scenario: cfg.Scenario, out: Path) -> dict:
+def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     if scenario.sweep is None:
         raise CliError("validation", ["sweep: command needs a sweep block"], 2)
     param = scenario.sweep["parameter"]
     points = cfg.sweep_points(scenario)
-    # Compute everything first; nothing is written if any point fails.  The
-    # points before the first invalid one run, in order, before it fails the
-    # sweep, so the first point that fails alone is the one reported.
+    # The points before the first invalid one run, in order, before it fails
+    # the sweep, so the first point that fails alone is the one reported.
     valid = next((i for i, point in enumerate(points) if cfg.validate(point)), len(points))
-    results = []
-    for chan in _channels(points[:valid]):
+    outputs, rows = {}, []
+    for i, chan in enumerate(_channels(points[:valid])):
         cir = chan.cir("cir_dt_fs")
         report = _base_report(chan, cir)
         counts = report["counts"]
-        results.append((cir, (float(getattr(chan.scenario, param)), report["dominant_delay_s"],
-                              cir.total_gain(), report["path_loss_db"], counts["leaked"],
-                              counts["deviated"])))
+        outputs[f"cir_{i:03d}.csv"] = partial(ch.write_cir_csv, cir)
+        rows.append((float(getattr(chan.scenario, param)), report["dominant_delay_s"],
+                     cir.total_gain(), report["path_loss_db"], counts["leaked"],
+                     counts["deviated"]))
     if valid < len(points):
         _require_valid(points[valid])
-
-    files = []
-    for i, (cir, _) in enumerate(results):
-        name = f"cir_{i:03d}.csv"
-        ch.write_cir_csv(cir, out / name)
-        files.append(name)
-    summary_csv = out / "sweep_summary.csv"
-    header = [param, "dominant_delay_s", "total_gain", "pathloss_db", "leaked", "deviated"]
-    ch.write_csv(summary_csv, header,
-                 [[row[j] for _, row in results] for j in range(len(header))])
-    files.append(summary_csv.name)
+    outputs["sweep_summary.csv"] = partial(
+        ch.write_csv,
+        header=[param, "dominant_delay_s", "total_gain", "pathloss_db", "leaked", "deviated"],
+        columns=list(zip(*rows)))
     return {"scenario": scenario.to_dict(), "sweep_parameter": param,
-            "points": len(points), "files": files}
+            "points": len(points)}, outputs
 
 
 def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
+    """Run one command, then write its outputs and report.json into out."""
     _require_valid(scenario)
     handler = {
         "trace": cmd_trace,
@@ -365,18 +348,22 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
         "detector": cmd_detector,
         "sweep": cmd_sweep,
     }[command]
+    try:
+        report, outputs = handler(scenario)
+    except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
+        raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
+    report["files"] = list(outputs)
     created: list[Path] = []  # the directories the run makes, deepest first
     kept = None  # out's entries before the run, once listed
     try:
         created = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         kept = set(out.iterdir())
-        report = handler(scenario, out)
+        for name, write in outputs.items():
+            write(out / name)
         with open(out / "report.json", "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
-        raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
     except OSError as exc:
         # Undo what the run added; a file it overwrote keeps its new bytes.
         if kept is not None:

@@ -265,6 +265,15 @@ def _range_problems(s: Scenario) -> list[tuple[str, str]]:
     if s.waveform_dt_fs > 0.0 and s.tau_fs > 0.0 and dt >= tau / 10.0:
         problems.append(("waveform_dt_fs", "must be under tau/10 to resolve the envelope, "
                                            f"got a {dt!r} s step for tau/10 = {tau / 10.0!r} s"))
+    # Judged by the carrier the pulse is built with: 2 pi c / lambda.
+    if s.lambda_nm > 0.0:
+        try:
+            omega0 = s.build_wavelength().omega0_rad_per_s
+        except ZeroDivisionError:  # the wavelength in metres underflows to 0
+            omega0 = math.inf
+        if not math.isfinite(omega0):
+            problems.append(("lambda_nm", "the carrier 2 pi c / lambda must be finite, "
+                                          f"got {omega0!r} rad/s"))
     if s.sweep is not None:
         problems += [("sweep", problem) for problem in _sweep_problems(s)]
     return problems

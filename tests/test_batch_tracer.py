@@ -250,6 +250,16 @@ class TestRayBatch:
         batch = assert_same_trace(layout, dense, [10.0], events=True)
         assert batch.fate.tolist() == [DEVIATED] and batch.loss_cell.tolist() == [3]
 
+    @pytest.mark.parametrize("h", [0.0, 10.0, 14.0, 15.0, 16.0])
+    def test_pyramidal_exit_miss(self, h):
+        # Aimed at the apex (14, 15): the ray enters there, refracts forward
+        # and then meets neither exit face, a miss and not a reflection.
+        shape, launch = Pyramidal(30.0, 20.0), (0.0, h, math.atan2(15.0 - h, 14.0))
+        with pytest.raises(NoIntersection):
+            oracle.trace_cell(shape, MEDIA, oracle.RayState(*launch), 4.0)
+        with pytest.raises(NoIntersection):
+            trace_cell(shape, MEDIA, RayState(*launch), 4.0)
+
     def test_sequence_protocol(self):
         """Iterating or indexing a batch gives views of entry i of its arrays."""
         for shape in SHAPES:

@@ -368,7 +368,7 @@ class TestCliCommands:
                        "--set", f"detector_width_um={grid[failing]}"])
         assert (code, err) == (single, capsys.readouterr().err)
         assert code in (2, 3)
-        assert list((tmp_path / "sweep").iterdir()) == []
+        assert not (tmp_path / "sweep").exists()
 
     @pytest.mark.parametrize("sweep, named", [
         ('{"parameter": "n_cells", "values": [1.5, 2.7]}', "n_cells"),
@@ -485,6 +485,10 @@ REJECTED_INPUTS = [
     ("trace", ["k_rays=1", "n_cells=2501", "total_um=9e4"], "n_cells"),
     # 40,001 pulse samples times 1,019,570 CIR bins to convolve.
     ("pulse", ["tau_fs=10", "waveform_dt_fs=0.002", "k_rays=11"], "waveform_dt_fs"),
+    # The carrier 2 pi c / lambda divides by zero (a ZeroDivisionError
+    # traceback) or overflows (NaN waveforms and NaN in report.json).
+    ("pulse", ["k_rays=11", "lambda_nm=5e-324"], "lambda_nm"),
+    ("pulse", ["k_rays=11", "lambda_nm=1e-300"], "lambda_nm"),
     # Under tau/10 in femtoseconds but not in the seconds the pulse is built
     # in: validate passed it and the pulse failed with UnderResolved (exit 3).
     ("pulse", ["tau_fs=76.37982415147164", "waveform_dt_fs=7.637982415147163"],
@@ -508,7 +512,22 @@ def test_rejected_naming_key_without_files(tmp_path, capsys, command, overrides,
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "validation"
     assert any(v.startswith(f"{key}:") for v in record["detail"]), record
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, overrides, code", [
+    ("cir", ["n_cells=0", "k_rays=10", "detector_width_um=0.001"], 3),  # empty channel
+    # 80,001 pulse samples times 509,730 CIR bins, over the convolution cap.
+    ("pulse", ["tau_fs=40", "waveform_dt_fs=0.004", "k_rays=11"], 2),
+])
+def test_failed_run_leaves_no_directory(tmp_path, capsys, command, overrides, code):
+    # validate passes both and the command fails: neither out nor its
+    # missing parent is created.
+    argv = ["--command", command, "--out", str(tmp_path / "x" / "new")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == code
+    assert not (tmp_path / "x").exists()
 
 
 def _deep_json(depth: int) -> str:
