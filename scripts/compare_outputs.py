@@ -7,9 +7,12 @@ Runs one fixed job matrix through `cellray.cli.main` for each tree, in one
 subprocess per tree with PYTHONPATH=<tree>/src: the five single-scenario
 commands on the three shapes in both gamma modes, plus K=1, N=0 (cir and
 trace), a tiny detector, a 3-point sweep, two sweeps that fail at a point
-and five error cases: a negative gap (exit 2), an empty channel (exit 3),
+and six error cases: a negative gap (exit 2), an empty channel (exit 3),
 too many CIR bins and the convolution cap (each exit 2, raised inside the
-command), and a wavelength whose carrier divides by zero (exit 2). Sweeps
+command), a wavelength whose carrier divides by zero and one whose carrier
+phase overflows at the pulse's last sample (each exit 2). A channel whose
+three detected rays all have a gain of 0.0 runs through trace (exit 0,
+no dominant delay), cir, pulse and detector (each exit 3). Sweeps
 whose points share one trace (n_cells with 0, repeats and unsorted values,
 total_um, d_R_um) and one whose points do not (d_l_um, with a repeat) run
 on the three shapes in both gamma modes too. Two kinds of pulse job cover
@@ -93,6 +96,16 @@ def jobs() -> dict[str, list[str]]:
                                   "waveform_dt_fs=0.004", "--set", "k_rays=11"],
         "error-tiny-wavelength": ["--command", "pulse", "--set", "k_rays=11",
                                   "--set", "lambda_nm=5e-324"],
+        "error-phase-overflow": ["--command", "pulse", "--set", "k_rays=11", "--set",
+                                 "lambda_nm=1e-289", "--set", "tau_fs=1e20", "--set",
+                                 "waveform_dt_fs=1e19"],
+        # Both tissue coefficients are in range; the three free-space rays'
+        # transmittance underflows to 0.0.
+        **{f"zero-gain-{command}": ["--command", command, "--set", "shape=pyramidal",
+                                    "--set", "k_rays=3", "--set", "n_cells=0", "--set",
+                                    "mu_s_prime_tissue_per_mm=5103.27", "--set",
+                                    "mu_a_tissue_per_mm=528620.19"]
+           for command in ("trace", "cir", "pulse", "detector")},
     })
     return matrix
 

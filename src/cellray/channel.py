@@ -45,10 +45,11 @@ ILLUMINATION_FLOOR_UM = 1e-3
 # The most bins build_cir makes: over 100 times the ~0.1M bins of 0.02 fs
 # that a 450 um line needs.
 MAX_CIR_BINS = 12_000_000
+_ZERO_GAIN = "every detected ray's gain is 0.0"
 
 
 class EmptyChannel(Exception):
-    """No ray reaches the detector."""
+    """No light reaches the detector: no ray is detected, or every gain is 0.0."""
 
 
 class DegenerateFocus(Exception):
@@ -145,12 +146,13 @@ def build_cir(detected: Atoms, n_rays: int, dt_s: float = 10e-15,
     received intensity.  Focusing is left to the ray arrival density unless
     aggregate_gamma, the cumulative focusing ratio, is given: then all bins
     are scaled by it as well.  Raises BinOverflow for a bin width of 0 s,
-    or for delays that would need more than MAX_CIR_BINS bins.
+    or for delays that would need more than MAX_CIR_BINS bins, and
+    EmptyChannel when no detected gain is non-zero.
     """
     if dt_s <= 0.0:
         raise BinOverflow(f"bin width must be positive, got {dt_s!r} s")
-    if not detected:
-        raise EmptyChannel("no ray reaches the detector")
+    if not detected.gain.any():
+        raise EmptyChannel(_ZERO_GAIN if detected else "no ray reaches the detector")
     with np.errstate(over="ignore"):
         slots = np.rint(detected.delay_s / dt_s)
     # Checked before the cast: an overflowed cast gives a negative slot.
@@ -176,7 +178,7 @@ def focusing_gain(report: FocusReport) -> list[float]:
     ILLUMINATION_FLOOR_UM raise DegenerateFocus.
     """
     chain = [report.source_radius]
-    chain.extend(c.illumination_radius for c in report.cells)
+    chain.extend(report.radius.tolist())
     if not math.isnan(report.detector_radius):
         chain.append(report.detector_radius)
     for radius in chain:
@@ -192,6 +194,8 @@ def cumulative_gamma(report: FocusReport) -> float:
 def detector_map(detected: Atoms) -> DetectorMap:
     """Arrival coordinates, normalized power and delay of the detected atoms."""
     top = detected.gain.max() if len(detected) else 1.0
+    if top == 0.0:
+        raise EmptyChannel(_ZERO_GAIN)
     order = np.argsort(detected.detector_coordinate_um, kind="stable")
     samples = np.column_stack((detected.detector_coordinate_um[order],
                                detected.gain[order] / top, detected.delay_s[order]))

@@ -51,6 +51,11 @@ def _fmt(value: float) -> str:
     return f"{value:.12e}"
 
 
+def _fmt_or_empty(values: np.ndarray) -> list[str]:
+    """Each value as _fmt text, "" where it is NaN (no such value)."""
+    return ["" if math.isnan(v) else _fmt(v) for v in values.tolist()]
+
+
 def _parse_override(text: str):
     """key=value with the value parsed as JSON when possible."""
     key, sep, raw = text.partition("=")
@@ -184,7 +189,7 @@ def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
         "counts": {word: int(per_fate[geo.STATUS == word].sum())
                    for word in ("arrived", "leaked", "deviated")},
     }
-    if chan.detected:
+    if chan.detected.gain.any():  # light reaches the detector
         # Summed in ray order: the report's bytes depend on it.
         report["total_received_fraction"] = \
             _sum_in_order(chan.detected.gain.tolist()) / len(chan.paths)
@@ -217,10 +222,8 @@ def cmd_trace(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
         "focus_report.csv": partial(
             ch.write_csv,
             header=["cell_index", "theta_f_rad", "x_f_um", "illumination_radius_um"],
-            columns=[[c.cell_index for c in focus.cells],
-                     ["" if c.theta_f is None else _fmt(c.theta_f) for c in focus.cells],
-                     ["" if c.x_f is None else _fmt(c.x_f) for c in focus.cells],
-                     [c.illumination_radius for c in focus.cells]]),
+            columns=[np.arange(len(focus.radius)), _fmt_or_empty(focus.theta_f),
+                     _fmt_or_empty(focus.x_f), focus.radius]),
     }
 
 

@@ -340,10 +340,15 @@ def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
                          f"the {layout.total_length:.6g} um center line needs more than "
                          f"{MAX_PATH_SAMPLES} path-loss samples"))
     tau, dt = s.pulse_grid_s()
-    if not pulse_samples(tau, dt) <= MAX_PULSE_SAMPLES:
+    samples = pulse_samples(tau, dt)
+    if not samples <= MAX_PULSE_SAMPLES:
         problems.append(("waveform_dt_fs", f"a {8.0 * tau:.6g} s pulse span at "
                                            f"{dt:.6g} s steps needs more than "
                                            f"{MAX_PULSE_SAMPLES} samples"))
+    elif not math.isfinite(  # the largest phase omega0 * t the pulse takes the cosine of
+            phase := s.build_wavelength().omega0_rad_per_s * (dt * (int(samples) // 2))):
+        problems.append(("lambda_nm", f"the carrier phase at the pulse's last sample "
+                                      f"must be finite, got {phase!r} rad"))
     return problems
 
 

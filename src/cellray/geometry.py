@@ -108,10 +108,6 @@ class Fusiform:
     def half_aperture(self) -> float:
         return 0.5 * self.h_c
 
-    @property
-    def max_chord(self) -> float:
-        return self.w_c
-
     def chord_at(self, h: float) -> float:
         """Axial thickness of the lens at transverse offset h."""
         if abs(h) >= self.half_aperture:
@@ -138,10 +134,6 @@ class Spherical:
     def half_aperture(self) -> float:
         return self.r_c
 
-    @property
-    def max_chord(self) -> float:
-        return 2.0 * self.r_c
-
     def chord_at(self, h: float) -> float:
         if abs(h) >= self.r_c:
             return 0.0
@@ -166,10 +158,6 @@ class Pyramidal:
     @property
     def half_aperture(self) -> float:
         return 0.5 * self.h_c
-
-    @property
-    def max_chord(self) -> float:
-        return self.w_c
 
     def chord_at(self, h: float) -> float:
         """Axial width at transverse offset h (base at -h_c/2, apex at +h_c/2)."""
@@ -322,22 +310,20 @@ class RayBatch:
                        loss_cell=None if loss < 0 else loss, exit=exit_state)
 
 
-@dataclass(frozen=True)
-class CellFocus:
-    """Per-cell focus summary taken from the marginal (outermost) ray."""
-
-    cell_index: int
-    theta_f: Optional[float]
-    x_f: Optional[float]
-    illumination_radius: float  # max |h| over surviving rays at the cell exit
-
-
-@dataclass
+@dataclass(eq=False)
 class FocusReport:
-    """Illumination radii along the array plus per-cell focus entries."""
+    """Illumination radii along the array and each cell's marginal-ray focus.
+
+    Entry i of radius, theta_f and x_f belongs to cell i: max |h| over the
+    rays leaving it (0.0 if none does) and the outermost one's FocusEntry.
+    NaN marks a value that does not exist: the focus of a pyramidal cell or
+    of a cell no ray leaves, and the detector radius with no delivered ray.
+    """
 
     source_radius: float
-    cells: list[CellFocus]
+    radius: np.ndarray
+    theta_f: np.ndarray
+    x_f: np.ndarray
     detector_radius: float
 
 
@@ -607,8 +593,9 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
     source_radius = float(np.max(np.abs(rays[1])))
     fate = np.full(k, CROSSED, dtype=np.int8)
     loss_cell = np.full(k, -1)
-    radii = [0.0] * n_max
-    focus: list[Optional[FocusEntry]] = [None] * n_max
+    # Rows radius, theta_f, x_f of each cell: FocusReport's arrays.
+    cells = np.full((3, n_max), math.nan)
+    cells[0] = 0.0
 
     # Every layout but the last to end gets a copy of the state it ends in.
     last = (n_max, at_count[n_max][-1])
@@ -619,7 +606,7 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
             state = own(rays)
             state[:, live] = run
             results[i] = _to_detector(layouts[i], state, own(fate), own(loss_cell),
-                                      radii[:cell], focus[:cell], source_radius)
+                                      own(cells[:, :cell]), source_radius)
         if cell == n_max or not live.size:
             continue
         entry_x = layouts[0].cell_entry_x(cell)
@@ -643,23 +630,24 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
         run[4] += np.where(t_entry > TOL, t_entry, 0.0)
         theta = _atan2(dy, dx)
         run[:3] = xx, xh, theta
-        radii[cell] = float(np.max(np.abs(xh)))
+        cells[0, cell] = np.max(np.abs(xh))
         if not isinstance(shape, Pyramidal):
             j = int(np.argmax(np.abs(eh)))  # the marginal ray
-            focus[cell] = _focus(float(xx[j]), float(xh[j]), float(dx[j]), float(dy[j]),
-                                 float(theta[j]), entry_x + shape.axial_extent)
+            focus = _focus(float(xx[j]), float(xh[j]), float(dx[j]), float(dy[j]),
+                           float(theta[j]), entry_x + shape.axial_extent)
+            cells[1:, cell] = focus.theta_f, focus.x_f
     return results
 
 
 def _to_detector(layout: ArrayLayout, rays: np.ndarray, fate: np.ndarray,
-                 loss_cell: np.ndarray, radii: list[float],
-                 focus: list[Optional[FocusEntry]],
+                 loss_cell: np.ndarray, cells: np.ndarray,
                  source_radius: float) -> tuple[RayBatch, FocusReport]:
     """Run the rays past layout's last cell on to its detector plane.
 
     rays holds trace_arrays' five rows (x, h, theta, cell and tissue length)
-    after that cell and is updated in place; fate, loss_cell and the rest
-    are the per-ray and per-cell records of layout's cells.
+    after that cell and is updated in place; fate and loss_cell are the
+    per-ray records of layout's cells, cells the rows radius, theta_f and
+    x_f of each of them.
     """
     x, h, theta, cell_length, tissue_length = rays
     batch = RayBatch(fate=fate, loss_cell=loss_cell, exit_x=x, exit_h=h,
@@ -673,21 +661,8 @@ def _to_detector(layout: ArrayLayout, rays: np.ndarray, fate: np.ndarray,
     h[delivered] += _tan(theta[delivered]) * remaining
     x[delivered] = d_total
     detector_radius = float(np.max(np.abs(h[delivered]))) if delivered.size else 0.0
-    cells = [
-        CellFocus(
-            cell_index=i,
-            theta_f=None if entry is None else entry.theta_f,
-            x_f=None if entry is None else entry.x_f,
-            illumination_radius=radius,
-        )
-        for i, (entry, radius) in enumerate(zip(focus, radii))
-    ]
-    report = FocusReport(
-        source_radius=source_radius,
-        cells=cells,
-        detector_radius=detector_radius if detector_radius > 0.0 else math.nan,
-    )
-    return batch, report
+    return batch, FocusReport(source_radius, *cells,
+                              detector_radius if detector_radius > 0.0 else math.nan)
 
 
 def center_line(layout: ArrayLayout) -> Iterator[tuple[float, str, int]]:

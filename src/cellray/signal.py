@@ -29,30 +29,16 @@ class IllConditioned(Exception):
 
 @dataclass(eq=False)
 class Waveform:
-    """Sampled real field with its carrier and envelope metadata.
-
-    Attributes:
-        t0: time of the first sample (s)
-        dt: sample step (s), must resolve the envelope (dt < tau/10)
-        samples: real field values
-        omega0: carrier angular frequency (rad/s)
-        tau: envelope FWHM (s)
-    """
+    """Real field samples at the times t0 + k*dt (s), k = 0, 1, ...; dt > 0."""
 
     t0: float
     dt: float
     samples: np.ndarray
-    omega0: float
-    tau: float
 
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError("sample step must be positive")
-        if self.dt >= self.tau / 10.0:
-            raise UnderResolved(f"dt {self.dt} cannot resolve tau {self.tau}")
         self.samples = np.asarray(self.samples, dtype=float)
-        if len(self.samples) < 8.0 * self.tau / self.dt:
-            raise ValueError("waveform must span at least 8 tau")
 
     @property
     def times(self) -> np.ndarray:
@@ -109,10 +95,8 @@ def gaussian_pulse(e0: float, tau_s: float, wavelength: Wavelength,
         raise UnderResolved(f"dt {dt_s} cannot resolve tau {tau_s}")
     half = int(pulse_samples(tau_s, dt_s)) // 2
     t = dt_s * np.arange(-half, half + 1)
-    omega0 = wavelength.omega0_rad_per_s
     return Waveform(t0=-half * dt_s, dt=dt_s,
-                    samples=_field(t, e0, tau_s, omega0),
-                    omega0=omega0, tau=tau_s)
+                    samples=_field(t, e0, tau_s, wavelength.omega0_rad_per_s))
 
 
 def received_pulse(tx: Waveform, t_d_s: float, gamma: float,
@@ -126,8 +110,7 @@ def received_pulse(tx: Waveform, t_d_s: float, gamma: float,
     if t_d_s < 0.0:
         raise ValueError("delay must be non-negative")
     scale = gamma * attenuation
-    return Waveform(t0=tx.t0 + t_d_s, dt=tx.dt, samples=scale * tx.samples,
-                    omega0=tx.omega0, tau=tx.tau)
+    return Waveform(t0=tx.t0 + t_d_s, dt=tx.dt, samples=scale * tx.samples)
 
 
 def propagate(tx: Waveform, cir: ImpulseResponse) -> Waveform:
@@ -148,8 +131,7 @@ def propagate(tx: Waveform, cir: ImpulseResponse) -> Waveform:
     start = max(first - (len(tx.samples) - 1), 0)
     samples = np.zeros(len(tx.samples) + len(cir.bins) - 1)
     samples[start:] = np.convolve(tx.samples, cir.bins[start:])
-    return Waveform(t0=tx.t0 + cir.t0, dt=tx.dt, samples=samples,
-                    omega0=tx.omega0, tau=tx.tau)
+    return Waveform(t0=tx.t0 + cir.t0, dt=tx.dt, samples=samples)
 
 
 def envelope(w: Waveform) -> np.ndarray:

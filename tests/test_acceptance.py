@@ -361,8 +361,7 @@ def test_criterion_9_property_battery(runs):
     bins = np.zeros(2001)
     bins[700], bins[2000] = 0.4, 0.3
     cir = ImpulseResponse(0.0, dt, bins)
-    mixed = Waveform(tx1.t0, dt, 1.7 * tx1.samples - 0.6 * tx2.samples,
-                     tx1.omega0, 1e-15)
+    mixed = Waveform(tx1.t0, dt, 1.7 * tx1.samples - 0.6 * tx2.samples)
     lhs = propagate(mixed, cir).samples
     rhs = 1.7 * propagate(tx1, cir).samples - 0.6 * propagate(tx2, cir).samples
     lin_err = np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))

@@ -48,9 +48,21 @@ def event_fields(events):
 
 
 def focus_fields(report):
-    """FocusReport as nested tuples, with NaN made comparable by repr."""
-    cells = [(c.cell_index, c.theta_f, c.x_f, c.illumination_radius)
-             for c in report.cells]
+    """A FocusReport, the package's or the oracle's, as nested tuples.
+
+    The package's per-cell arrays mark a missing focus NaN where the
+    oracle's per-cell records hold None, so that NaN becomes None; any
+    other NaN is made comparable by repr.
+    """
+    if hasattr(report, "cells"):  # the oracle's
+        cells = [(c.cell_index, c.theta_f, c.x_f, c.illumination_radius)
+                 for c in report.cells]
+    else:
+        def value(v):
+            return None if math.isnan(v) else v
+        cells = [(i, value(theta_f), value(x_f), radius) for i, (theta_f, x_f, radius)
+                 in enumerate(zip(report.theta_f.tolist(), report.x_f.tolist(),
+                                  report.radius.tolist()))]
     return repr((report.source_radius, cells, report.detector_radius))
 
 
@@ -329,7 +341,8 @@ class TestTraceArrays:
         batch, focus = trace_arrays(layouts, media, h0)[0]
         assert (batch.fate != CROSSED).all()
         assert batch.loss_cell.max() < 17
-        assert focus.cells[-1].illumination_radius == 0.0
+        assert focus.radius[-1] == 0.0
+        assert np.isnan(focus.theta_f[-1]) and np.isnan(focus.x_f[-1])
 
     @pytest.mark.parametrize("change", [{"gap": 4.0}, {"source_gap": 4.0},
                                         {"shape": Spherical(10.0)},

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cellray.channel import (
     CSV_BLOCK_ROWS,
+    Atoms,
     DegenerateFocus,
     DetectorMap,
     EmptyChannel,
@@ -25,7 +26,6 @@ from cellray.channel import (
 from cellray.config import default_scenario
 from cellray.geometry import (
     ArrayLayout,
-    CellFocus,
     FocusReport,
     CROSSED,
     MISS,
@@ -129,8 +129,12 @@ class TestBuildCir:
         assert cir.total_gain() == pytest.approx(single, rel=1e-12)
 
     def test_empty_channel(self):
-        with pytest.raises(EmptyChannel):
+        with pytest.raises(EmptyChannel, match="^no ray reaches the detector$"):
             cir_of(synthetic_batch(10.0, fate=MISS))
+        # Detected rays whose gains all underflow to 0.0 carry no light either.
+        zero = Atoms(np.array([1e-12, 2e-12]), np.zeros(2), np.array([-1.0, 1.0]))
+        with pytest.raises(EmptyChannel, match="gain is 0.0"):
+            build_cir(zero, 2)
 
     def test_aggregate_mode_scales(self):
         batch = synthetic_batch(450.0)
@@ -192,8 +196,9 @@ class TestPowerDelayProfile:
 
 class TestFocusingGain:
     def report(self, radii, source=15.0, detector=10.0):
-        cells = [CellFocus(i, 0.1, 50.0, r) for i, r in enumerate(radii)]
-        return FocusReport(source_radius=source, cells=cells,
+        n = len(radii)
+        return FocusReport(source_radius=source, radius=np.array(radii, dtype=float),
+                           theta_f=np.full(n, 0.1), x_f=np.full(n, 50.0),
                            detector_radius=detector)
 
     def test_unit_ratio(self):
@@ -231,6 +236,12 @@ class TestDetectorMap:
         assert all(p == pytest.approx(1.0) for p in powers)
         coords = [c for c, _, _ in dmap.samples]
         assert coords == sorted(coords)
+
+    def test_zero_gain_and_no_atoms(self):
+        zero = Atoms(np.array([1e-12, 2e-12]), np.zeros(2), np.array([-1.0, 1.0]))
+        with np.errstate(all="raise"), pytest.raises(EmptyChannel, match="gain is 0.0"):
+            detector_map(zero)
+        assert detector_map(zero.select(np.zeros(2, bool))).samples.shape == (0, 3)
 
     def test_extent_filters(self):
         layout = ArrayLayout(Spherical(10.0), 0, 5.0, 5.0, 445.0)

@@ -489,6 +489,10 @@ REJECTED_INPUTS = [
     # traceback) or overflows (NaN waveforms and NaN in report.json).
     ("pulse", ["k_rays=11", "lambda_nm=5e-324"], "lambda_nm"),
     ("pulse", ["k_rays=11", "lambda_nm=1e-300"], "lambda_nm"),
+    # A finite carrier whose phase omega0 * t overflows at the pulse's last
+    # sample: NaN fields in tx.csv and NaN in report.json.
+    ("pulse", ["k_rays=11", "lambda_nm=1e-289", "tau_fs=1e20", "waveform_dt_fs=1e19"],
+     "lambda_nm"),
     # Under tau/10 in femtoseconds but not in the seconds the pulse is built
     # in: validate passed it and the pulse failed with UnderResolved (exit 3).
     ("pulse", ["tau_fs=76.37982415147164", "waveform_dt_fs=7.637982415147163"],
@@ -515,19 +519,39 @@ def test_rejected_naming_key_without_files(tmp_path, capsys, command, overrides,
     assert not out.exists()
 
 
+# Three rays through free space, all detected, whose gains all underflow to
+# 0.0: a channel that carries no light.
+ZERO_GAIN = ["shape=pyramidal", "k_rays=3", "n_cells=0",
+             "mu_s_prime_tissue_per_mm=5103.27", "mu_a_tissue_per_mm=528620.19"]
+
+
 @pytest.mark.parametrize("command, overrides, code", [
     ("cir", ["n_cells=0", "k_rays=10", "detector_width_um=0.001"], 3),  # empty channel
     # 80,001 pulse samples times 509,730 CIR bins, over the convolution cap.
     ("pulse", ["tau_fs=40", "waveform_dt_fs=0.004", "k_rays=11"], 2),
+    ("cir", ZERO_GAIN, 3),
+    ("pulse", ZERO_GAIN, 3),
+    ("detector", ZERO_GAIN, 3),
 ])
 def test_failed_run_leaves_no_directory(tmp_path, capsys, command, overrides, code):
-    # validate passes both and the command fails: neither out nor its
+    # validate passes each and the command fails: neither out nor its
     # missing parent is created.
     argv = ["--command", command, "--out", str(tmp_path / "x" / "new")]
     for item in overrides:
         argv += ["--set", item]
     assert main(argv) == code
     assert not (tmp_path / "x").exists()
+
+
+def test_zero_gain_trace_reports_no_delay(tmp_path, capsys):
+    argv = ["--command", "trace", "--out", str(tmp_path)]
+    for item in ZERO_GAIN:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["counts"] == {"arrived": 3, "leaked": 0, "deviated": 0}
+    assert report["total_received_fraction"] == 0.0
+    assert report["dominant_delay_s"] is None
 
 
 def _deep_json(depth: int) -> str:
@@ -667,10 +691,15 @@ SWEEP_BLOCK = st.one_of(
        st.dictionaries(st.sampled_from(list(SCHEMA)), HOSTILE, max_size=4),
        st.one_of(st.integers(-1, 11), st.sampled_from([None, 2.0, 2.5, "3", True])),
        st.one_of(st.none(), SWEEP_BLOCK))
+@example("detector", {"shape": "pyramidal", "n_cells": 0, "mu_s_prime_tissue_per_mm": 5103.27,
+                      "mu_a_tissue_per_mm": 528620.19}, 3, None)  # zero gain
+@example("pulse", {"lambda_nm": 1e-289, "tau_fs": 1e20, "waveform_dt_fs": 1e19},
+         11, None)  # the carrier phase overflows
 @settings(max_examples=200, deadline=timedelta(seconds=10))
 def test_any_scenario_exits_0_2_or_3(command, keys, k_rays, sweep):
-    # Every input runs or is rejected: no exception escapes main, and a
-    # report holds only finite numbers, as strict JSON requires.
+    # Every input runs or is rejected: no exception escapes main, a report
+    # holds only finite numbers, as strict JSON requires, and so does every
+    # numeric CSV field of a run that exits 0.
     data = {**keys, "k_rays": k_rays, "sweep": sweep}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
@@ -682,7 +711,26 @@ def test_any_scenario_exits_0_2_or_3(command, keys, k_rays, sweep):
         report = Path(tmp) / "out" / "report.json"
         if report.exists():
             json.loads(report.read_text(), parse_constant=reject_constant)
+        if code == 0:
+            assert_finite_csv_fields(Path(tmp) / "out")
     assert code in (0, 2, 3)
+
+
+def assert_finite_csv_fields(out: Path) -> None:
+    """Every field of out's CSV files is empty, a status word or a finite float.
+
+    The one exception is focus_report.csv's x_f_um of inf: a marginal ray
+    that leaves its cell parallel to the axis focuses at infinity.
+    """
+    words = set(geo.STATUS.tolist())
+    for path in sorted(out.glob("*.csv")):
+        header, *rows = read_csv(path)
+        for row in rows:
+            for name, field in zip(header, row):
+                if field == "" or field in words or \
+                        (path.name, name, field) == ("focus_report.csv", "x_f_um", "inf"):
+                    continue
+                assert math.isfinite(float(field)), (path.name, name, field)
 
 
 def reject_constant(name):

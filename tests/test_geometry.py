@@ -241,7 +241,7 @@ class TestTraceProperties:
             ct = trace_cell(shape, MEDIA, ray, entry_x=4.0)
         except (NoIntersection, TotalInternalReflection):
             assume(False)
-        assert 0.0 < ct.chord <= shape.max_chord * (1.0 + 1e-9) / math.cos(0.25)
+        assert 0.0 < ct.chord <= shape.axial_extent * (1.0 + 1e-9) / math.cos(0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ class TestTraceArray:
         assert (batch.fate == CROSSED).all()
         assert batch.cell_length.tolist() == [0.0] * 11
         assert batch.tissue_length.tolist() == pytest.approx([450.0] * 11)
-        assert report.cells == []
+        assert report.radius.size == report.theta_f.size == report.x_f.size == 0
 
     def test_fusiform_survivors_traverse_all_cells(self):
         layout = default_layout(Fusiform(30.0, 20.0))
@@ -304,7 +304,7 @@ class TestTraceArray:
             assert final > TOL
             assert batch.tissue_length[i] == \
                 pytest.approx(sum(ct.tissue_leg for ct in cells) + final, rel=1e-12)
-            assert batch.cell_length[i] <= layout.n_cells * layout.shape.max_chord
+            assert batch.cell_length[i] <= layout.n_cells * layout.shape.axial_extent
             assert batch.exit_x[i] == pytest.approx(layout.total_length)
 
     def test_monotone_leakage_with_gap(self):
@@ -328,7 +328,7 @@ class TestTraceArray:
     def test_radial_alternation_visible_in_radii(self):
         layout = default_layout(Fusiform(30.0, 20.0))
         _, report = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 301))
-        radii = [c.illumination_radius for c in report.cells]
+        radii = report.radius.tolist()
         # Converging then diverging: the radius dips well below the source
         # radius and recovers afterwards.
         assert min(radii) < 0.5 * report.source_radius
