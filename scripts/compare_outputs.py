@@ -18,8 +18,11 @@ total_um, d_R_um) and one whose points do not (d_l_um, with a repeat) run
 on the three shapes in both gamma modes too. Two kinds of pulse job cover
 the convolution window and the CSV writer's fixed-width path: K=101 at
 0.02 fs steps on the three shapes (~100k-row waveforms), and a free-space
-pulse whose window starts at bin 0. A trace through cells less dense than
-the tissue covers every way a ray is lost. Every job's exit code, stdout,
+pulse whose window starts at bin 0. cir and detector at N=1, K=20,001 on
+the three shapes are the wide-shallow benchmark's jobs; the detector
+maps' 20k rows cover the writer's run-by-run path, since each block's
+sorted coordinates cross zero at most once. A trace through cells less
+dense than the tissue covers every way a ray is lost. Every job's exit code, stdout,
 stderr and output files are compared byte for byte, and so is whether its
 --out exists, since a failed run must not leave even an empty directory.
 The jobs that differ are listed, and the exit code is 1 on any difference,
@@ -77,6 +80,11 @@ def jobs() -> dict[str, list[str]]:
         **{f"{shape}-pulse-k101-dt0.02": ["--command", "pulse", "--set", f"shape={shape}",
                                           "--set", "k_rays=101", "--set", "waveform_dt_fs=0.02"]
            for shape in SHAPES},
+        # One cell, 20,001 rays: detector maps of three blocks, one of which
+        # has its sorted coordinates cross zero.
+        **{f"wide-{command}-{shape}": ["--command", command, "--set", f"shape={shape}",
+                                       "--set", "n_cells=1", "--set", "k_rays=20001"]
+           for command in ("cir", "detector") for shape in SHAPES},
         # 10 um of free space and a 10 fs pulse: the one atom lies at bin 901,
         # within the 1,601-sample pulse of bin 0, so the window starts there.
         "window-at-bin-0-pulse": ["--command", "pulse", "--set", "n_cells=0",

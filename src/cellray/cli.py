@@ -16,10 +16,9 @@ import argparse
 import contextlib
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -175,9 +174,13 @@ def _channel(scenario: cfg.Scenario) -> Channel:
     return next(_channels([scenario]))
 
 
-def _sum_in_order(values: list[float]) -> float:
-    """Left to right from 0.0, as sum() did before Python 3.12 compensated it."""
-    return reduce(operator.add, values, 0.0)
+def _sum_in_order(values: np.ndarray | list[float]) -> float:
+    """Left to right from 0.0, as sum() did before Python 3.12 compensated it.
+
+    np.add.accumulate adds in order; the leading 0.0 makes [-0.0] sum to 0.0.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # as the loop, no warning
+        return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
@@ -192,7 +195,7 @@ def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
     if chan.detected.gain.any():  # light reaches the detector
         # Summed in ray order: the report's bytes depend on it.
         report["total_received_fraction"] = \
-            _sum_in_order(chan.detected.gain.tolist()) / len(chan.paths)
+            _sum_in_order(chan.detected.gain) / len(chan.paths)
         if cir is None:
             cir = chan.cir("cir_dt_fs")
         report["dominant_delay_s"] = cir.dominant_bin()[0]

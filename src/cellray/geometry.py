@@ -585,12 +585,14 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
     results: list = [None] * len(layouts)
     shape, k, n_max = layouts[0].shape, len(h0), max(at_count)
     miss_fate = DEVIATED if isinstance(shape, Pyramidal) else MISS
-    # Rows x, h, theta, cell length, tissue length: `rays` for every ray,
-    # `run` for the rays still on the line (indexed by `live`).  A ray's row
-    # is written back to `rays` when it stops and when a layout ends.
-    rays = np.zeros((5, k))
-    rays[1] = h0
-    source_radius = float(np.max(np.abs(rays[1])))
+    # Rows x, h, theta, cell length, tissue length: `run` for the rays still
+    # on the line (indexed by `live`), `rays` for every ray.  A ray's row of
+    # `rays` is written when it stops and when a layout ends, so it needs no
+    # fill; until a ray stops, `run` is the whole bundle.
+    rays = np.empty((5, k))
+    run = np.zeros((5, k))
+    run[1] = h0
+    source_radius = float(np.max(np.abs(run[1])))
     fate = np.full(k, CROSSED, dtype=np.int8)
     loss_cell = np.full(k, -1)
     # Rows radius, theta_f, x_f of each cell: FocusReport's arrays.
@@ -599,12 +601,15 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
 
     # Every layout but the last to end gets a copy of the state it ends in.
     last = (n_max, at_count[n_max][-1])
-    live, run = np.arange(k), rays.copy()
+    live = np.arange(k)
     for cell in range(n_max + 1):
         for i in at_count.get(cell, ()):
             own = np.asarray if (cell, i) == last else np.copy
-            state = own(rays)
-            state[:, live] = run
+            if live.size == k:  # no ray has stopped: run is every ray's row
+                state = own(run)
+            else:
+                state = own(rays)
+                state[:, live] = run
             results[i] = _to_detector(layouts[i], state, own(fate), own(loss_cell),
                                       own(cells[:, :cell]), source_radius)
         if cell == n_max or not live.size:

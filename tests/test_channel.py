@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cellray import channel
 from cellray.channel import (
     CSV_BLOCK_ROWS,
+    MIN_RUN_ROWS,
     Atoms,
     DegenerateFocus,
     DetectorMap,
@@ -306,6 +308,57 @@ FIELDS = st.one_of(
 )
 
 
+def through_zero(n, at):
+    """n increasing values, -0.0 at row at - 1 and 0.0 at row at: the sign flips at row at."""
+    return np.concatenate((-np.linspace(40.0, 1e-3, at - 1), [-0.0, 0.0],
+                           np.linspace(1e-3, 40.0, n - at - 1)))
+
+
+def in_sign_runs(n, runs):
+    """n values whose sign alternates over `runs` runs of the first block's rows."""
+    column = np.linspace(1.0, 2.0, n)
+    edges = np.linspace(0, CSV_BLOCK_ROWS, runs + 1).astype(int)
+    for a, b in zip(edges[1::2], edges[2::2]):
+        column[a:b] *= -1.0
+    return column
+
+
+def with_value(column, row, value):
+    column = column.copy()
+    column[row] = value
+    return column
+
+
+TWO_BLOCKS = CSV_BLOCK_ROWS + 37
+POWER = np.linspace(1e-3, 1.0, TWO_BLOCKS)
+DELAY = np.linspace(2e-12, 3e-12, TWO_BLOCKS)
+MID = through_zero(TWO_BLOCKS, 3000)
+# (columns, whether each block takes the fixed-width path, run by run)
+SIGN_RUN_CASES = {
+    "zero-mid-block": ((MID, POWER, DELAY), [True, True]),
+    "zero-at-block-edge": ((through_zero(TWO_BLOCKS, CSV_BLOCK_ROWS), POWER, DELAY),
+                           [True, True]),
+    "two-columns-flip-apart": ((through_zero(TWO_BLOCKS, 100),
+                                -through_zero(TWO_BLOCKS, 5000), DELAY), [True, True]),
+    "runs-at-cap": ((in_sign_runs(TWO_BLOCKS, CSV_BLOCK_ROWS // MIN_RUN_ROWS), POWER),
+                    [True, True]),
+    "runs-over-cap": ((in_sign_runs(TWO_BLOCKS, CSV_BLOCK_ROWS // MIN_RUN_ROWS + 1), POWER),
+                      [False, True]),
+    # The last block's 37 rows cross zero: too few rows for two runs.
+    "zero-in-short-block": ((through_zero(TWO_BLOCKS, CSV_BLOCK_ROWS + 20), POWER),
+                            [True, False]),
+    "alternating": ((np.linspace(1.0, 2.0, TWO_BLOCKS) * (-1.0) ** np.arange(TWO_BLOCKS),),
+                    [False, False]),
+    "nan-in-a-run": ((MID, with_value(POWER, 5, math.nan), DELAY), [False, True]),
+    "inf-in-a-run": ((MID, with_value(POWER, CSV_BLOCK_ROWS + 3, math.inf), DELAY),
+                     [True, False]),
+    "minus-inf-in-a-run": ((with_value(MID, 10, -math.inf), POWER, DELAY), [False, True]),
+    # Among positive values, -inf is a run of its own row: one width.
+    "minus-inf-alone": ((MID, POWER, with_value(DELAY, 5000, -math.inf)), [True, True]),
+    "three-digit-exponent": ((MID, with_value(POWER, 2999, 1e-120), DELAY), [False, True]),
+}
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
                                         CSV_BLOCK_ROWS + 1])
@@ -329,6 +382,25 @@ class TestWriteCsv:
                 for i in range(n_rows)]
         assert (tmp / "got.csv").read_bytes() == \
             csv_writer_bytes(tmp / "want.csv", header, rows)
+
+    @pytest.mark.parametrize("case", SIGN_RUN_CASES)
+    def test_sign_runs_same_bytes_as_csv_writer(self, tmp_path, monkeypatch, case):
+        columns, fixed_width = SIGN_RUN_CASES[case]
+        taken = []
+        sign_runs = channel._sign_runs
+
+        def spy(rows, values):
+            runs = sign_runs(rows, values)
+            taken.append(runs is not None)
+            return runs
+
+        monkeypatch.setattr(channel, "_sign_runs", spy)
+        header = [f"c{j}" for j in range(len(columns))]
+        write_csv(tmp_path / "got.csv", header, columns)
+        assert taken == fixed_width
+        rows = [[f"{v:.12e}" for v in row] for row in zip(*(c.tolist() for c in columns))]
+        assert (tmp_path / "got.csv").read_bytes() == \
+            csv_writer_bytes(tmp_path / "want.csv", header, rows)
 
     def test_rejects_ragged_columns(self, tmp_path):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from datetime import timedelta
@@ -621,11 +622,16 @@ def test_output_error_removes_the_out_it_made(tmp_path, capsys, monkeypatch):
 
 @given(st.lists(st.floats()))
 @example([1e16, 1.0, -1e16])  # 0.0 left to right; a compensated sum gives 1.0
+@example([-0.0])  # 0.0 + -0.0 is 0.0: the sum starts from 0.0, not from the first value
+@example([math.inf, -math.inf])  # nan, with no warning
 def test_received_fraction_sum_is_a_plain_loop(values):
     total = 0.0
     for value in values:
         total += value
-    assert repr(_sum_in_order(values)) == repr(total)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the loop warns of nothing
+        got = _sum_in_order(values)
+    assert repr(got) == repr(total)
 
 
 def test_counts_and_status_words_come_from_fate(tmp_path, capsys):
