@@ -21,8 +21,10 @@ the convolution window and the CSV writer's fixed-width path: K=101 at
 pulse whose window starts at bin 0. cir and detector at N=1, K=20,001 on
 the three shapes are the wide-shallow benchmark's jobs; the detector
 maps' 20k rows cover the writer's run-by-run path, since each block's
-sorted coordinates cross zero at most once. A trace through cells less
-dense than the tissue covers every way a ray is lost. Every job's exit code, stdout,
+sorted coordinates cross zero at most once. Free-space pathloss curves
+of 1,023 and 1,024 rows straddle the MIN_RUN_ROWS a block's sign runs
+must average for that path. A trace through cells less dense than the
+tissue covers every way a ray is lost. Every job's exit code, stdout,
 stderr and output files are compared byte for byte, and so is whether its
 --out exists, since a failed run must not leave even an empty directory.
 The jobs that differ are listed, and the exit code is 1 on any difference,
@@ -85,6 +87,11 @@ def jobs() -> dict[str, list[str]]:
         **{f"wide-{command}-{shape}": ["--command", command, "--set", f"shape={shape}",
                                        "--set", "n_cells=1", "--set", "k_rays=20001"]
            for command in ("cir", "detector") for shape in SHAPES},
+        # Free-space path-loss curves of 1,023 and 1,024 rows, one sign run
+        # each: one row either side of the writer's MIN_RUN_ROWS.
+        **{f"pathloss-{rows}-rows": ["--command", "pathloss", "--set", "n_cells=0",
+                                     "--set", f"total_um={rows - 1}"]
+           for rows in (1023, 1024)},
         # 10 um of free space and a 10 fs pulse: the one atom lies at bin 901,
         # within the 1,601-sample pulse of bin 0, so the window starts there.
         "window-at-bin-0-pulse": ["--command", "pulse", "--set", "n_cells=0",

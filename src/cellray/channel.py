@@ -19,11 +19,11 @@ that gives the bytes of Python's '%.12e' right-aligned in 20-byte fields,
 stamps the fields of zeros when most values are zeros, and leaves to
 Python's % only the values whose rounding it cannot prove (see E12_GUARD).
 A block of float columns is split into the runs of rows over which no
-column's sign flips; when it is one run, or its runs average MIN_RUN_ROWS
-rows or more, and each run's fields have one width per column (finite
-values with two-digit exponents), each run is written as byte-column
-slices of its matrix, with no NUL byte to drop.  Any other block drops
-its NUL padding with one bytes.translate.
+column's sign flips (one run when no sign flips); when its runs average
+MIN_RUN_ROWS rows or more and each run's fields have one width per column
+(finite values with two-digit exponents), each run is written as
+byte-column slices of its matrix, with no NUL byte to drop.  Any other
+block drops its NUL padding with one bytes.translate.
 """
 
 from __future__ import annotations
@@ -342,56 +342,44 @@ def _text_words(column: np.ndarray) -> np.ndarray:
     return text.view(np.uint32).reshape(len(text), -1)
 
 
-def _fixed_width(rows: np.ndarray, n_fields: int) -> Optional[list[np.ndarray]]:
-    """The byte columns that hold a %.12e block's text, or None if a field width varies.
-
-    rows is the block as bytes: per column, one right-aligned field and one
-    separator word.  A column's fields have one width when every row's text
-    starts where row 0's does: that byte is not NUL in any row, and the one
-    before it is NUL in every row.  Then each column's text and separator
-    are one slice of rows.
-    """
-    parts = []
-    for j in range(n_fields):
-        at = 4 * (E12_WORDS + 1) * j
-        first = at + int(np.argmax(rows[0, at:at + _FIELD_BYTES] != 0))
-        if not rows[:, first].all() or (first > at and rows[:, first - 1].any()):
-            return None
-        separator = 2 if j == n_fields - 1 else 1  # "\r\n" or ","
-        parts.append(rows[:, first:at + _FIELD_BYTES + separator])
-    return parts
-
-
 # Each sign run the fixed-width path writes costs about 20 us per column
 # (its width checks, one np.concatenate, one write), whatever its length,
 # and saves bytes.translate's time on its rows.  Measured on a shared 2-core
 # host (numpy 2.4.6), with three %.12e columns: at 8,192 rows a block took
 # 0.5 of translate's time in 8 runs, 0.75 in 16 and 1.2 in 32; at 2,048
-# rows, 0.9 in 2 runs and 1.2 in 4.  So a block of several runs takes the
-# path only at MIN_RUN_ROWS rows or more per run: 8 runs at CSV_BLOCK_ROWS.
+# rows, 0.9 in 2 runs and 1.2 in 4.  With two columns in one run, the path
+# took 19.5 us against translate's 4.2 at 64 rows, 33.8 against 20.8 at 256
+# and 36.9 against 40.4 at 1,024.  So a block takes the path only when its
+# runs average MIN_RUN_ROWS rows or more: at most 8 runs at CSV_BLOCK_ROWS.
 MIN_RUN_ROWS = 1024
 
 
 def _sign_runs(rows: np.ndarray, values: list[np.ndarray]) -> Optional[list[list[np.ndarray]]]:
-    """_fixed_width's byte columns of each run of rows over which no column's sign flips.
+    """The byte columns of each run of rows over which no column's sign flips, or None.
 
-    rows is a block of %.12e columns as bytes, values its float columns.
-    A block of one sign per column is one run.  None when a block of
-    several runs has fewer than MIN_RUN_ROWS rows per run, or when a run's
-    field width still varies (NaN, +-inf, a three-digit exponent).
+    rows is a block of %.12e columns as bytes: per column, one right-aligned
+    field and one separator word; values are its float columns.  None when
+    the runs average fewer than MIN_RUN_ROWS rows, or when a column's field
+    width varies within a run (NaN, +-inf, a three-digit exponent).  A
+    column's fields have one width in a run when every row's text starts
+    where the run's first row's does: that byte is not NUL in any row, and
+    the one before it is NUL in every row.  Then the column's text and
+    separator are one slice of the run's rows.
     """
-    parts = _fixed_width(rows, len(values))
-    if parts is not None:
-        return [parts]
     sign = np.signbit(values)
     edges = np.flatnonzero((sign[:, 1:] != sign[:, :-1]).any(axis=0)) + 1
-    if not len(edges) or len(edges) >= len(rows) // MIN_RUN_ROWS:
+    if (len(edges) + 1) * MIN_RUN_ROWS > len(rows):
         return None
     runs = []
     for run in np.split(rows, edges):
-        parts = _fixed_width(run, len(values))
-        if parts is None:
-            return None
+        parts = []
+        for j in range(len(values)):
+            at = 4 * (E12_WORDS + 1) * j
+            first = at + int(np.argmax(run[0, at:at + _FIELD_BYTES] != 0))
+            if not run[:, first].all() or (first > at and run[:, first - 1].any()):
+                return None
+            separator = 2 if j == len(values) - 1 else 1  # "\r\n" or ","
+            parts.append(run[:, first:at + _FIELD_BYTES + separator])
         runs.append(parts)
     return runs
 
@@ -415,18 +403,19 @@ def write_csv(path, header: Sequence[str], columns) -> None:
     left-aligned.  The block is written by one of two paths:
 
     - fixed width, run by run: every column is a float column, the block
-      splits into runs of rows over which no column's np.signbit flips,
-      one run or at least MIN_RUN_ROWS rows per run, and within each run
-      each column's fields have one width, which holds for finite values
-      with exponents below 100 in magnitude.  Most blocks of a waveform or
-      a spectrum are one run; a block of a detector map (coordinates
-      sorted) or of rx.csv's times crosses zero once, so it is two.  Per
-      run, one np.concatenate joins each column's byte-column slice of
-      text and separator into the rows, and one call writes them.
-    - translate: every other block (shorter runs, as in a block that spans
-      several carrier periods; an integer or string column; NaN, +-inf, a
-      three-digit exponent).  One bytes.translate drops the NUL bytes, and
-      one call writes the block.
+      splits into runs of rows over which no column's np.signbit flips
+      (one run when none flips), the runs average at least MIN_RUN_ROWS
+      rows, and within each run each column's fields have one width, which
+      holds for finite values with exponents below 100 in magnitude.  Most
+      blocks of a long waveform or spectrum are one run; a block of a
+      detector map (coordinates sorted) or of rx.csv's times crosses zero
+      once, so it is two.  Per run, one np.concatenate joins each column's
+      byte-column slice of text and separator into the rows, and one call
+      writes them.
+    - translate: every other block (shorter runs, as in a block of under
+      MIN_RUN_ROWS rows or one that spans several carrier periods; an
+      integer or string column; NaN, +-inf, a three-digit exponent).  One
+      bytes.translate drops the NUL bytes, and one call writes the block.
     """
     columns = [np.asarray(c) for c in columns]
     other = [str(c.dtype) for c in columns if c.dtype.kind not in "fiuSU"]

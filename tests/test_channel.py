@@ -335,27 +335,30 @@ DELAY = np.linspace(2e-12, 3e-12, TWO_BLOCKS)
 MID = through_zero(TWO_BLOCKS, 3000)
 # (columns, whether each block takes the fixed-width path, run by run)
 SIGN_RUN_CASES = {
-    "zero-mid-block": ((MID, POWER, DELAY), [True, True]),
+    "zero-mid-block": ((MID, POWER, DELAY), [True, False]),
     "zero-at-block-edge": ((through_zero(TWO_BLOCKS, CSV_BLOCK_ROWS), POWER, DELAY),
-                           [True, True]),
+                           [True, False]),
     "two-columns-flip-apart": ((through_zero(TWO_BLOCKS, 100),
-                                -through_zero(TWO_BLOCKS, 5000), DELAY), [True, True]),
+                                -through_zero(TWO_BLOCKS, 5000), DELAY), [True, False]),
     "runs-at-cap": ((in_sign_runs(TWO_BLOCKS, CSV_BLOCK_ROWS // MIN_RUN_ROWS), POWER),
-                    [True, True]),
+                    [True, False]),
     "runs-over-cap": ((in_sign_runs(TWO_BLOCKS, CSV_BLOCK_ROWS // MIN_RUN_ROWS + 1), POWER),
-                      [False, True]),
+                      [False, False]),
     # The last block's 37 rows cross zero: too few rows for two runs.
     "zero-in-short-block": ((through_zero(TWO_BLOCKS, CSV_BLOCK_ROWS + 20), POWER),
                             [True, False]),
     "alternating": ((np.linspace(1.0, 2.0, TWO_BLOCKS) * (-1.0) ** np.arange(TWO_BLOCKS),),
                     [False, False]),
-    "nan-in-a-run": ((MID, with_value(POWER, 5, math.nan), DELAY), [False, True]),
+    "nan-in-a-run": ((MID, with_value(POWER, 5, math.nan), DELAY), [False, False]),
     "inf-in-a-run": ((MID, with_value(POWER, CSV_BLOCK_ROWS + 3, math.inf), DELAY),
                      [True, False]),
-    "minus-inf-in-a-run": ((with_value(MID, 10, -math.inf), POWER, DELAY), [False, True]),
+    "minus-inf-in-a-run": ((with_value(MID, 10, -math.inf), POWER, DELAY), [False, False]),
     # Among positive values, -inf is a run of its own row: one width.
-    "minus-inf-alone": ((MID, POWER, with_value(DELAY, 5000, -math.inf)), [True, True]),
-    "three-digit-exponent": ((MID, with_value(POWER, 2999, 1e-120), DELAY), [False, True]),
+    "minus-inf-alone": ((MID, POWER, with_value(DELAY, 5000, -math.inf)), [True, False]),
+    "three-digit-exponent": ((MID, with_value(POWER, 2999, 1e-120), DELAY), [False, False]),
+    # One run is held to the same average as several.
+    "one-run-under-min": ((POWER[:MIN_RUN_ROWS - 1], DELAY[:MIN_RUN_ROWS - 1]), [False]),
+    "one-run-at-min": ((POWER[:MIN_RUN_ROWS], DELAY[:MIN_RUN_ROWS]), [True]),
 }
 
 
