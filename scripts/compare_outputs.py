@@ -5,7 +5,9 @@ Usage: python scripts/compare_outputs.py OTHER_TREE
 
 Runs one fixed job matrix through `cellray.cli.main` for each tree, in one
 subprocess per tree with PYTHONPATH=<tree>/src: the five single-scenario
-commands on the three shapes in both gamma modes, plus K=1, N=0 (cir and
+commands on the three shapes in both gamma modes, then trace, cir, pulse
+and detector back to back on each shape's default scenario, so the later
+three reuse the channel the CLI kept from the first, plus K=1, N=0 (cir and
 trace), a tiny detector, a 3-point sweep, two sweeps that fail at a point
 and six error cases: a negative gap (exit 2), an empty channel (exit 3),
 too many CIR bins and the convolution cap (each exit 2, raised inside the
@@ -59,6 +61,12 @@ def jobs() -> dict[str, list[str]]:
         for shape in SHAPES for command in COMMANDS
         for gamma in ("per-path", "aggregate")
     }
+    # The matrix above changes gamma_mode from one traced job to the next;
+    # these run on one scenario each, as scripts/run_channel_battery.py does.
+    matrix.update({
+        f"{shape}-{command}-back-to-back": ["--command", command, "--set", f"shape={shape}"]
+        for shape in SHAPES for command in ("trace", "cir", "pulse", "detector")
+    })
     matrix.update({
         f"{shape}-sweep-{grid.partition('=')[0]}-{i}-{gamma}": [
             "--command", "sweep", "--set", f"shape={shape}", "--set", f"gamma_mode={gamma}",

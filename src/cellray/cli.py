@@ -17,7 +17,7 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterator
@@ -170,8 +170,35 @@ def _channels(points: list[cfg.Scenario]) -> Iterator[Channel]:
         yield Channel(point, layout, media, h0, paths, focus, detected)
 
 
+# The last single-scenario channel: at most one entry, its scenario's key ->
+# its Channel, every array read-only.  Commands run back to back on one
+# scenario, as scripts/run_channel_battery.py runs trace, cir, pulse and
+# detector, trace it once.
+_last_channel: dict[str, Channel] = {}
+
+
+def _scenario_key(scenario: cfg.Scenario) -> str:
+    """Every field's value, exactly.
+
+    Not ==, which holds for 0.0 and -0.0 and for 18 and 18.0, which can
+    trace apart (see config.trace_groups); repr tells each pair apart.
+    """
+    return repr([getattr(scenario, f.name) for f in fields(scenario)])
+
+
 def _channel(scenario: cfg.Scenario) -> Channel:
-    return next(_channels([scenario]))
+    """scenario's channel, traced unless the last call's scenario was the same."""
+    key = _scenario_key(scenario)
+    if key not in _last_channel:
+        _last_channel.clear()
+        chan = next(_channels([scenario]))
+        for array in (chan.h0, *vars(chan.paths).values(), *vars(chan.focus).values(),
+                      *vars(chan.detected).values()):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        _last_channel[key] = chan
+    # A new Channel: the caller's scenario, and gamma worked out for it.
+    return replace(_last_channel[key], scenario=scenario)
 
 
 def _sum_in_order(values: np.ndarray | list[float]) -> float:
@@ -343,8 +370,11 @@ def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
             "points": len(points)}, outputs
 
 
-def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
-    """Run one command, then write its outputs and report.json into out."""
+def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
+    """Run one command, write its outputs and report.json into out.
+
+    Returns report.json's text, which main prints as it is.
+    """
     _require_valid(scenario)
     handler = {
         "trace": cmd_trace,
@@ -359,6 +389,7 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
     except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
         raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
     report["files"] = list(outputs)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     created: list[Path] = []  # the directories the run makes, deepest first
     kept = None  # out's entries before the run, once listed
     try:
@@ -368,8 +399,7 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
         for name, write in outputs.items():
             write(out / name)
         with open(out / "report.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         # Undo what the run added; a file it overwrote keeps its new bytes.
         if kept is not None:
@@ -380,7 +410,7 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> dict:
             with contextlib.suppress(OSError):
                 directory.rmdir()
         raise CliError("io", f"cannot write outputs: {exc}", 2)
-    return report
+    return text
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -405,12 +435,12 @@ def main(argv: list[str] | None = None) -> int:
             if violations:
                 raise CliError("validation", violations, 2)
             return 0
-        report = run(args.command, scenario, Path(args.out))
+        text = run(args.command, scenario, Path(args.out))
     except CliError as exc:
         record = {"error": exc.kind, "detail": exc.detail}
         print(json.dumps(record, indent=2), file=sys.stderr)
         return exc.exit_code
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(text, end="")
     return 0
 
 

@@ -2,12 +2,19 @@ from dataclasses import fields
 
 import pytest
 
+from cellray import cli
 from cellray.geometry import RayBatch
 from cellray.optics import Media, Medium, Wavelength
 
 # Blue-light cortical operating point used across the suite.
 CELL = Medium(n=1.36, mu_a=0.9, mu_s_prime=3.43)
 TISSUE = Medium(n=1.35, mu_a=1.34, mu_s_prime=3.43)
+
+
+@pytest.fixture(autouse=True)
+def forget_last_channel():
+    """Start every test without the channel cellray.cli kept from an earlier one."""
+    cli._last_channel.clear()
 
 
 @pytest.fixture

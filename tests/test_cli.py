@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cellray.channel as ch
+import cellray.cli as cli
 import cellray.geometry as geo
 import cellray.signal as sig
 import channel_oracle as oracle
@@ -743,22 +744,33 @@ def reject_constant(name):
     raise ValueError(f"report.json holds {name}")
 
 
-@pytest.fixture
-def channel_calls(monkeypatch):
-    """Counts calls of cellray.channel.contributions and build_cir."""
+def count_calls(monkeypatch, *targets: tuple) -> Counter:
+    """Counts calls of each (module, name) of targets, by name, from now on."""
     calls = Counter()
 
-    def counted(name):
-        original = getattr(ch, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    for name in ("contributions", "build_cir"):
-        monkeypatch.setattr(ch, name, counted(name))
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(module, name))
     return calls
+
+
+@pytest.fixture
+def channel_calls(monkeypatch):
+    """Counts calls of cellray.channel.contributions and build_cir."""
+    return count_calls(monkeypatch, (ch, "contributions"), (ch, "build_cir"))
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """Counts calls of cellray.geometry.trace_array and channel.contributions."""
+    return count_calls(monkeypatch, (geo, "trace_array"), (ch, "contributions"))
 
 
 @pytest.mark.parametrize("command, cirs", [("trace", 1), ("cir", 1), ("pulse", 2),
@@ -819,7 +831,13 @@ def test_center_line_grid_matches_walk(shape, n_cells, gap, source_gap, detector
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = json.loads((ROOT / "perfbench" / "reference_seed0.json").read_text())
+SHAPES = ("fusiform", "spherical", "pyramidal")
 BATTERY_COMMANDS = ("trace", "pathloss", "cir", "pulse", "detector")
+
+
+def file_hashes(directory: Path) -> dict[str, str]:
+    """sha256 of every file in directory, by name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
 
 
 @pytest.fixture(scope="module")
@@ -834,9 +852,7 @@ def test_golden_output_bytes(tmp_path, capsys, golden_battery, shape, command):
     # The battery's seed-0 scenarios are the default scenario files.
     assert main(["--command", command, "--out", str(tmp_path),
                  "--scenario", str(ROOT / "scenarios" / f"{shape}.json")]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in tmp_path.iterdir()}
-    assert got == golden_battery[f"{shape}-{command}"]["sha256"]
+    assert file_hashes(tmp_path) == golden_battery[f"{shape}-{command}"]["sha256"]
 
 
 @pytest.fixture(scope="module")
@@ -865,6 +881,105 @@ def test_golden_output_bytes_other_jobs(tmp_path, capsys, workloads, workload, j
     out = tmp_path / "out"
     want = MANIFEST["jobs"][workload][job_id]
     assert main(job.argv(out)) == want["exit"]
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in out.iterdir()} if out.exists() else {}
-    assert got == want["sha256"]
+    assert (file_hashes(out) if out.exists() else {}) == want["sha256"]
+
+
+# The channel kept between commands: cellray.cli._channel.
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_commands_on_one_scenario_trace_it_once(tmp_path, capsys, golden_battery,
+                                                traces, shape):
+    # The battery's commands back to back, as scripts/run_channel_battery.py
+    # runs them: the later ones reuse the first one's channel, byte for byte.
+    for command in BATTERY_COMMANDS:
+        out = tmp_path / command
+        assert main(["--command", command, "--out", str(out),
+                     "--scenario", str(ROOT / "scenarios" / f"{shape}.json")]) == 0
+        assert file_hashes(out) == golden_battery[f"{shape}-{command}"]["sha256"]
+    assert traces == {"trace_array": 1, "contributions": 1}
+
+
+@pytest.mark.parametrize("first, second, traced", [
+    ([], [], 1),
+    (["d_E_um=0.0"], ["d_E_um=-0.0"], 2),  # equal, but not the same value
+    ([], ["h_c_um=30"], 2),  # the default is 30.0
+])
+def test_channel_kept_for_the_same_values_only(tmp_path, capsys, traces, first, second,
+                                               traced):
+    for i, overrides in enumerate((first, second)):
+        assert main(["--command", "trace", "--out", str(tmp_path / str(i)),
+                     "--set", "k_rays=101",
+                     *(arg for item in overrides for arg in ("--set", item))]) == 0
+    assert traces["trace_array"] == traced
+
+
+def test_kept_channel_arrays_are_read_only():
+    scenario = scenario_from_dict({"k_rays": 101})
+    for chan in (cli._channel(scenario), cli._channel(scenario)):  # traced, then kept
+        arrays = [chan.h0, *(getattr(part, f.name)
+                             for part in (chan.paths, chan.focus, chan.detected)
+                             for f in fields(part)
+                             if isinstance(getattr(part, f.name), np.ndarray))]
+        assert len(arrays) == 1 + 7 + 3 + 3
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+
+def test_failed_channel_is_not_kept(monkeypatch, traces):
+    failures = [RuntimeError("atoms failed")]
+    contributions = ch.contributions
+
+    def fails_once(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return contributions(*args, **kwargs)
+
+    cli._channel(scenario_from_dict({"k_rays": 11}))
+    monkeypatch.setattr(ch, "contributions", fails_once)
+    scenario = scenario_from_dict({"k_rays": 101})
+    with pytest.raises(RuntimeError):
+        cli._channel(scenario)
+    assert cli._last_channel == {}  # the earlier scenario's channel is gone too
+    cli._channel(scenario)
+    cli._channel(scenario)
+    assert traces["trace_array"] == 3
+
+
+def test_kept_channel_reports_the_callers_scenario(tmp_path, traces):
+    first = scenario_from_dict({"k_rays": 101})
+    second = replace(first)
+    cli.run("trace", first, tmp_path / "first")
+    first.tau_fs = 2.0  # the earlier caller changes its scenario afterwards
+    report = json.loads(cli.run("cir", second, tmp_path / "second"))
+    assert traces["trace_array"] == 1
+    assert report["scenario"] == second.to_dict()
+    assert report["scenario"]["tau_fs"] == 1.0
+
+
+def test_stdout_is_report_json(tmp_path, capsys):
+    assert main(["--command", "trace", "--out", str(tmp_path), "--set", "k_rays=101"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "report.json").read_text()
+
+
+def test_channel_battery_script_golden(tmp_path, monkeypatch, capsys, golden_battery,
+                                       traces):
+    # scripts/run_channel_battery.py writes the battery's bytes, tracing each
+    # shape once for its five commands (its sweeps go through trace_arrays).
+    spec = importlib.util.spec_from_file_location(
+        "run_channel_battery", ROOT / "scripts" / "run_channel_battery.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["run_channel_battery.py", str(tmp_path)])
+    assert script.main() == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted([*SHAPES, *(f"{shape}_sweep" for shape in SHAPES)])
+    for shape in SHAPES:
+        assert sorted(p.name for p in (tmp_path / shape).iterdir()) == \
+            sorted(BATTERY_COMMANDS)
+        for command in BATTERY_COMMANDS:
+            assert file_hashes(tmp_path / shape / command) == \
+                golden_battery[f"{shape}-{command}"]["sha256"]
+        assert file_hashes(tmp_path / f"{shape}_sweep") == \
+            golden_battery[f"{shape}-sweep"]["sha256"]
+    assert traces["trace_array"] == 3
