@@ -5,32 +5,33 @@ Usage: python scripts/compare_outputs.py OTHER_TREE
 
 Runs one fixed job matrix through `cellray.cli.main` for each tree, in one
 subprocess per tree with PYTHONPATH=<tree>/src: the five single-scenario
-commands on the three shapes in both gamma modes, then trace, cir, pulse
-and detector back to back on each shape's default scenario, so the later
-three reuse the channel the CLI kept from the first, plus K=1, N=0 (cir and
-trace), a tiny detector, a 3-point sweep, two sweeps that fail at a point
-and six error cases: a negative gap (exit 2), an empty channel (exit 3),
-too many CIR bins and the convolution cap (each exit 2, raised inside the
-command), a wavelength whose carrier divides by zero and one whose carrier
-phase overflows at the pulse's last sample (each exit 2). A channel whose
-three detected rays all have a gain of 0.0 runs through trace (exit 0,
-no dominant delay), cir, pulse and detector (each exit 3). Sweeps
-whose points share one trace (n_cells with 0, repeats and unsorted values,
-total_um, d_R_um) and one whose points do not (d_l_um, with a repeat) run
-on the three shapes in both gamma modes too. Two kinds of pulse job cover
-the convolution window and the CSV writer's fixed-width path: K=101 at
-0.02 fs steps on the three shapes (~100k-row waveforms), and a free-space
-pulse whose window starts at bin 0. cir and detector at N=1, K=20,001 on
-the three shapes are the wide-shallow benchmark's jobs; the detector
-maps' 20k rows cover the writer's run-by-run path, since each block's
-sorted coordinates cross zero at most once. Free-space pathloss curves
-of 1,023 and 1,024 rows straddle the MIN_RUN_ROWS a block's sign runs
-must average for that path. A trace through cells less dense than the
-tissue covers every way a ray is lost. Every job's exit code, stdout,
-stderr and output files are compared byte for byte, and so is whether its
---out exists, since a failed run must not leave even an empty directory.
-The jobs that differ are listed, and the exit code is 1 on any difference,
-0 when every job matches.
+commands on the three shapes in both gamma modes (gamma_mode does not key
+the channel the CLI keeps, so each shape's eight traced jobs trace once),
+then trace, cir, pulse and detector back to back on each shape's default
+scenario, so the later three reuse the channel the CLI kept from the
+first, plus K=1, N=0 (cir and trace), a tiny detector, a 3-point sweep,
+two sweeps that fail at a point and six error cases: a negative gap
+(exit 2), an empty channel (exit 3), too many CIR bins and the convolution
+cap (each exit 2, raised inside the command), a wavelength whose carrier
+divides by zero and one whose carrier phase overflows at the pulse's last
+sample (each exit 2). A channel whose three detected rays all have a gain
+of 0.0 runs through trace (exit 0, no dominant delay), cir, pulse and
+detector (each exit 3). Sweeps whose points share one trace (n_cells
+with 0, repeats and unsorted values, total_um, d_R_um) and one whose
+points do not (d_l_um, with a repeat) run on the three shapes in both
+gamma modes too. Two kinds of pulse job cover the convolution window and
+the CSV writer's fixed-width path: K=101 at 0.02 fs steps on the three
+shapes (~100k-row waveforms), and a free-space pulse whose window starts
+at bin 0. cir and detector at N=1, K=20,001 on the three shapes are the
+wide-shallow benchmark's jobs; the detector maps' 20k rows cover the
+writer's run-by-run path, since each block's sorted coordinates cross zero
+at most once. Free-space pathloss curves of 1,023 and 1,024 rows straddle
+the MIN_RUN_ROWS a block's sign runs must average for that path. A trace
+through cells less dense than the tissue covers every way a ray is lost.
+Every job's exit code, stdout, stderr and output files are compared byte
+for byte, and so is whether its --out exists, since a failed run must not
+leave even an empty directory. The jobs that differ are listed, and the
+exit code is 1 on any difference, 0 when every job matches.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ def jobs() -> dict[str, list[str]]:
         for shape in SHAPES for command in COMMANDS
         for gamma in ("per-path", "aggregate")
     }
-    # The matrix above changes gamma_mode from one traced job to the next;
-    # these run on one scenario each, as scripts/run_channel_battery.py does.
+    # The matrix above changes gamma_mode from one traced job to the next,
+    # on one kept channel per shape; these run on one scenario each, as
+    # scripts/run_channel_battery.py does.
     matrix.update({
         f"{shape}-{command}-back-to-back": ["--command", command, "--set", f"shape={shape}"]
         for shape in SHAPES for command in ("trace", "cir", "pulse", "detector")

@@ -17,8 +17,8 @@ import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -116,35 +116,16 @@ def _require_valid(scenario: cfg.Scenario) -> None:
         raise CliError("validation", violations, 2)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Channel:
-    """One scenario traced once, with the detected atoms all its outputs read."""
+    """One traced channel: what _channels builds it from, and its detected atoms."""
 
-    scenario: cfg.Scenario
     layout: geo.ArrayLayout
     media: Media
     h0: np.ndarray  # launch heights
     paths: geo.RayBatch
     focus: geo.FocusReport
     detected: ch.Atoms
-
-    @cached_property
-    def gamma(self) -> float | None:
-        """The cumulative focusing ratio in aggregate mode, else None.
-
-        Worked out on first use: a degenerate focus fails only CIR outputs.
-        """
-        if self.scenario.gamma_mode != "aggregate":
-            return None
-        return ch.cumulative_gamma(self.focus)
-
-    def cir(self, key: str) -> ch.ImpulseResponse:
-        """The CIR binned at the scenario's key, cir_dt_fs or waveform_dt_fs."""
-        try:
-            return ch.build_cir(self.detected, len(self.paths),
-                                getattr(self.scenario, key) * 1e-15, self.gamma)
-        except ch.BinOverflow as exc:
-            raise CliError("validation", [f"{key}: {exc}"], 2)
 
 
 def _channels(points: list[cfg.Scenario]) -> Iterator[Channel]:
@@ -167,28 +148,22 @@ def _channels(points: list[cfg.Scenario]) -> Iterator[Channel]:
             traced[i] = (layout, media, h0, paths, focus)
     for point, (layout, media, h0, paths, focus) in zip(points, traced):
         detected, _ = ch.contributions(paths, media, point.detector_width_um)
-        yield Channel(point, layout, media, h0, paths, focus, detected)
+        yield Channel(layout, media, h0, paths, focus, detected)
 
 
-# The last single-scenario channel: at most one entry, its scenario's key ->
-# its Channel, every array read-only.  Commands run back to back on one
+# The last single-scenario channel: at most one entry, the key of its inputs
+# -> its Channel, every array read-only.  Commands run back to back on one
 # scenario, as scripts/run_channel_battery.py runs trace, cir, pulse and
-# detector, trace it once.
+# detector, trace it once, and so do scenarios that differ only in keys the
+# channel does not read, such as gamma_mode, cir_dt_fs or the pulse keys.
 _last_channel: dict[str, Channel] = {}
 
 
-def _scenario_key(scenario: cfg.Scenario) -> str:
-    """Every field's value, exactly.
-
-    Not ==, which holds for 0.0 and -0.0 and for 18 and 18.0, which can
-    trace apart (see config.trace_groups); repr tells each pair apart.
-    """
-    return repr([getattr(scenario, f.name) for f in fields(scenario)])
-
-
 def _channel(scenario: cfg.Scenario) -> Channel:
-    """scenario's channel, traced unless the last call's scenario was the same."""
-    key = _scenario_key(scenario)
+    """scenario's channel, traced unless the last call's had the same inputs."""
+    # repr, not ==, as in config.trace_groups: 0.0 == -0.0 and 30 == 30.0.
+    key = repr((scenario.build_layout(), scenario.build_media(), scenario.k_rays,
+                scenario.detector_width_um))
     if key not in _last_channel:
         _last_channel.clear()
         chan = next(_channels([scenario]))
@@ -197,8 +172,21 @@ def _channel(scenario: cfg.Scenario) -> Channel:
             if isinstance(array, np.ndarray):
                 array.flags.writeable = False
         _last_channel[key] = chan
-    # A new Channel: the caller's scenario, and gamma worked out for it.
-    return replace(_last_channel[key], scenario=scenario)
+    return _last_channel[key]
+
+
+def _cir(scenario: cfg.Scenario, chan: Channel, key: str) -> ch.ImpulseResponse:
+    """chan's CIR binned at scenario's key, cir_dt_fs or waveform_dt_fs.
+
+    In aggregate mode every bin carries the cumulative focusing ratio, worked
+    out here so that a degenerate focus fails only CIR outputs.
+    """
+    gamma = ch.cumulative_gamma(chan.focus) if scenario.gamma_mode == "aggregate" else None
+    try:
+        return ch.build_cir(chan.detected, len(chan.paths),
+                            getattr(scenario, key) * 1e-15, gamma)
+    except ch.BinOverflow as exc:
+        raise CliError("validation", [f"{key}: {exc}"], 2)
 
 
 def _sum_in_order(values: np.ndarray | list[float]) -> float:
@@ -210,11 +198,12 @@ def _sum_in_order(values: np.ndarray | list[float]) -> float:
         return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
-def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
+def _base_report(scenario: cfg.Scenario, chan: Channel,
+                 cir: ch.ImpulseResponse | None = None) -> dict:
     """The report fields of every traced command; cir is chan's CIR at cir_dt_fs."""
     per_fate = np.bincount(chan.paths.fate, minlength=len(geo.STATUS))
     report = {
-        "scenario": chan.scenario.to_dict(),
+        "scenario": scenario.to_dict(),
         "path_loss_db": total_path_loss(chan.layout, chan.media),
         "counts": {word: int(per_fate[geo.STATUS == word].sum())
                    for word in ("arrived", "leaked", "deviated")},
@@ -224,7 +213,7 @@ def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
         report["total_received_fraction"] = \
             _sum_in_order(chan.detected.gain) / len(chan.paths)
         if cir is None:
-            cir = chan.cir("cir_dt_fs")
+            cir = _cir(scenario, chan, "cir_dt_fs")
         report["dominant_delay_s"] = cir.dominant_bin()[0]
     else:
         report["total_received_fraction"] = 0.0
@@ -235,7 +224,7 @@ def _base_report(chan: Channel, cir: ch.ImpulseResponse | None = None) -> dict:
 def cmd_trace(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     chan = _channel(scenario)
     paths, focus = chan.paths, chan.focus
-    report = _base_report(chan)
+    report = _base_report(scenario, chan)
     report["source_radius_um"] = focus.source_radius
     report["detector_radius_um"] = None if math.isnan(focus.detector_radius) \
         else focus.detector_radius
@@ -295,8 +284,8 @@ def cmd_pathloss(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
 
 def cmd_cir(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     chan = _channel(scenario)
-    cir = chan.cir("cir_dt_fs")
-    report = _base_report(chan, cir)
+    cir = _cir(scenario, chan, "cir_dt_fs")
+    report = _base_report(scenario, chan, cir)
     report["total_gain"] = cir.total_gain()
     return report, {"cir.csv": partial(ch.write_cir_csv, cir),
                     "pdp.csv": partial(ch.write_pdp_csv, ch.power_delay_profile(cir))}
@@ -306,7 +295,7 @@ def cmd_pulse(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     tau, dt = scenario.pulse_grid_s()
     tx = sig.gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt)
     chan = _channel(scenario)
-    cir = chan.cir("waveform_dt_fs")
+    cir = _cir(scenario, chan, "waveform_dt_fs")
     if len(tx.samples) * len(cir.bins) > cfg.MAX_CONVOLUTION:
         raise CliError("validation", [
             f"waveform_dt_fs: convolving {len(tx.samples)} pulse samples with "
@@ -314,11 +303,9 @@ def cmd_pulse(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
             "multiply-adds"], 2)
     rx = sig.propagate(tx, cir)
     dominant_delay, _ = cir.dominant_bin()
-    summary = sig.received_pulse(tx, dominant_delay,
-                                 1.0 if chan.gamma is None else chan.gamma,
-                                 cir.total_gain())
+    summary = sig.received_pulse(tx, dominant_delay, cir.total_gain())
     tx_spectrum, rx_spectrum = sig.spectrum(tx), sig.spectrum(rx)
-    report = _base_report(chan)
+    report = _base_report(scenario, chan)
     report["tx_peak_power"] = float(sig.envelope(tx).max() ** 2)
     report["rx_summary_peak_power"] = float(sig.envelope(summary).max() ** 2)
     report["tx_peak_frequency_hz"] = tx_spectrum.peak_frequency()
@@ -334,7 +321,7 @@ def cmd_pulse(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
 
 def cmd_detector(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     chan = _channel(scenario)
-    report = _base_report(chan)
+    report = _base_report(scenario, chan)
     dmap = ch.detector_map(chan.detected)
     report["detected_rays"] = len(dmap.samples)
     if len(dmap.samples):
@@ -352,12 +339,12 @@ def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     # the sweep, so the first point that fails alone is the one reported.
     valid = next((i for i, point in enumerate(points) if cfg.validate(point)), len(points))
     outputs, rows = {}, []
-    for i, chan in enumerate(_channels(points[:valid])):
-        cir = chan.cir("cir_dt_fs")
-        report = _base_report(chan, cir)
+    for i, (point, chan) in enumerate(zip(points, _channels(points[:valid]))):
+        cir = _cir(point, chan, "cir_dt_fs")
+        report = _base_report(point, chan, cir)
         counts = report["counts"]
         outputs[f"cir_{i:03d}.csv"] = partial(ch.write_cir_csv, cir)
-        rows.append((float(getattr(chan.scenario, param)), report["dominant_delay_s"],
+        rows.append((float(getattr(point, param)), report["dominant_delay_s"],
                      cir.total_gain(), report["path_loss_db"], counts["leaked"],
                      counts["deviated"]))
     if valid < len(points):

@@ -380,15 +380,15 @@ def sweep_points(scenario: Scenario) -> list[Scenario]:
 def trace_groups(points: list[Scenario]) -> list[list[int]]:
     """The indices of the points that share one trace, in order of first point.
 
-    Points share a trace when they agree on every key but TRACE_FREE_KEYS,
-    in type as well as value: an int and the equal float can round apart
-    in arithmetic on ints alone, such as h_c**2.
+    Points share a trace when every key but TRACE_FREE_KEYS has the same
+    repr, the rule cli keeps its last channel by.  == is not enough: it
+    holds for 0.0 and -0.0, and for an int and the equal float, which can
+    round apart in arithmetic on ints alone, such as h_c**2.
     """
     names = [name for name in SCHEMA if name not in TRACE_FREE_KEYS]
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[str, list[int]] = {}
     for i, point in enumerate(points):
-        values = [getattr(point, name) for name in names]
-        groups.setdefault(tuple((type(v), v) for v in values), []).append(i)
+        groups.setdefault(repr([getattr(point, name) for name in names]), []).append(i)
     return list(groups.values())
 
 

@@ -99,18 +99,17 @@ def gaussian_pulse(e0: float, tau_s: float, wavelength: Wavelength,
                     samples=_field(t, e0, tau_s, wavelength.omega0_rad_per_s))
 
 
-def received_pulse(tx: Waveform, t_d_s: float, gamma: float,
-                   attenuation: float) -> Waveform:
-    """Delayed single-copy receive model: gamma * T * pulse(t - t_d).
+def received_pulse(tx: Waveform, t_d_s: float, gain: float) -> Waveform:
+    """Delayed single-copy receive model: gain * pulse(t - t_d).
 
-    gamma is the focusing area ratio, attenuation the channel transmittance.
+    gain is the channel's total gain, a CIR's total_gain(): the medium
+    transmittance, times the focusing ratio gamma when the CIR carries it.
     The output grid is the transmit grid shifted by exactly t_d, so the
-    envelope peak moves by t_d and scales by gamma * attenuation.
+    envelope peak moves by t_d and scales by gain.
     """
     if t_d_s < 0.0:
         raise ValueError("delay must be non-negative")
-    scale = gamma * attenuation
-    return Waveform(t0=tx.t0 + t_d_s, dt=tx.dt, samples=scale * tx.samples)
+    return Waveform(t0=tx.t0 + t_d_s, dt=tx.dt, samples=gain * tx.samples)
 
 
 def propagate(tx: Waveform, cir: ImpulseResponse) -> Waveform:

@@ -239,8 +239,7 @@ def test_criterion_7_spectral_invariance(runs):
     ok = True
     for shape in SHAPES:
         run = runs[shape]
-        rx = received_pulse(tx, run.dominant_delay, 1.0,
-                            run.cir.total_gain())
+        rx = received_pulse(tx, run.dominant_delay, run.cir.total_gain())
         f_tx = spectrum(tx).peak_frequency()
         f_rx = spectrum(rx).peak_frequency()
         df = spectrum(tx).df

@@ -11,7 +11,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -173,6 +173,9 @@ class TestScenarioConfig:
         # An int and the equal float may round apart (h_c**2): no sharing.
         sc.sweep = {"parameter": "h_c_um", "values": [30, 30.0]}
         assert trace_groups(sweep_points(sc)) == [[0], [1]]
+        # Equal, but not the same value: repr, as the kept channel's key.
+        sc.sweep = {"parameter": "d_E_um", "values": [0.0, -0.0]}
+        assert trace_groups(sweep_points(sc)) == [[0], [1]]
 
     def test_sweep_over_the_ray_cell_cap_names_sweep(self):
         sc = default_scenario()
@@ -205,6 +208,17 @@ class TestScenarioConfig:
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def default_gamma_k101() -> float:
+    """The default scenario's cumulative focusing ratio at k_rays = 101."""
+    scenario = replace(default_scenario(), k_rays=101)
+    layout = scenario.build_layout()
+    _, focus = trace_array(layout, scenario.build_media(),
+                           collimated_bundle(layout.shape, 101))
+    gamma = ch.cumulative_gamma(focus)
+    assert gamma != pytest.approx(1.0)
+    return gamma
 
 
 class TestCliCommands:
@@ -398,12 +412,7 @@ class TestCliCommands:
                          "--set", "cir_dt_fs=0.1", "--set", f'gamma_mode="{mode}"']) == 0
             runs[mode] = (read_csv(out / "cir.csv"),
                           json.loads((out / "report.json").read_text()))
-        scenario = replace(default_scenario(), k_rays=101)
-        layout = scenario.build_layout()
-        _, focus = trace_array(layout, scenario.build_media(),
-                               collimated_bundle(layout.shape, 101))
-        gamma = ch.cumulative_gamma(focus)
-        assert gamma != pytest.approx(1.0)
+        gamma = default_gamma_k101()
         (per_path, per_path_report), (aggregate, aggregate_report) = \
             runs["per-path"], runs["aggregate"]
         assert len(per_path) == len(aggregate)
@@ -414,6 +423,19 @@ class TestCliCommands:
         assert aggregate_report["dominant_delay_s"] == per_path_report["dominant_delay_s"]
         assert aggregate_report["total_gain"] == pytest.approx(
             gamma * per_path_report["total_gain"], rel=1e-12)
+
+    def test_aggregate_gamma_scales_rx_summary_once(self, tmp_path, capsys):
+        # The summary pulse scales with the CIR's total gain, which carries
+        # gamma once: its peak power with gamma squared, not gamma**4.
+        peaks = {}
+        for mode in ("per-path", "aggregate"):
+            out = tmp_path / mode
+            assert main(["--command", "pulse", "--out", str(out), "--set", "k_rays=101",
+                         "--set", f'gamma_mode="{mode}"']) == 0
+            peaks[mode] = json.loads((out / "report.json").read_text())["rx_summary_peak_power"]
+        gamma = default_gamma_k101()
+        assert peaks["aggregate"] == pytest.approx(gamma**2 * peaks["per-path"],
+                                                   rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sweep", ['{"parameter": "d_l_um", "values": []}',
                                        '{"start": 5, "stop": 1, "parameter": "n_cells"}'])
@@ -903,6 +925,17 @@ def test_commands_on_one_scenario_trace_it_once(tmp_path, capsys, golden_battery
     ([], [], 1),
     (["d_E_um=0.0"], ["d_E_um=-0.0"], 2),  # equal, but not the same value
     ([], ["h_c_um=30"], 2),  # the default is 30.0
+    # Keys the channel does not read reuse it.
+    ([], ["gamma_mode=aggregate"], 1),
+    ([], ["tau_fs=2.0"], 1),
+    ([], ["lambda_nm=500.0"], 1),
+    ([], ["e0=2.0"], 1),
+    ([], ["cir_dt_fs=5.0"], 1),
+    ([], ["waveform_dt_fs=0.02"], 1),
+    # The same layout, its detector gap given rather than derived.
+    ([], [f"d_R_um={default_scenario().detector_gap_um()!r}"], 1),
+    ([], ["detector_width_um=30.0"], 2),
+    ([], ["k_rays=103"], 2),
 ])
 def test_channel_kept_for_the_same_values_only(tmp_path, capsys, traces, first, second,
                                                traced):
@@ -944,6 +977,25 @@ def test_failed_channel_is_not_kept(monkeypatch, traces):
     cli._channel(scenario)
     cli._channel(scenario)
     assert traces["trace_array"] == 3
+
+
+def test_kept_channel_serves_another_gamma_mode(tmp_path, capsys, traces):
+    # A per-path trace, then an aggregate pulse on the kept channel, writes
+    # what the same pulse writes on a fresh trace.
+    pulse = ["--command", "pulse", "--set", "k_rays=101", "--set", "gamma_mode=aggregate"]
+    assert main(["--command", "trace", "--out", str(tmp_path / "trace"),
+                 "--set", "k_rays=101"]) == 0
+    assert main([*pulse, "--out", str(tmp_path / "kept")]) == 0
+    assert traces["trace_array"] == 1
+    cli._last_channel.clear()
+    assert main([*pulse, "--out", str(tmp_path / "fresh")]) == 0
+    assert traces["trace_array"] == 2
+    assert file_hashes(tmp_path / "kept") == file_hashes(tmp_path / "fresh")
+    scenario = scenario_from_dict({"k_rays": 101})
+    chan = cli._channel(scenario)
+    assert cli._channel(replace(scenario, gamma_mode="aggregate")) is chan
+    with pytest.raises(FrozenInstanceError):
+        chan.paths = None
 
 
 def test_kept_channel_reports_the_callers_scenario(tmp_path, traces):

@@ -83,17 +83,18 @@ class TestGaussianPulse:
 
 class TestReceivedPulse:
     def test_identity(self, tx):
-        rx = received_pulse(tx, 0.0, 1.0, 1.0)
+        rx = received_pulse(tx, 0.0, 1.0)
         np.testing.assert_array_equal(rx.samples, tx.samples)
         assert rx.t0 == tx.t0
 
     def test_shift_moves_envelope_peak(self, tx):
-        rx = received_pulse(tx, 2e-12, 1.0, 1.0)
+        rx = received_pulse(tx, 2e-12, 1.0)
         t_peak = rx.times[int(np.argmax(envelope(rx)))]
         assert t_peak == pytest.approx(2e-12, abs=DT / 2)
 
     def test_scales_by_gamma_and_attenuation(self, tx):
-        rx = received_pulse(tx, 1e-12, 2.25, 0.8)
+        # The gain a CIR carries in aggregate mode: gamma times the transmittance.
+        rx = received_pulse(tx, 1e-12, 2.25 * 0.8)
         assert rx.samples.max() == pytest.approx(2.25 * 0.8 * tx.samples.max())
 
 
@@ -285,7 +286,7 @@ class TestSpectrum:
         assert tx.energy() == pytest.approx(freq_energy, rel=1e-9)
 
     def test_broadband_peak_preserved_by_delay(self, tx):
-        rx = received_pulse(tx, 2e-12, 1.0, 0.7)
+        rx = received_pulse(tx, 2e-12, 0.7)
         assert spectrum(rx).peak_frequency() == spectrum(tx).peak_frequency()
 
     def test_frequency_axis(self, tx):
