@@ -10,28 +10,30 @@ the channel the CLI keeps, so each shape's eight traced jobs trace once),
 then trace, cir, pulse and detector back to back on each shape's default
 scenario, so the later three reuse the channel the CLI kept from the
 first, plus K=1, N=0 (cir and trace), a tiny detector, a 3-point sweep,
-two sweeps that fail at a point and six error cases: a negative gap
+two sweeps that fail at a point and seven error cases: a negative gap
 (exit 2), an empty channel (exit 3), too many CIR bins and the convolution
 cap (each exit 2, raised inside the command), a wavelength whose carrier
-divides by zero and one whose carrier phase overflows at the pulse's last
-sample (each exit 2). A channel whose three detected rays all have a gain
-of 0.0 runs through trace (exit 0, no dominant delay), cir, pulse and
-detector (each exit 3). Sweeps whose points share one trace (n_cells
-with 0, repeats and unsorted values, total_um, d_R_um) and one whose
-points do not (d_l_um, with a repeat) run on the three shapes in both
-gamma modes too. Two kinds of pulse job cover the convolution window and
-the CSV writer's fixed-width path: K=101 at 0.02 fs steps on the three
-shapes (~100k-row waveforms), and a free-space pulse whose window starts
-at bin 0. cir and detector at N=1, K=20,001 on the three shapes are the
-wide-shallow benchmark's jobs; the detector maps' 20k rows cover the
-writer's run-by-run path, since each block's sorted coordinates cross zero
-at most once. Free-space pathloss curves of 1,023 and 1,024 rows straddle
-the MIN_RUN_ROWS a block's sign runs must average for that path. A trace
-through cells less dense than the tissue covers every way a ray is lost.
-Every job's exit code, stdout, stderr and output files are compared byte
-for byte, and so is whether its --out exists, since a failed run must not
-leave even an empty directory. The jobs that differ are listed, and the
-exit code is 1 on any difference, 0 when every job matches.
+divides by zero, one whose carrier phase overflows at the pulse's last
+sample, and a 5 fs pulse step that aliases the 456 nm carrier (each exit
+2; trees older than the carrier-step rule ran the last one, exit 0). A
+channel whose three detected rays all have a gain of 0.0 runs through
+trace (exit 0, no dominant delay), cir, pulse and detector (each exit 3).
+Sweeps whose points share one trace (n_cells with 0, repeats and unsorted
+values, total_um, d_R_um) and one whose points do not (d_l_um, with a
+repeat) run on the three shapes in both gamma modes too. Two kinds of
+pulse job cover the convolution window and the CSV writer's fixed-width
+path: K=101 at 0.02 fs steps on the three shapes (~100k-row waveforms),
+and a free-space pulse whose window starts at bin 0. cir and detector at
+N=1, K=20,001 on the three shapes are the wide-shallow benchmark's jobs;
+the detector maps' 20k rows cover the writer's run-by-run path, since each
+block's sorted coordinates cross zero at most once. Free-space pathloss
+curves of 1,023 and 1,024 rows straddle the MIN_RUN_ROWS a block's sign
+runs must average for that path. A trace through cells less dense than the
+tissue covers every way a ray is lost. Every job's exit code, stdout,
+stderr and output files are compared byte for byte, and so is whether its
+--out exists, since a failed run must not leave even an empty directory.
+The jobs that differ are listed, and the exit code is 1 on any difference,
+0 when every job matches.
 """
 
 from __future__ import annotations
@@ -124,6 +126,9 @@ def jobs() -> dict[str, list[str]]:
         "error-phase-overflow": ["--command", "pulse", "--set", "k_rays=11", "--set",
                                  "lambda_nm=1e-289", "--set", "tau_fs=1e20", "--set",
                                  "waveform_dt_fs=1e19"],
+        # 5 fs steps, above lambda/(2c) = 0.7605 fs at 456 nm; tau/10 admits them.
+        "error-carrier-step": ["--command", "pulse", "--set", "k_rays=11", "--set",
+                               "tau_fs=100", "--set", "waveform_dt_fs=5"],
         # Both tissue coefficients are in range; the three free-space rays'
         # transmittance underflows to 0.0.
         **{f"zero-gain-{command}": ["--command", command, "--set", "shape=pyramidal",

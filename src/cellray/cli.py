@@ -8,6 +8,12 @@ Exit codes: 0 success, 2 validation or input error, 3 physics error (for
 example an empty channel).  A command computes every output before --out
 is created, so a run that exits 2 or 3 leaves no file and no directory; an
 output error removes what the run created.
+
+main may run many times in one process, as scripts/run_channel_battery.py
+runs it: every call parses with the one parser _parser builds on first
+use, and the CLI keeps the last channel it traced (_channel).  A sweep
+row is written from the few values it holds (counts, dominant delay,
+total gain, path loss), without building a report per point.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -198,15 +204,20 @@ def _sum_in_order(values: np.ndarray | list[float]) -> float:
         return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
+def _counts(chan: Channel) -> dict[str, int]:
+    """The rays that arrived, leaked and deviated: the report's and sweep rows' counts."""
+    per_fate = np.bincount(chan.paths.fate, minlength=len(geo.STATUS))
+    return {word: int(per_fate[geo.STATUS == word].sum())
+            for word in ("arrived", "leaked", "deviated")}
+
+
 def _base_report(scenario: cfg.Scenario, chan: Channel,
                  cir: ch.ImpulseResponse | None = None) -> dict:
     """The report fields of every traced command; cir is chan's CIR at cir_dt_fs."""
-    per_fate = np.bincount(chan.paths.fate, minlength=len(geo.STATUS))
     report = {
         "scenario": scenario.to_dict(),
         "path_loss_db": total_path_loss(chan.layout, chan.media),
-        "counts": {word: int(per_fate[geo.STATUS == word].sum())
-                   for word in ("arrived", "leaked", "deviated")},
+        "counts": _counts(chan),
     }
     if chan.detected.gain.any():  # light reaches the detector
         # Summed in ray order: the report's bytes depend on it.
@@ -340,12 +351,13 @@ def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     valid = next((i for i, point in enumerate(points) if cfg.validate(point)), len(points))
     outputs, rows = {}, []
     for i, (point, chan) in enumerate(zip(points, _channels(points[:valid]))):
+        # The row's fields as _base_report gives them, without its other work;
+        # a binned CIR carries light, so its dominant delay is the report's.
         cir = _cir(point, chan, "cir_dt_fs")
-        report = _base_report(point, chan, cir)
-        counts = report["counts"]
+        counts = _counts(chan)
         outputs[f"cir_{i:03d}.csv"] = partial(ch.write_cir_csv, cir)
-        rows.append((float(getattr(point, param)), report["dominant_delay_s"],
-                     cir.total_gain(), report["path_loss_db"], counts["leaked"],
+        rows.append((float(getattr(point, param)), cir.dominant_bin()[0], cir.total_gain(),
+                     total_path_loss(chan.layout, chan.media), counts["leaked"],
                      counts["deviated"]))
     if valid < len(points):
         _require_valid(points[valid])
@@ -400,7 +412,13 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
     return text
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built on the first call and shared by every later one.
+
+    Parsing leaves it as it was: "append" copies its default list before
+    adding to it.
+    """
     parser = argparse.ArgumentParser(
         prog="cellray",
         description="Geometric-optics channel simulator for one-dimensional "
@@ -412,7 +430,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a scenario key")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         scenario = load_scenario(args.scenario, args.overrides)

@@ -8,15 +8,16 @@ in both media.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from numbers import Integral, Real
 from typing import Any, Optional
 
 from .geometry import ArrayLayout, CellShape, Fusiform, Pyramidal, Spherical, center_line
 from .optics import Media, Medium, Wavelength
-from .signal import pulse_samples
+from .signal import pulse_samples, samples_carrier
 
 SHAPES = ("fusiform", "spherical", "pyramidal")
 GAMMA_MODES = ("per-path", "aggregate")
@@ -43,8 +44,9 @@ class Rule:
 
     def type_problem(self, value: Any) -> Optional[str]:
         # NaN compares False against every bound: a real must be finite first.
-        if self.kind == "integer" and (isinstance(value, bool)
-                                       or not isinstance(value, Integral)):
+        # An exact int passes without the slower Integral check.
+        if self.kind == "integer" and type(value) is not int \
+                and (isinstance(value, bool) or not isinstance(value, Integral)):
             return f"must be an integer, got {value!r}"
         if (self.kind == "real" or self.kind == "optional" and value is not None) \
                 and not _is_finite_number(value):
@@ -155,7 +157,19 @@ class Scenario:
         return Wavelength(nm=self.lambda_nm)
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        """The fields by name, equal to dataclasses.asdict(self).
+
+        Only sweep, the one container key, is copied (deeply); the other
+        keys of a valid scenario hold scalars.
+        """
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
+        if self.sweep is not None:
+            data["sweep"] = copy.deepcopy(self.sweep)
+        return data
+
+
+_FIELD_NAMES = tuple(f.name for f in fields(Scenario))
+_DEFAULTS = Scenario().to_dict()  # scenario_from_dict's starting point
 
 
 # The rule of every Scenario key but sweep, in field order.
@@ -191,7 +205,9 @@ def default_scenario(shape: str = "fusiform") -> Scenario:
 
 def _is_finite_number(value: Any) -> bool:
     """A real, not a bool, that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, Real):
+    # An exact float or int skips the slower Real check.
+    if type(value) not in (float, int) and (isinstance(value, bool)
+                                            or not isinstance(value, Real)):
         return False
     try:
         return math.isfinite(value)
@@ -205,8 +221,8 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     Values are not judged here: validate() reports every violation, and
     whole-number floats become integers only for the integer keys.
     """
-    merged = asdict(Scenario())
-    unknown = set(data) - set(merged)
+    merged = dict(_DEFAULTS)
+    unknown = data.keys() - merged.keys()
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     merged.update(data)
@@ -341,14 +357,22 @@ def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
                          f"{MAX_PATH_SAMPLES} path-loss samples"))
     tau, dt = s.pulse_grid_s()
     samples = pulse_samples(tau, dt)
+    omega0 = s.build_wavelength().omega0_rad_per_s  # finite: the range stage checks it
     if not samples <= MAX_PULSE_SAMPLES:
         problems.append(("waveform_dt_fs", f"a {8.0 * tau:.6g} s pulse span at "
                                            f"{dt:.6g} s steps needs more than "
                                            f"{MAX_PULSE_SAMPLES} samples"))
     elif not math.isfinite(  # the largest phase omega0 * t the pulse takes the cosine of
-            phase := s.build_wavelength().omega0_rad_per_s * (dt * (int(samples) // 2))):
+            phase := omega0 * (dt * (int(samples) // 2))):
         problems.append(("lambda_nm", f"the carrier phase at the pulse's last sample "
                                       f"must be finite, got {phase!r} rad"))
+    # gaussian_pulse's own test, in seconds.  It follows the phase check, so
+    # that a phase overflow, which a step this coarse often brings too, still
+    # names lambda_nm.
+    elif not samples_carrier(dt, omega0):
+        problems.append(("waveform_dt_fs", f"must be under lambda/(2c) = "
+                                           f"{math.pi / omega0!r} s to sample the "
+                                           f"{s.lambda_nm:g} nm carrier, got a {dt!r} s step"))
     return problems
 
 

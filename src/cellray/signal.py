@@ -20,7 +20,7 @@ LN2 = math.log(2.0)
 
 
 class UnderResolved(Exception):
-    """The sample step cannot resolve the pulse envelope."""
+    """The sample step cannot resolve the pulse envelope or sample its carrier."""
 
 
 class IllConditioned(Exception):
@@ -82,17 +82,29 @@ def pulse_samples(tau_s: float, dt_s: float) -> float:
         return 2.0 * float(np.rint(np.float64(4.0 * tau_s) / dt_s)) + 1.0
 
 
+def samples_carrier(dt_s: float, omega0: float) -> bool:
+    """Whether dt_s samples a carrier of omega0 rad/s: dt < pi/omega0 = lambda/(2c).
+
+    A coarser step aliases the carrier, and every pulse output would
+    describe another signal.
+    """
+    return dt_s * omega0 < math.pi
+
+
 def gaussian_pulse(e0: float, tau_s: float, wavelength: Wavelength,
                    dt_s: float) -> Waveform:
     """Carrier-resolved Gaussian pulse centred on t = 0, spanning 8 tau.
 
     The grid is symmetric and lands exactly on t = 0, where the field
-    equals e0.  Raises UnderResolved for dt >= tau/10.
+    equals e0.  Raises UnderResolved for dt >= tau/10 and for a step that
+    cannot sample the carrier (samples_carrier).
     """
     if tau_s <= 0.0:
         raise ValueError("tau must be positive")
     if dt_s >= tau_s / 10.0:
         raise UnderResolved(f"dt {dt_s} cannot resolve tau {tau_s}")
+    if not samples_carrier(dt_s, wavelength.omega0_rad_per_s):
+        raise UnderResolved(f"dt {dt_s} cannot sample the {wavelength.nm} nm carrier")
     half = int(pulse_samples(tau_s, dt_s)) // 2
     t = dt_s * np.arange(-half, half + 1)
     return Waveform(t0=-half * dt_s, dt=dt_s,

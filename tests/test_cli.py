@@ -11,7 +11,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -74,6 +74,26 @@ class TestScenarioConfig:
         sc = default_scenario("spherical")
         again = scenario_from_dict(json.loads(json.dumps(sc.to_dict())))
         assert again == sc
+
+    @pytest.mark.parametrize("sweep", [
+        None,
+        {"parameter": "n_cells", "start": 1, "stop": 18},
+        {"parameter": "d_l_um", "values": [1.0, 5.0, 3.0]},
+    ])
+    def test_to_dict_equals_asdict(self, sweep):
+        sc = replace(default_scenario("pyramidal"), k_rays=301, sweep=sweep)
+        data, expected = sc.to_dict(), asdict(sc)
+        assert list(data.items()) == list(expected.items())
+        assert [type(v) for v in data.values()] == [type(v) for v in expected.values()]
+
+    def test_to_dict_copies_the_sweep(self):
+        sc = replace(default_scenario(), sweep={"parameter": "d_l_um", "values": [1.0, 5.0]})
+        data = sc.to_dict()
+        data["sweep"]["values"].append(9.0)
+        data["sweep"]["parameter"] = "n_cells"
+        data["sweep"]["start"] = 1
+        assert sc.sweep == {"parameter": "d_l_um", "values": [1.0, 5.0]}
+        assert sc.to_dict()["sweep"] == sc.sweep
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -521,6 +541,9 @@ REJECTED_INPUTS = [
     # in: validate passed it and the pulse failed with UnderResolved (exit 3).
     ("pulse", ["tau_fs=76.37982415147164", "waveform_dt_fs=7.637982415147163"],
      "waveform_dt_fs"),
+    # Under tau/10, but over lambda/(2c) = 0.7605 fs: the 456 nm carrier
+    # aliased and the pulse reported a peak frequency of another signal.
+    ("pulse", ["k_rays=11", "tau_fs=100", "waveform_dt_fs=0.7606"], "waveform_dt_fs"),
     # 1,997 points of 2,000,000 ray-cells each: each point fits, the sweep
     # would trace for about 35 minutes.
     ("sweep", ["k_rays=1000", "n_cells=2000", "total_um=60000",
@@ -541,6 +564,13 @@ def test_rejected_naming_key_without_files(tmp_path, capsys, command, overrides,
     assert record["error"] == "validation"
     assert any(v.startswith(f"{key}:") for v in record["detail"]), record
     assert not out.exists()
+
+
+def test_step_just_under_the_carrier_limit_runs(tmp_path, capsys):
+    assert main(["--command", "pulse", "--out", str(tmp_path), "--set", "k_rays=11",
+                 "--set", "tau_fs=100", "--set", "waveform_dt_fs=0.76"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["tx_peak_frequency_hz"] == pytest.approx(6.574e14, rel=1e-3)
 
 
 # Three rays through free space, all detected, whose gains all underflow to
@@ -1007,6 +1037,41 @@ def test_kept_channel_reports_the_callers_scenario(tmp_path, traces):
     assert traces["trace_array"] == 1
     assert report["scenario"] == second.to_dict()
     assert report["scenario"]["tau_fs"] == 1.0
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_sweep_rows_equal_the_points_reports(monkeypatch, shape):
+    """Each sweep row holds its point's _base_report fields, bit for bit,
+    though cmd_sweep builds no report per point."""
+    scenario = scenario_from_dict({"shape": shape, "k_rays": 301,
+                                   "sweep": {"parameter": "n_cells", "start": 1, "stop": 18}})
+    calls = count_calls(monkeypatch, (cli, "_base_report"))
+    _, outputs = cli.cmd_sweep(scenario)
+    assert calls["_base_report"] == 0
+    rows = list(zip(*outputs["sweep_summary.csv"].keywords["columns"]))
+    points = sweep_points(scenario)
+    assert len(rows) == len(points) == 18
+    for point, chan, row in zip(points, cli._channels(points), rows):
+        cir = cli._cir(point, chan, "cir_dt_fs")
+        report = cli._base_report(point, chan, cir)
+        assert row == (float(point.n_cells), report["dominant_delay_s"], cir.total_gain(),
+                       report["path_loss_db"], report["counts"]["leaked"],
+                       report["counts"]["deviated"])
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    parser = cli._parser()
+    assert main(["--command", "pathloss", "--out", str(tmp_path / "a"),
+                 "--set", "k_rays=11"]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"]["k_rays"] == 11
+    # --set appends to a copy of its default list, which stays empty.
+    assert main(["--command", "pathloss", "--out", str(tmp_path / "b")]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"]["k_rays"] == 1001
+    with pytest.raises(SystemExit) as exc:
+        main(["--command", "nonsense"])
+    assert exc.value.code == 2
+    assert main(["--command", "validate"]) == 0
+    assert cli._parser() is parser and parser.get_default("overrides") == []
 
 
 def test_stdout_is_report_json(tmp_path, capsys):

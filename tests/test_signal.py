@@ -80,6 +80,16 @@ class TestGaussianPulse:
         with pytest.raises(UnderResolved):
             gaussian_pulse(1.0, TAU, LAM, dt_s=0.2e-15)
 
+    def test_step_must_sample_the_carrier(self):
+        # lambda/(2c) is 0.7605 fs at 456 nm; tau/10 admits both steps.
+        limit = math.pi / LAM.omega0_rad_per_s
+        assert limit == pytest.approx(456e-9 / (2 * SPEED_OF_LIGHT_M_PER_S), rel=1e-15)
+        with pytest.raises(UnderResolved):
+            gaussian_pulse(1.0, 100e-15, LAM, dt_s=0.7606e-15)
+        tx = gaussian_pulse(1.0, 100e-15, LAM, dt_s=0.76e-15)
+        assert spectrum(tx).peak_frequency() == pytest.approx(
+            SPEED_OF_LIGHT_M_PER_S / 456e-9, abs=spectrum(tx).df)
+
 
 class TestReceivedPulse:
     def test_identity(self, tx):
