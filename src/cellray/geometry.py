@@ -29,10 +29,8 @@ for several layouts on one cell line (equal shape, gap and source gap) in
 one pass through the longest: cell i's entry vertex does not depend on the
 cell count, so each layout's rays are a copy of the shared state at its
 count, run on to its own detector plane.  The cell loop lives there alone;
-trace_array is its one-layout case.  trace_cell is the same step run on
-one RayState of any angle.  RayPath objects are built only when
-a caller indexes or iterates a batch; refraction events are reported by
-trace_cell only.
+trace_array is its one-layout case, and no other tracer is in the package.
+RayPath objects are built only when a caller indexes or iterates a batch.
 
 Every value equals, bit for bit, the one a per-ray scalar loop computes with
 the math module; tests/scalar_tracer.py keeps such a loop as the oracle of
@@ -66,14 +64,6 @@ CROSSED, MISS, TIR, BACKWARD, DEVIATED = range(5)
 # Each fate's word in rays.csv, the report's counts and RayPath.status.
 STATUS = np.array(["arrived", "leaked", "leaked", "leaked", "deviated"])
 STATUS.flags.writeable = False
-
-
-class NoIntersection(Exception):
-    """The ray misses the cell surface it was expected to hit."""
-
-
-class TotalInternalReflection(Exception):
-    """Refraction impossible; the ray is terminated by the caller."""
 
 
 @dataclass(frozen=True)
@@ -218,49 +208,15 @@ class RayState:
             raise ValueError(f"forward ray requires |theta| < pi/2, got {self.theta}")
 
 
-@dataclass(frozen=True)
-class RefractionEvent:
-    """One interface crossing, kept for diagnostics and consistency checks."""
-
-    x: float
-    h: float
-    normal_angle: float  # direction of the surface normal, rad from +x axis
-    theta_in: float      # global ray angle before refraction
-    theta_out: float     # global ray angle after refraction
-    n_in: float
-    n_out: float
-
-
-@dataclass(frozen=True)
-class FocusEntry:
-    """Axis-crossing of one exit ray: convergence angle and crossing distance.
-
-    x_f is measured from the cell's exit vertex; +inf means the exit ray is
-    parallel to the axis, a negative value a virtual (upstream) crossing.
-    """
-
-    theta_f: float
-    x_f: float
-
-
-@dataclass(frozen=True)
-class CellTrace:
-    """Result of pushing one ray through one cell."""
-
-    tissue_leg: float      # path length from the incoming position to the entry point
-    entry: RayState        # at the entry surface, before refraction
-    outgoing: RayState     # at the exit surface, after refraction
-    chord: float           # geometric in-cell path length
-    focus: Optional[FocusEntry]
-    events: tuple[RefractionEvent, ...]
-
-
 @dataclass
 class RayPath:
     """Ray ray_index of a RayBatch, read off its arrays: fate and exit state.
 
     status is "arrived", "leaked" or "deviated"; loss_cell is the index of
     the first cell the ray failed to traverse, None for arrived rays.
+    perfbench/spans.py's delivered-ray counter is the only client of this
+    view and of RayState, its exit; both go when that counter reads
+    RayBatch.delivered (ROADMAP item 1).
     """
 
     ray_index: int
@@ -279,7 +235,9 @@ class RayBatch:
     loss of leaked ones.  cell_length and tissue_length are the summed
     per-medium path lengths, all that a ray's channel atom reads.
 
-    Indexing or iterating builds RayPath views.
+    Indexing or iterating builds RayPath views; perfbench/spans.py's
+    delivered-ray counter is their only client, and __iter__ and
+    __getitem__ go with RayPath (ROADMAP item 1).
     """
 
     fate: np.ndarray
@@ -315,7 +273,7 @@ class FocusReport:
     """Illumination radii along the array and each cell's marginal-ray focus.
 
     Entry i of radius, theta_f and x_f belongs to cell i: max |h| over the
-    rays leaving it (0.0 if none does) and the outermost one's FocusEntry.
+    rays leaving it (0.0 if none does) and the outermost one's focus (_focus).
     NaN marks a value that does not exist: the focus of a pyramidal cell or
     of a cell no ray leaves, and the detector radius with no delivered ray.
     """
@@ -403,13 +361,18 @@ def _fate(*checks) -> np.ndarray:
 
 
 def _focus(x: float, h: float, dx: float, dy: float, theta: float,
-           exit_vertex_x: float) -> FocusEntry:
-    """Axis crossing of the ray leaving a radial cell at (x, h) along (dx, dy)."""
+           exit_vertex_x: float) -> tuple[float, float]:
+    """(theta_f, x_f) of the ray leaving a radial cell at (x, h) along (dx, dy).
+
+    theta_f is the convergence angle |theta|.  x_f is where the ray crosses
+    the axis, measured from the cell's exit vertex: +inf for an exit ray
+    parallel to the axis, negative for a virtual (upstream) crossing.
+    """
     theta_f = abs(theta)
     if abs(dy) < 1e-15:
-        return FocusEntry(theta_f=theta_f, x_f=math.inf)
+        return theta_f, math.inf
     x_cross = x - h * dx / dy
-    return FocusEntry(theta_f=theta_f, x_f=x_cross - exit_vertex_x)
+    return theta_f, x_cross - exit_vertex_x
 
 
 def _cross_radial(c1x: float, c2x: float, r: float, mid_x: Optional[float],
@@ -498,44 +461,6 @@ def _cross(shape: CellShape, media: Media, entry_x: float, x, h, theta) -> tuple
         if isinstance(shape, Pyramidal):
             return _cross_pyramidal(shape, media, entry_x, x, h, theta)
     raise TypeError(f"unsupported shape {type(shape).__name__}")
-
-
-def trace_cell(shape: CellShape, media: Media, incoming: RayState,
-               entry_x: float) -> CellTrace:
-    """Trace one ray through one cell whose entry vertex sits at entry_x.
-
-    Raises NoIntersection when the ray misses the cell and
-    TotalInternalReflection when a surface cannot refract it forward.
-    """
-    fate, t_entry, ex, eh, n1, d1, t_exit, xx, xh, n2, d2 = _cross(
-        shape, media, entry_x, np.array([incoming.x]), np.array([incoming.h]),
-        np.array([incoming.theta]))
-    if fate[0] == MISS:
-        raise NoIntersection
-    if fate[0] != CROSSED:
-        raise TotalInternalReflection
-
-    def angle(v) -> float:  # of ray 0's (x, h) pair; a face normal may be floats
-        return math.atan2(float(np.ravel(v[1])[0]), float(np.ravel(v[0])[0]))
-
-    theta_in, theta_mid, theta_out = incoming.theta, angle(d1), angle(d2)
-    x, h = float(xx[0]), float(xh[0])
-    return CellTrace(
-        tissue_leg=max(float(t_entry[0]), 0.0),
-        entry=RayState(float(ex[0]), float(eh[0]),
-                       math.atan2(math.sin(theta_in), math.cos(theta_in))),
-        outgoing=RayState(x, h, theta_out),
-        chord=float(t_exit[0]),
-        focus=None if isinstance(shape, Pyramidal)
-        else _focus(x, h, float(d2[0][0]), float(d2[1][0]), theta_out,
-                    entry_x + shape.axial_extent),
-        events=(
-            RefractionEvent(float(ex[0]), float(eh[0]), angle(n1), theta_in, theta_mid,
-                            media.tissue.n, media.cell.n),
-            RefractionEvent(x, h, angle(n2), theta_mid, theta_out,
-                            media.cell.n, media.tissue.n),
-        ),
-    )
 
 
 def collimated_bundle(shape: CellShape, k: int) -> np.ndarray:
@@ -638,9 +563,9 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
         cells[0, cell] = np.max(np.abs(xh))
         if not isinstance(shape, Pyramidal):
             j = int(np.argmax(np.abs(eh)))  # the marginal ray
-            focus = _focus(float(xx[j]), float(xh[j]), float(dx[j]), float(dy[j]),
-                           float(theta[j]), entry_x + shape.axial_extent)
-            cells[1:, cell] = focus.theta_f, focus.x_f
+            cells[1:, cell] = _focus(float(xx[j]), float(xh[j]), float(dx[j]),
+                                     float(dy[j]), float(theta[j]),
+                                     entry_x + shape.axial_extent)
     return results
 
 

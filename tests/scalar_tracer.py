@@ -1,7 +1,10 @@
 """The per-ray scalar tracer that geometry.trace_array replaced, kept verbatim.
 
 tests/test_batch_tracer.py compares the batch tracer against it with exact
-equality; it is a test oracle, not part of the package.
+equality; it is a test oracle, not part of the package.  The per-ray records
+(RayState, CellTrace, RefractionEvent, FocusEntry) and the two stop
+exceptions are defined here only; tests/cell_step.py builds the same records
+from the package's cell step.
 """
 
 from __future__ import annotations
@@ -15,12 +18,18 @@ from cellray.geometry import (
     ArrayLayout,
     CellShape,
     Fusiform,
-    NoIntersection,
     Pyramidal,
     Spherical,
-    TotalInternalReflection,
 )
 from cellray.optics import Media
+
+
+class NoIntersection(Exception):
+    """The ray misses the cell surface it was expected to hit."""
+
+
+class TotalInternalReflection(Exception):
+    """Refraction impossible; the ray is terminated by the caller."""
 
 
 @dataclass(frozen=True)

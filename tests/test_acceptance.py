@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cell_step import trace_cell
 from cellray.channel import (
     build_cir,
     contributions,
@@ -22,17 +23,16 @@ from cellray.channel import (
 )
 from cellray.config import default_scenario
 from cellray.geometry import (
+    CROSSED,
     ArrayLayout,
     Fusiform,
-    NoIntersection,
     Pyramidal,
-    RayState,
     Spherical,
-    TotalInternalReflection,
+    _atan2,
+    _cross,
     avg_distances,
     collimated_bundle,
     trace_array,
-    trace_cell,
 )
 from cellray.optics import (
     SPEED_OF_LIGHT_M_PER_S,
@@ -52,6 +52,7 @@ from cellray.signal import (
     spectrum,
 )
 from cellray.channel import ImpulseResponse
+from scalar_tracer import NoIntersection, RayState, TotalInternalReflection
 
 MEDIA = Media(cell=Medium(1.36, 0.9, 3.43), tissue=Medium(1.35, 1.34, 3.43))
 LAM = Wavelength(456.0)
@@ -278,29 +279,37 @@ def test_criterion_9_property_battery(runs):
     failures = []
 
     # Snell consistency at 1e-12 over every refraction event of all runs:
-    # each bundle ray is walked through the cells with trace_cell, two
+    # each bundle is stepped through the cells by geometry._cross, two
     # events per cell crossing the traced paths report, 99,020 on the
-    # default scenarios.
+    # default scenarios.  An event's normal angle and the ray angles before
+    # and after it come from the normals and directions _cross returns; the
+    # survivors' angle is carried through _atan2, as trace_arrays carries
+    # it, so the stepped rays are the traced rays bit for bit.
+    def angle(v, crossed):  # of each crossed ray's (x, h) pair; a face normal may be floats
+        return _atan2(*(np.broadcast_to(c, crossed.shape)[crossed] for c in v[::-1]))
+
     worst_snell = 0.0
     checked = crossings = 0
     for run in runs.values():
-        layout = run.layout
+        layout, media = run.layout, run.media
         loss_cell = run.paths.loss_cell
         crossings += int(np.where(loss_cell < 0, layout.n_cells, loss_cell).sum())
-        for h in run.bundle.tolist():
-            ray = RayState(0.0, h, 0.0)
-            for cell in range(layout.n_cells):
-                try:
-                    ct = trace_cell(layout.shape, run.media, ray,
-                                    layout.cell_entry_x(cell))
-                except (NoIntersection, TotalInternalReflection):
-                    break
-                for ev in ct.events:
-                    lhs = ev.n_in * math.sin(ev.theta_in - ev.normal_angle)
-                    rhs = ev.n_out * math.sin(ev.theta_out - ev.normal_angle)
-                    worst_snell = max(worst_snell, abs(lhs - rhs))
-                    checked += 1
-                ray = ct.outgoing
+        h = run.bundle
+        x, theta = np.zeros_like(h), np.zeros_like(h)
+        for cell in range(layout.n_cells):
+            fate, _, _, _, n1, d1, _, xx, xh, n2, d2 = _cross(
+                layout.shape, media, layout.cell_entry_x(cell), x, h, theta)
+            crossed = fate == CROSSED
+            theta_mid, theta_out = angle(d1, crossed), angle(d2, crossed)
+            for normal, before, after, n_in, n_out in (
+                    (n1, theta[crossed], theta_mid, media.tissue.n, media.cell.n),
+                    (n2, theta_mid, theta_out, media.cell.n, media.tissue.n)):
+                normal_angle = angle(normal, crossed)
+                lhs = n_in * np.sin(before - normal_angle)
+                rhs = n_out * np.sin(after - normal_angle)
+                worst_snell = max(worst_snell, np.max(np.abs(lhs - rhs), initial=0.0))
+                checked += len(normal_angle)
+            x, h, theta = xx[crossed], xh[crossed], theta_out
     if worst_snell >= 1e-12:
         failures.append(f"snell {worst_snell:.2e}")
     if not checked == 2 * crossings == 99_020:

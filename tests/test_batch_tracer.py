@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scalar_tracer as oracle
+from cell_step import trace_cell, walked_cells
 from cellray.channel import EmptyChannel, build_cir, contributions
 from cellray.config import default_scenario
 from cellray.geometry import (
@@ -23,20 +24,18 @@ from cellray.geometry import (
     TIR,
     ArrayLayout,
     Fusiform,
-    NoIntersection,
     Pyramidal,
     RayBatch,
     RayPath,
     RayState,
     Spherical,
-    TotalInternalReflection,
     collimated_bundle,
     trace_array,
     trace_arrays,
-    trace_cell,
 )
 from cellray.optics import Media, Medium
 from conftest import CELL, TISSUE
+from scalar_tracer import NoIntersection, TotalInternalReflection
 
 MEDIA = Media(cell=CELL, tissue=TISSUE)
 SHAPES = ("fusiform", "spherical", "pyramidal")
@@ -66,19 +65,6 @@ def focus_fields(report):
     return repr((report.source_radius, cells, report.detector_radius))
 
 
-def walked_events(layout, media, h):
-    """Refraction events of the ray launched at h, walked by trace_cell."""
-    state, events = RayState(0.0, h, 0.0), []
-    for cell in range(layout.n_cells):
-        try:
-            ct = trace_cell(layout.shape, media, state, layout.cell_entry_x(cell))
-        except (NoIntersection, TotalInternalReflection):
-            break
-        events.extend(ct.events)
-        state = ct.outgoing
-    return events
-
-
 def oracle_columns(paths):
     """The oracle's per-ray ledger as the columns of a RayBatch, with the
     status word in place of the fate code."""
@@ -99,7 +85,7 @@ def assert_same_trace(layout, media, h0, events=False):
     Every array of the batch equals the oracle's per-ray values, the
     per-medium path lengths being the sums of its segment ledger.  h0 holds
     the launch heights.  events=True also walks every ray through the cells
-    with trace_cell and requires the oracle's refraction events.
+    with cell_step.trace_cell and requires the oracle's refraction events.
     """
     paths, report = oracle.trace_array(
         layout, media, [oracle.RayState(0.0, h, 0.0) for h in h0])
@@ -108,8 +94,9 @@ def assert_same_trace(layout, media, h0, events=False):
     columns["status"] = STATUS[columns.pop("fate")].tolist()
     assert columns == oracle_columns(paths)
     if events:
-        assert [event_fields(walked_events(layout, media, h)) for h in h0] == \
-            [event_fields(p.events) for p in paths]
+        walked = [walked_cells(layout, media, h) for h in h0]
+        assert [event_fields(e for ct in cells for e in ct.events) for cells in walked] \
+            == [event_fields(p.events) for p in paths]
     assert focus_fields(focus) == focus_fields(report)
     return batch
 
@@ -226,7 +213,8 @@ class TestRayBatch:
         layout, media, h0 = scenario_trace("fusiform", k_rays=1)
         batch = assert_same_trace(layout, media, h0, events=True)
         assert len(batch) == 1 and batch.fate.tolist() == [CROSSED]
-        assert len(walked_events(layout, media, h0[0])) == 2 * layout.n_cells
+        assert sum(len(ct.events) for ct in walked_cells(layout, media, h0[0])) == \
+            2 * layout.n_cells
 
     def test_no_cells_single_tissue_segment(self):
         layout, media, h0 = scenario_trace("spherical", n_cells=0, k_rays=11)
@@ -257,7 +245,7 @@ class TestRayBatch:
         # through the base and then misses the fourth.
         dense = Media(cell=Medium(1.6, 0.9, 3.43), tissue=TISSUE)
         layout = ArrayLayout(Pyramidal(30.0, 40.0), 4, 5.0, 4.0, 5.0)
-        exits = [e.normal_angle for e in walked_events(layout, dense, 10.0)[1::2]]
+        exits = [ct.events[1].normal_angle for ct in walked_cells(layout, dense, 10.0)]
         assert exits[2] == -0.5 * math.pi and len(exits) == 3
         batch = assert_same_trace(layout, dense, [10.0], events=True)
         assert batch.fate.tolist() == [DEVIATED] and batch.loss_cell.tolist() == [3]
@@ -273,7 +261,11 @@ class TestRayBatch:
             trace_cell(shape, MEDIA, RayState(*launch), 4.0)
 
     def test_sequence_protocol(self):
-        """Iterating or indexing a batch gives views of entry i of its arrays."""
+        """Iterating or indexing a batch gives views of entry i of its arrays.
+
+        perfbench/spans.py's delivered-ray counter is the only client of these
+        views; this test goes with RayPath (ROADMAP item 1).
+        """
         for shape in SHAPES:
             layout, media, h0 = scenario_trace(shape)
             batch, _ = trace_array(layout, media, np.array(h0))

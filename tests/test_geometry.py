@@ -5,25 +5,23 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from cell_step import trace_cell, walked_cells
 from cellray.geometry import (
     CROSSED,
     DEVIATED,
     STATUS,
     ArrayLayout,
     Fusiform,
-    NoIntersection,
     Pyramidal,
-    RayState,
     Spherical,
     TOL,
-    TotalInternalReflection,
     avg_distances,
     collimated_bundle,
     trace_array,
-    trace_cell,
 )
 from cellray.optics import Media, Medium
 from conftest import CELL, TISSUE
+from scalar_tracer import NoIntersection, RayState, TotalInternalReflection
 
 MEDIA = Media(cell=CELL, tissue=TISSUE)
 
@@ -253,19 +251,6 @@ def default_layout(shape, n=18, gap=5.0, d_src=5.0, d_det=0.0):
                        source_gap=d_src, detector_gap=d_det)
 
 
-def walked_cells(layout, h):
-    """The CellTrace of each cell the ray launched at h crosses, by trace_cell."""
-    state, cells = RayState(0.0, h, 0.0), []
-    for i in range(layout.n_cells):
-        try:
-            ct = trace_cell(layout.shape, MEDIA, state, layout.cell_entry_x(i))
-        except (NoIntersection, TotalInternalReflection):
-            break
-        cells.append(ct)
-        state = ct.outgoing
-    return cells
-
-
 class TestTraceArray:
     def test_empty_array_single_tissue_segment(self):
         layout = ArrayLayout(Fusiform(30.0, 20.0), 0, 5.0, 5.0, 445.0)
@@ -283,7 +268,7 @@ class TestTraceArray:
         assert arrived.any()
         assert (batch.loss_cell[arrived] == -1).all()
         for h in bundle[arrived].tolist():
-            chords = [ct.chord for ct in walked_cells(layout, h)]
+            chords = [ct.chord for ct in walked_cells(layout, MEDIA, h)]
             assert len(chords) == 18 and all(chord > TOL for chord in chords)
 
     def test_segment_ledger_structure(self):
@@ -295,7 +280,7 @@ class TestTraceArray:
         for i in arrived.tolist():
             # Tissue leg and chord alternate, each positive, and end in a
             # tissue leg to the detector; their sums are the batch's lengths.
-            cells = walked_cells(layout, bundle[i])
+            cells = walked_cells(layout, MEDIA, bundle[i])
             assert len(cells) == layout.n_cells
             assert all(ct.tissue_leg > TOL and ct.chord > TOL for ct in cells)
             assert batch.cell_length[i] == sum(ct.chord for ct in cells)
