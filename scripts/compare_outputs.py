@@ -29,9 +29,12 @@ the detector maps' 20k rows cover the writer's run-by-run path, since each
 block's sorted coordinates cross zero at most once. Free-space pathloss
 curves of 1,023 and 1,024 rows straddle the MIN_RUN_ROWS a block's sign
 runs must average for that path. A trace through cells less dense than the
-tissue covers every way a ray is lost. Every job's exit code, stdout,
-stderr and output files are compared byte for byte, and so is whether its
---out exists, since a failed run must not leave even an empty directory.
+tissue covers every way a ray is lost. Three jobs spell a real key as -0.0
+or as an int: a trace at d_E_um=-0.0, a trace at h_c_um=30 and a sweep
+over the h_c_um values 30 and 30.0, whose two points share one trace.
+Every job's exit code, stdout, stderr and output files are compared byte
+for byte, and so is whether its --out exists, since a failed run must not
+leave even an empty directory.
 The jobs that differ are listed, and the exit code is 1 on any difference,
 0 when every job matches.
 """
@@ -113,6 +116,11 @@ def jobs() -> dict[str, list[str]]:
         "index-contrast-trace": ["--command", "trace", "--scenario",
                                  str(ROOT / "scenarios" / "spherical.json"),
                                  "--set", "n_cell=1.0", "--set", "n_tissue=1.6"],
+        # Read as 0.0 and 30.0, so they trace and write as those spellings do.
+        "signed-zero-trace": ["--command", "trace", "--set", "d_E_um=-0.0"],
+        "int-spelled-trace": ["--command", "trace", "--set", "h_c_um=30"],
+        "int-spelled-sweep": ["--command", "sweep", "--set", "k_rays=301", "--set",
+                              'sweep={"parameter": "h_c_um", "values": [30, 30.0]}'],
         "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],

@@ -11,7 +11,8 @@ output error removes what the run created.
 
 main may run many times in one process, as scripts/run_channel_battery.py
 runs it: every call parses with the one parser _parser builds on first
-use, and the CLI keeps the last channel it traced (_channel).  A sweep
+use, and the CLI keeps the last channel it traced (_channel), keyed on
+config.Scenario.trace_key, the key a sweep's trace groups share.  A sweep
 row is written from the few values it holds (counts, dominant delay,
 total gain, path loss), without building a report per point.
 """
@@ -162,14 +163,13 @@ def _channels(points: list[cfg.Scenario]) -> Iterator[Channel]:
 # scenario, as scripts/run_channel_battery.py runs trace, cir, pulse and
 # detector, trace it once, and so do scenarios that differ only in keys the
 # channel does not read, such as gamma_mode, cir_dt_fs or the pulse keys.
-_last_channel: dict[str, Channel] = {}
+_last_channel: dict[tuple, Channel] = {}
 
 
 def _channel(scenario: cfg.Scenario) -> Channel:
     """scenario's channel, traced unless the last call's had the same inputs."""
-    # repr, not ==, as in config.trace_groups: 0.0 == -0.0 and 30 == 30.0.
-    key = repr((scenario.build_layout(), scenario.build_media(), scenario.k_rays,
-                scenario.detector_width_um))
+    key = (scenario.trace_key(), scenario.n_cells, scenario.detector_gap_um(),
+           scenario.detector_width_um)
     if key not in _last_channel:
         _last_channel.clear()
         chan = next(_channels([scenario]))

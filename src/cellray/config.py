@@ -63,9 +63,15 @@ class Rule:
         return None
 
     def coerce(self, value: Any) -> Any:
-        """A whole float as an int for an integer key; any other value as is."""
+        """A whole float as an int for an integer key, an int or float as a
+        float for a real key (-0.0 as 0.0); any other value as is."""
         if self.kind == "integer" and isinstance(value, float) and value.is_integer():
             return int(value)
+        if self.kind in ("real", "optional") and type(value) in (int, float):
+            try:
+                return float(value) + 0.0
+            except OverflowError:  # an int beyond the float range: validate rejects it
+                pass
         return value
 
 
@@ -124,6 +130,16 @@ class Scenario:
         n = self.n_cells
         span = n * self.build_shape().axial_extent + max(n - 1, 0) * self.d_l_um
         return self.total_um - self.d_E_um - span
+
+    def trace_key(self) -> tuple:
+        """The values of the keys the rays read before they leave the last cell.
+
+        Read from the fields only: trace_groups keys sweep points before they
+        are validated, when building a layout could raise.
+        """
+        return tuple(getattr(self, key) for key, rule in SCHEMA.items()
+                     if self.shape in rule.shapes and not rule.pulse
+                     and key not in TRACE_FREE_KEYS)
 
     def pulse_grid_s(self) -> tuple[float, float]:
         """The transmitted pulse's FWHM and sample step, in seconds."""
@@ -194,7 +210,8 @@ MAX_SWEEP_POINTS = 2_000      # points of a sweep grid
 # The keys in which the points of one shared trace may differ: they set where
 # the rays stop (the cell count, the detector plane) or what is read off them,
 # not the rays' path through the cells the points share (trace_arrays).
-TRACE_FREE_KEYS = ("n_cells", "d_R_um", "total_um", "detector_width_um", "cir_dt_fs")
+TRACE_FREE_KEYS = ("n_cells", "d_R_um", "total_um", "detector_width_um", "cir_dt_fs",
+                   "gamma_mode")
 
 
 def default_scenario(shape: str = "fusiform") -> Scenario:
@@ -218,8 +235,8 @@ def _is_finite_number(value: Any) -> bool:
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     """Build a Scenario from a parsed key tree; unknown keys are rejected.
 
-    Values are not judged here: validate() reports every violation, and
-    whole-number floats become integers only for the integer keys.
+    Values are not judged here: validate() reports every violation.  Each
+    key's value is read in its canonical form (Rule.coerce).
     """
     merged = dict(_DEFAULTS)
     unknown = data.keys() - merged.keys()
@@ -402,17 +419,10 @@ def sweep_points(scenario: Scenario) -> list[Scenario]:
 
 
 def trace_groups(points: list[Scenario]) -> list[list[int]]:
-    """The indices of the points that share one trace, in order of first point.
-
-    Points share a trace when every key but TRACE_FREE_KEYS has the same
-    repr, the rule cli keeps its last channel by.  == is not enough: it
-    holds for 0.0 and -0.0, and for an int and the equal float, which can
-    round apart in arithmetic on ints alone, such as h_c**2.
-    """
-    names = [name for name in SCHEMA if name not in TRACE_FREE_KEYS]
-    groups: dict[str, list[int]] = {}
+    """The indices of the points that share one trace, in order of first point."""
+    groups: dict[tuple, list[int]] = {}
     for i, point in enumerate(points):
-        groups.setdefault(repr([getattr(point, name) for name in names]), []).append(i)
+        groups.setdefault(point.trace_key(), []).append(i)
     return list(groups.values())
 
 

@@ -133,6 +133,16 @@ class TestScenarioConfig:
             violations = validate(scenario_from_dict({key: value}))
             assert [v for v in violations if v.startswith(key)], (key, value)
 
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_real_keys_read_in_canonical_form(self, key):
+        value = getattr(scenario_from_dict({key: 3}), key)
+        assert value == 3.0 and type(value) is float
+        assert math.copysign(1.0, getattr(scenario_from_dict({key: -0.0}), key)) == 1.0
+        huge = scenario_from_dict({key: 10**400})
+        assert getattr(huge, key) == 10**400
+        assert [v for v in validate(huge) if v.startswith(key)]
+        assert [v for v in validate(scenario_from_dict({key: True})) if v.startswith(key)]
+
     @pytest.mark.parametrize("key", ["k_rays", "n_cells"])
     def test_integer_keys_need_integers(self, key):
         for value in (True, False, 2.5, math.nan, math.inf, "3", None):
@@ -190,12 +200,15 @@ class TestScenarioConfig:
         assert sweep_ray_cells(sweep_points(sc)) == 1000 * 19 + 1000 * 18
         sc.sweep = {"parameter": "total_um", "values": [450.0, 500.0]}
         assert trace_groups(sweep_points(sc)) == [[0, 1]]
-        # An int and the equal float may round apart (h_c**2): no sharing.
+        # Real keys are read as floats, -0.0 as 0.0: equal spellings share.
         sc.sweep = {"parameter": "h_c_um", "values": [30, 30.0]}
-        assert trace_groups(sweep_points(sc)) == [[0], [1]]
-        # Equal, but not the same value: repr, as the kept channel's key.
+        assert trace_groups(sweep_points(sc)) == [[0, 1]]
         sc.sweep = {"parameter": "d_E_um", "values": [0.0, -0.0]}
-        assert trace_groups(sweep_points(sc)) == [[0], [1]]
+        assert trace_groups(sweep_points(sc)) == [[0, 1]]
+        # A spherical cell reads no h_c_um.
+        sc = replace(default_scenario("spherical"), k_rays=301,
+                     sweep={"parameter": "h_c_um", "values": [30.0, 40.0, 50.0]})
+        assert trace_groups(sweep_points(sc)) == [[0, 1, 2]]
 
     def test_sweep_over_the_ray_cell_cap_names_sweep(self):
         sc = default_scenario()
@@ -953,8 +966,9 @@ def test_commands_on_one_scenario_trace_it_once(tmp_path, capsys, golden_battery
 
 @pytest.mark.parametrize("first, second, traced", [
     ([], [], 1),
-    (["d_E_um=0.0"], ["d_E_um=-0.0"], 2),  # equal, but not the same value
-    ([], ["h_c_um=30"], 2),  # the default is 30.0
+    # Real keys are read as floats, -0.0 as 0.0.
+    (["d_E_um=0.0"], ["d_E_um=-0.0"], 1),
+    ([], ["h_c_um=30"], 1),  # the default is 30.0
     # Keys the channel does not read reuse it.
     ([], ["gamma_mode=aggregate"], 1),
     ([], ["tau_fs=2.0"], 1),
@@ -966,6 +980,8 @@ def test_commands_on_one_scenario_trace_it_once(tmp_path, capsys, golden_battery
     ([], [f"d_R_um={default_scenario().detector_gap_um()!r}"], 1),
     ([], ["detector_width_um=30.0"], 2),
     ([], ["k_rays=103"], 2),
+    # A spherical cell reads no h_c_um.
+    (["shape=spherical"], ["shape=spherical", "h_c_um=40.0"], 1),
 ])
 def test_channel_kept_for_the_same_values_only(tmp_path, capsys, traces, first, second,
                                                traced):
