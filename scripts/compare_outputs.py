@@ -10,7 +10,10 @@ the channel the CLI keeps, so each shape's eight traced jobs trace once),
 then trace, cir, pulse and detector back to back on each shape's default
 scenario, so the later three reuse the channel the CLI kept from the
 first, plus K=1, N=0 (cir and trace), a tiny detector, a 3-point sweep,
-two sweeps that fail at a point and seven error cases: a negative gap
+two sweeps that fail at a point, three sweeps that validate rejects before
+any trace (a negative gap, judged by --command validate; an h_c_um sweep on
+a spherical cell, which reads no h_c_um; n_cells=17..19, whose 19 cells do
+not fit the total length) and seven error cases: a negative gap
 (exit 2), an empty channel (exit 3), too many CIR bins and the convolution
 cap (each exit 2, raised inside the command), a wavelength whose carrier
 divides by zero, one whose carrier phase overflows at the pulse's last
@@ -90,7 +93,8 @@ def jobs() -> dict[str, list[str]]:
         "sweep-3": ["--command", "sweep", "--set", "sweep=n_cells=1..3",
                     "--set", "k_rays=301"],
         # Free space, 10 rays: a 0.001 um detector catches none (exit 3), a
-        # 0 um one is invalid (exit 2); the first failing point is reported.
+        # 0 um one is invalid (exit 2); an invalid point fails the sweep
+        # before any trace, else the first point that fails at run time.
         **{f"sweep-fails-{code}": ["--command", "sweep", "--set", "n_cells=0", "--set",
                                    "k_rays=10", "--set", f"sweep=detector_width_um={grid}"]
            for code, grid in (("exit-3", "40,0.001,0,40"), ("exit-2", "40,0,0.001,40"))},
@@ -121,6 +125,13 @@ def jobs() -> dict[str, list[str]]:
         "int-spelled-trace": ["--command", "trace", "--set", "h_c_um=30"],
         "int-spelled-sweep": ["--command", "sweep", "--set", "k_rays=301", "--set",
                               'sweep={"parameter": "h_c_um", "values": [30, 30.0]}'],
+        # validate judges every point of a sweep, as the sweep's run does.
+        "validate-sweep-negative-gap": ["--command", "validate",
+                                        "--set", "sweep=d_l_um=-5..5"],
+        "sweep-unread-key": ["--command", "sweep", "--set", "shape=spherical", "--set",
+                             "k_rays=301", "--set", "sweep=h_c_um=30,40"],
+        "sweep-past-fit": ["--command", "sweep", "--set", "k_rays=301",
+                           "--set", "sweep=n_cells=17..19"],
         "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],

@@ -205,13 +205,6 @@ def detector_map(detected: Atoms) -> DetectorMap:
     return DetectorMap(samples=columns.T)
 
 
-def coordinate_clusters(dmap: DetectorMap, gap_um: float = 1.0,
-                        min_size: int = 2) -> list[np.ndarray]:
-    """Group detector samples into clusters split at coordinate gaps > gap_um."""
-    splits = np.flatnonzero(np.diff(dmap.samples[:, 0]) > gap_um) + 1
-    return [c for c in np.split(dmap.samples, splits) if len(c) >= min_size]
-
-
 # Rows formatted per block: bounds the memory of the block's byte matrix.
 CSV_BLOCK_ROWS = 8192
 

@@ -346,11 +346,8 @@ def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
         raise CliError("validation", ["sweep: command needs a sweep block"], 2)
     param = scenario.sweep["parameter"]
     points = cfg.sweep_points(scenario)
-    # The points before the first invalid one run, in order, before it fails
-    # the sweep, so the first point that fails alone is the one reported.
-    valid = next((i for i, point in enumerate(points) if cfg.validate(point)), len(points))
     outputs, rows = {}, []
-    for i, (point, chan) in enumerate(zip(points, _channels(points[:valid]))):
+    for i, (point, chan) in enumerate(zip(points, _channels(points))):
         # The row's fields as _base_report gives them, without its other work;
         # a binned CIR carries light, so its dominant delay is the report's.
         cir = _cir(point, chan, "cir_dt_fs")
@@ -359,8 +356,6 @@ def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
         rows.append((float(getattr(point, param)), cir.dominant_bin()[0], cir.total_gain(),
                      total_path_loss(chan.layout, chan.media), counts["leaked"],
                      counts["deviated"]))
-    if valid < len(points):
-        _require_valid(points[valid])
     outputs["sweep_summary.csv"] = partial(
         ch.write_csv,
         header=[param, "dominant_delay_s", "total_gain", "pathloss_db", "leaked", "deviated"],

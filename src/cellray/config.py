@@ -134,8 +134,8 @@ class Scenario:
     def trace_key(self) -> tuple:
         """The values of the keys the rays read before they leave the last cell.
 
-        Read from the fields only: trace_groups keys sweep points before they
-        are validated, when building a layout could raise.
+        Read from the fields, not from a built layout: a layout holds the cell
+        count and detector gap, in which the points of one trace may differ.
         """
         return tuple(getattr(self, key) for key, rule in SCHEMA.items()
                      if self.shape in rule.shapes and not rule.pulse
@@ -206,6 +206,7 @@ MAX_CONVOLUTION = 5_000_000_000
 MAX_PULSE_SAMPLES = 100_000   # samples of the transmitted pulse
 MAX_PATH_SAMPLES = 100_000    # rows of the center-line path-loss curve
 MAX_SWEEP_POINTS = 2_000      # points of a sweep grid
+SWEEP_KEYS = ("parameter", "values", "start", "stop", "step")  # of a sweep block
 
 # The keys in which the points of one shared trace may differ: they set where
 # the rays stop (the cell count, the detector plane) or what is read off them,
@@ -251,8 +252,9 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
 def validate(scenario: Scenario) -> list[str]:
     """All invariant violations, each starting with the offending key.
 
-    Ranges, cross-key rules and the sweep are judged once every type and the
-    shape are right; the work budget once no other rule is broken.
+    Ranges, cross-key rules and the sweep grid are judged once every type and
+    the shape are right; the work budget once no other rule is broken.  A
+    sweep is judged by its points, each as its own run, then by its traces.
     """
     s = scenario
     problems = [(key, problem) for key, rule in SCHEMA.items()
@@ -261,8 +263,17 @@ def validate(scenario: Scenario) -> list[str]:
         problems.append(("shape", SCHEMA["shape"].range_problem(s.shape)))
     if not problems:
         problems = _range_problems(s)
-    if not problems:
+    if not problems and s.sweep is None:
         problems = _budget_problems(s)
+    elif not problems:  # a sweep runs its points, never the base scenario
+        points = sweep_points(s)
+        for violations in map(validate, points):
+            if violations:
+                return violations
+        charged = sweep_ray_cells(points)
+        if charged > MAX_RAY_CELLS:
+            problems = [("sweep", f"its traces are charged {charged} ray-cells, over "
+                                  f"the cap of {MAX_RAY_CELLS}")]
     return [f"{key}: {problem}" for key, problem in problems]
 
 
@@ -321,8 +332,13 @@ def _sweep_problems(s: Scenario) -> list[str]:
     problems = []
     if rule is None or rule.kind == "choice":
         problems.append(f"cannot sweep {param!r}")
-    elif rule.pulse:
+    elif rule.pulse or s.shape not in rule.shapes:
         problems.append(f"{param!r} changes no sweep output (CIR, path loss, ray counts)")
+    unknown = [key for key in grid if key not in SWEEP_KEYS]
+    if unknown:
+        problems.append(f"unknown keys {unknown!r}; a sweep takes {', '.join(SWEEP_KEYS)}")
+    if "values" in grid and grid.keys() & {"start", "stop", "step"}:
+        problems.append("takes 'values' or 'start'/'stop'/'step', not both")
     if "values" in grid:
         values = grid["values"]
         if not isinstance(values, list) or not all(map(_is_finite_number, values)):
@@ -360,11 +376,6 @@ def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
                  f"{s.k_rays} rays (charged as {rays}) through {cells} cells exceed the "
                  f"cap of {MAX_RAY_CELLS} ray-cells")]
     problems = []
-    if s.sweep is not None:
-        charged = sweep_ray_cells(sweep_points(s))
-        if charged > MAX_RAY_CELLS:
-            problems.append(("sweep", f"its traces are charged {charged} ray-cells, over "
-                                      f"the cap of {MAX_RAY_CELLS}"))
     layout = s.build_layout()
     samples = accumulate((n for _, _, n in center_line(layout)), initial=1)
     if not math.isfinite(layout.total_length) or \

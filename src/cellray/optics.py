@@ -48,11 +48,6 @@ class Medium:
         if self.mu_s_prime <= 0.0:
             raise ValueError(f"mu_s_prime must be positive, got {self.mu_s_prime}")
 
-    @property
-    def light_speed_m_per_s(self) -> float:
-        """Phase velocity c/n."""
-        return SPEED_OF_LIGHT_M_PER_S / self.n
-
 
 @dataclass(frozen=True)
 class Wavelength:

@@ -44,10 +44,6 @@ class Waveform:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.samples))
 
-    def energy(self) -> float:
-        """Time-integrated squared field."""
-        return float(np.sum(self.samples**2) * self.dt)
-
 
 @dataclass(eq=False)
 class Spectrum:

@@ -18,7 +18,6 @@ from cell_step import trace_cell
 from cellray.channel import (
     build_cir,
     contributions,
-    coordinate_clusters,
     detector_map,
 )
 from cellray.config import default_scenario
@@ -52,6 +51,7 @@ from cellray.signal import (
     spectrum,
 )
 from cellray.channel import ImpulseResponse
+from measures import coordinate_clusters, energy
 from scalar_tracer import NoIntersection, RayState, TotalInternalReflection
 
 MEDIA = Media(cell=Medium(1.36, 0.9, 3.43), tissue=Medium(1.35, 1.34, 3.43))
@@ -379,7 +379,7 @@ def test_criterion_9_property_battery(runs):
     # Parseval at 1e-9.
     full = np.fft.fft(tx1.samples)
     freq_energy = np.sum(np.abs(full) ** 2) / len(tx1.samples) * dt
-    parseval = abs(tx1.energy() - freq_energy) / tx1.energy()
+    parseval = abs(energy(tx1) - freq_energy) / energy(tx1)
     if parseval >= 1e-9:
         failures.append(f"parseval {parseval:.2e}")
 

@@ -17,7 +17,6 @@ from cellray.channel import (
     ImpulseResponse,
     build_cir,
     contributions,
-    coordinate_clusters,
     cumulative_gamma,
     detector_map,
     focusing_gain,
@@ -38,6 +37,7 @@ from cellray.geometry import (
 )
 from cellray.optics import SPEED_OF_LIGHT_M_PER_S, Media
 from conftest import CELL, TISSUE, reversed_batch
+from measures import coordinate_clusters
 
 MEDIA = Media(cell=CELL, tissue=TISSUE)
 

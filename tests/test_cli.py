@@ -156,7 +156,9 @@ class TestScenarioConfig:
                      {"start": 1, "stop": 4, "step": -1},
                      {"start": 1, "stop": 4, "step": math.nan},
                      {"start": 1, "stop": math.inf},
-                     {"values": [1.0, math.nan]}):
+                     {"values": [1.0, math.nan]},
+                     {"start": 1, "stop": 3, "stepp": 2},  # ran at step 1
+                     {"values": [1, 2], "start": 1, "stop": 3}):  # ran the values
             sc = default_scenario()
             sc.sweep = {"parameter": "n_cells", **grid}
             assert [v for v in validate(sc) if v.startswith("sweep")], grid
@@ -218,8 +220,19 @@ class TestScenarioConfig:
         assert validate(sc) == []
         sc.sweep["values"] = [1.0, 2.0] * 7  # 2 traces, 7 legs each
         assert validate(sc) == []
-        sc.sweep["values"] = [0.5 * i for i in range(14)]  # 14 traces
+        # From 5.5 um on, 18 cells do not fit 450 um: the first such point fails.
+        sc.sweep["values"] = [0.5 * i for i in range(14)]
+        assert [v.split(":")[0] for v in validate(sc)] == ["d_R_um"]
+        sc.sweep["values"] = [0.25 * i for i in range(14)]  # 14 traces, all fit
         assert [v.split(":")[0] for v in validate(sc)] == ["sweep"]
+
+    def test_sweep_charges_its_points_not_its_base(self):
+        # The base's 200,000 rays through 18 cells are over the cap; the run
+        # traces only the points, 200,000 rays through 2 cells and one leg.
+        sc = replace(default_scenario(), k_rays=200_000,
+                     sweep={"parameter": "n_cells", "start": 1, "stop": 2})
+        assert sweep_ray_cells(sweep_points(sc)) == 600_000
+        assert validate(sc) == []
 
     @pytest.mark.parametrize("param", sorted(k for k, rule in SCHEMA.items() if rule.pulse))
     def test_pulse_key_sweep_rejected(self, param):
@@ -401,7 +414,7 @@ class TestCliCommands:
                            str(report["counts"]["deviated"])]
 
     @pytest.mark.parametrize("grid, failing", [
-        ([40.0, 0.001, 0.0, 40.0], 1),  # exit 3 before an invalid point
+        ([40.0, 0.001, 0.0, 40.0], 2),  # an invalid point fails before any trace
         ([40.0, 0.0, 0.001, 40.0], 1),  # an invalid point before exit 3
         ([40.0, 40.0, 0.001], 2),
     ])
@@ -852,6 +865,26 @@ def test_atoms_once_per_sweep_point(tmp_path, capsys, channel_calls):
     assert main(["--command", "sweep", "--out", str(tmp_path),
                  "--set", "k_rays=101", "--set", "sweep=n_cells=1..4"]) == 0
     assert channel_calls == {"contributions": 4, "build_cir": 4}
+
+
+@pytest.mark.parametrize("overrides", [
+    ["sweep=d_l_um=-5..5"],                       # an invalid first point
+    ["sweep=n_cells=17..19"],                     # 19 cells do not fit 450 um
+    ["shape=spherical", "sweep=h_c_um=30,40"],    # a key the shape does not read
+    ["sweep=r_c_um=5,10"],                        # the same on a fusiform cell
+    ["sweep=detector_width_um=40,0,40"],          # an invalid middle point
+])
+def test_validate_and_sweep_give_one_verdict(tmp_path, capsys, monkeypatch, overrides):
+    traced = count_calls(monkeypatch, (geo, "trace_array"), (geo, "trace_arrays"))
+    argv = [item for override in ["k_rays=301", *overrides] for item in ("--set", override)]
+    verdicts = []
+    for command in ("validate", "sweep"):
+        out = tmp_path / command
+        assert main(["--command", command, "--out", str(out), *argv]) == 2
+        verdicts.append(json.loads(capsys.readouterr().err)["detail"])
+        assert not out.exists()
+    assert verdicts[0] == verdicts[1]
+    assert traced == Counter()
 
 
 def test_no_per_ray_objects(tmp_path, capsys, monkeypatch):

@@ -17,6 +17,7 @@ from cellray.optics import (
     transmittance,
 )
 from conftest import CELL, TISSUE
+from measures import light_speed_m_per_s
 
 
 def dpf_oracle(medium: Medium, d_mm: float) -> float:
@@ -44,7 +45,7 @@ class TestMedium:
             Medium(n=1.35, mu_a=1.0, mu_s_prime=-1.0)
 
     def test_light_speed(self):
-        assert TISSUE.light_speed_m_per_s == pytest.approx(299792458.0 / 1.35)
+        assert light_speed_m_per_s(TISSUE) == pytest.approx(299792458.0 / 1.35)
 
 
 class TestDpf:
