@@ -13,7 +13,9 @@ first, plus K=1, N=0 (cir and trace), a tiny detector, a 3-point sweep,
 two sweeps that fail at a point, three sweeps that validate rejects before
 any trace (a negative gap, judged by --command validate; an h_c_um sweep on
 a spherical cell, which reads no h_c_um; n_cells=17..19, whose 19 cells do
-not fit the total length) and seven error cases: a negative gap
+not fit the total length), a cir run given a sweep block, which only the
+sweep command takes (exit 2; trees older than that rule ran the base
+scenario, exit 0), and seven error cases: a negative gap
 (exit 2), an empty channel (exit 3), too many CIR bins and the convolution
 cap (each exit 2, raised inside the command), a wavelength whose carrier
 divides by zero, one whose carrier phase overflows at the pulse's last
@@ -132,6 +134,8 @@ def jobs() -> dict[str, list[str]]:
                              "k_rays=301", "--set", "sweep=h_c_um=30,40"],
         "sweep-past-fit": ["--command", "sweep", "--set", "k_rays=301",
                            "--set", "sweep=n_cells=17..19"],
+        "cir-sweep-block": ["--command", "cir", "--set", "k_rays=301",
+                            "--set", "sweep=n_cells=1..2"],
         "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],

@@ -5,9 +5,11 @@ validate.  Identical scenario files produce byte-identical output files;
 there is no hidden randomness anywhere in the pipeline.
 
 Exit codes: 0 success, 2 validation or input error, 3 physics error (for
-example an empty channel).  A command computes every output before --out
-is created, so a run that exits 2 or 3 leaves no file and no directory; an
-output error removes what the run created.
+example an empty channel).  Only sweep takes a sweep block, since validate
+judges a sweep by its points and not by the base the others run.  A
+command computes every output before --out is created, so a run that
+exits 2 or 3 leaves no file and no directory; an output error removes what
+the run created.
 
 main may run many times in one process, as scripts/run_channel_battery.py
 runs it: every call parses with the one parser _parser builds on first
@@ -115,12 +117,6 @@ def _parse_sweep_shorthand(text: str) -> dict:
                 "values": [float(v) for v in grid.split(",")]}
     except ValueError:
         raise CliError("usage", f"sweep shorthand needs numbers, got {text!r}", 2)
-
-
-def _require_valid(scenario: cfg.Scenario) -> None:
-    violations = cfg.validate(scenario)
-    if violations:
-        raise CliError("validation", violations, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,8 +338,6 @@ def cmd_detector(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
 
 
 def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
-    if scenario.sweep is None:
-        raise CliError("validation", ["sweep: command needs a sweep block"], 2)
     param = scenario.sweep["parameter"]
     points = cfg.sweep_points(scenario)
     outputs, rows = {}, []
@@ -369,7 +363,13 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
 
     Returns report.json's text, which main prints as it is.
     """
-    _require_valid(scenario)
+    if (scenario.sweep is None) == (command == "sweep"):
+        # validate judges a sweep by its points, not by the base the others run.
+        raise CliError("validation", ["sweep: command needs a sweep block" if scenario.sweep
+                                      is None else f"sweep: {command} takes no sweep block; "
+                                      "run the sweep command, or set sweep=null"], 2)
+    if violations := cfg.validate(scenario):
+        raise CliError("validation", violations, 2)
     handler = {
         "trace": cmd_trace,
         "pathloss": cmd_pathloss,

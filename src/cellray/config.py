@@ -254,27 +254,37 @@ def validate(scenario: Scenario) -> list[str]:
 
     Ranges, cross-key rules and the sweep grid are judged once every type and
     the shape are right; the work budget once no other rule is broken.  A
-    sweep is judged by its points, each as its own run, then by its traces.
+    sweep is judged by the points it runs (_point_problems), not by its base.
     """
     s = scenario
+    problems = _form_problems(s) or (_budget_problems(s) if s.sweep is None
+                                     else _point_problems(s))
+    return [f"{key}: {problem}" for key, problem in problems]
+
+
+def _form_problems(s: Scenario) -> list[tuple[str, str]]:
+    """The type and shape stage, then the range stage once it passes."""
     problems = [(key, problem) for key, rule in SCHEMA.items()
                 if (problem := rule.type_problem(getattr(s, key)))]
     if s.shape not in SHAPES:  # the shape picks the rows the ranges read
         problems.append(("shape", SCHEMA["shape"].range_problem(s.shape)))
-    if not problems:
-        problems = _range_problems(s)
-    if not problems and s.sweep is None:
-        problems = _budget_problems(s)
-    elif not problems:  # a sweep runs its points, never the base scenario
-        points = sweep_points(s)
-        for violations in map(validate, points):
-            if violations:
-                return violations
-        charged = sweep_ray_cells(points)
-        if charged > MAX_RAY_CELLS:
-            problems = [("sweep", f"its traces are charged {charged} ray-cells, over "
-                                  f"the cap of {MAX_RAY_CELLS}")]
-    return [f"{key}: {problem}" for key, problem in problems]
+    return problems or _range_problems(s)
+
+
+def _point_problems(s: Scenario) -> list[tuple[str, str]]:
+    """A sweep's violations, each point's as its own run would report them.
+
+    The first point that breaks a type or range rule, else the sweep's
+    ray-cell cap, else the first point over a budget cap: the sweep's cap
+    bounds the loops over each point's cells in _budget_problems.
+    """
+    points = sweep_points(s)
+    if problems := next(filter(None, map(_form_problems, points)), None):
+        return problems
+    if (charged := sweep_ray_cells(points)) > MAX_RAY_CELLS:
+        return [("sweep", f"its traces are charged {charged} ray-cells, over "
+                          f"the cap of {MAX_RAY_CELLS}")]
+    return next(filter(None, map(_budget_problems, points)), [])
 
 
 def _range_problems(s: Scenario) -> list[tuple[str, str]]:

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cellray.channel as ch
 import cellray.cli as cli
+import cellray.config as cfg
 import cellray.geometry as geo
 import cellray.signal as sig
 import channel_oracle as oracle
@@ -530,7 +531,7 @@ class TestCliCommands:
 
 # Inputs that ended in a traceback, or that validate accepted although their
 # run would not fit in memory, with the key each is rejected under.
-# Checking one against older code: run the tau_fs=1e6 and 0..1e300 cases
+# Checking one against older code: run the tau_fs=1e6, 0..1e300 and k_rays=1e9 cases
 # only under a memory limit (ulimit -v), as unguarded they exhaust memory.
 REJECTED_INPUTS = [
     ("pathloss", ["total_um=1e300"], "total_um"),
@@ -575,6 +576,10 @@ REJECTED_INPUTS = [
     ("sweep", ["k_rays=1000", "n_cells=2000", "total_um=60000",
                'sweep={"parameter":"n_cell","start":1.36,"stop":1.37,"step":0.00000501}'],
      "sweep"),
+    # A sweep is charged by its points, but these commands run the base:
+    # 2,501 cells at small k_rays, and 10^9 rays through 18 cells.
+    ("trace", ["k_rays=1", "n_cells=2501", "total_um=9e4", "sweep=n_cells=1..2"], "sweep"),
+    ("cir", ["k_rays=1000000000", "sweep=k_rays=11,12"], "sweep"),
 ]
 
 
@@ -590,6 +595,34 @@ def test_rejected_naming_key_without_files(tmp_path, capsys, command, overrides,
     assert record["error"] == "validation"
     assert any(v.startswith(f"{key}:") for v in record["detail"]), record
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "pathloss", "cir", "pulse", "detector"])
+def test_only_the_sweep_command_takes_a_sweep_block(tmp_path, capsys, monkeypatch, command):
+    traced = count_calls(monkeypatch, (geo, "trace_array"), (geo, "trace_arrays"))
+    assert main(["--command", command, "--out", str(tmp_path / "out"), "--set", "k_rays=11",
+                 "--set", "sweep=n_cells=1..2"]) == 2
+    assert [v.split(":")[0] for v in json.loads(capsys.readouterr().err)["detail"]] == \
+        ["sweep"]
+    assert not (tmp_path / "out").exists()
+    assert traced == Counter()
+    assert main(["--command", command, "--out", str(tmp_path / "out"), "--set", "k_rays=11",
+                 "--set", "sweep=null"]) == 0
+
+
+def test_sweep_cap_judged_before_any_point_budget(monkeypatch):
+    # A point's budget walks its center line, 2,000 cells here, for the
+    # path-sample cap; the sweep's ray-cell cap bounds that work.
+    walked = count_calls(monkeypatch, (cfg, "center_line"))
+    sc = replace(default_scenario(), k_rays=1000, n_cells=2000, total_um=60000.0,
+                 sweep={"parameter": "n_cell", "start": 1.36, "stop": 1.37,
+                        "step": 0.00000501})
+    assert [v.split(":")[0] for v in validate(sc)] == ["sweep"]
+    assert walked == Counter()
+    sc.sweep = {"parameter": "n_cell", "values": [1.36, 1.37]}
+    sc.n_cells = 1000
+    assert validate(sc) == []
+    assert walked == Counter(center_line=2)
 
 
 def test_step_just_under_the_carrier_limit_runs(tmp_path, capsys):
