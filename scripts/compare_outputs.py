@@ -37,6 +37,13 @@ runs must average for that path. A trace through cells less dense than the
 tissue covers every way a ray is lost. Three jobs spell a real key as -0.0
 or as an int: a trace at d_E_um=-0.0, a trace at h_c_um=30 and a sweep
 over the h_c_um values 30 and 30.0, whose two points share one trace.
+Six jobs cover trace reuse and the grid's end: a sweep over n_cell with a
+repeat (1.36, 1.40, 1.36; the two 1.36 points share a trace), a trace
+followed by a cir at mu_a_cell_per_mm=2.0, whose media differ, so it
+traces again, a spherical trace followed by a cir that differs only in
+h_c_um, which the sphere does not read, so it reuses the kept channel, and
+a d_l_um sweep from 0 to 1e-13 in 1e-14 steps (11 points; trees that
+included points up to an absolute 1e-12 past stop ran 111).
 Every job's exit code, stdout, stderr and output files are compared byte
 for byte, and so is whether its --out exists, since a failed run must not
 leave even an empty directory.
@@ -136,6 +143,20 @@ def jobs() -> dict[str, list[str]]:
                            "--set", "sweep=n_cells=17..19"],
         "cir-sweep-block": ["--command", "cir", "--set", "k_rays=301",
                             "--set", "sweep=n_cells=1..2"],
+        # Trace reuse: equal tracer inputs share a trace or the kept channel,
+        # other media do not.
+        "sweep-media-repeat": ["--command", "sweep", "--set", "k_rays=301",
+                               "--set", "sweep=n_cell=1.36,1.40,1.36"],
+        "media-change-trace": ["--command", "trace", "--set", "k_rays=301"],
+        "media-change-cir": ["--command", "cir", "--set", "k_rays=301",
+                             "--set", "mu_a_cell_per_mm=2.0"],
+        "unread-key-trace": ["--command", "trace", "--set", "shape=spherical",
+                             "--set", "k_rays=301"],
+        "unread-key-cir": ["--command", "cir", "--set", "shape=spherical",
+                           "--set", "k_rays=301", "--set", "h_c_um=40.0"],
+        "sweep-tiny-step": ["--command", "sweep", "--set", "k_rays=11", "--set",
+                            'sweep={"parameter": "d_l_um", "start": 0, "stop": 1e-13, '
+                            '"step": 1e-14}'],
         "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],

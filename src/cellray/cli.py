@@ -13,8 +13,8 @@ the run created.
 
 main may run many times in one process, as scripts/run_channel_battery.py
 runs it: every call parses with the one parser _parser builds on first
-use, and the CLI keeps the last channel it traced (_channel), keyed on
-config.Scenario.trace_key, the key a sweep's trace groups share.  A sweep
+use, and the CLI keeps the last channel it traced (_channel), keyed on the
+layout, media, ray count and detector width it is built from.  A sweep
 row is written from the few values it holds (counts, dominant delay,
 total gain, path loss), without building a report per point.
 """
@@ -134,10 +134,10 @@ class Channel:
 def _channels(points: list[cfg.Scenario]) -> Iterator[Channel]:
     """The points' channels, in order; each trace group is traced once.
 
-    Points share a trace where config.trace_groups says so; the channels
-    are the ones each point gives when traced alone, bit for bit.  Every
-    point's rays are held until the last channel is made, which the sweep
-    budget (config.sweep_ray_cells) bounds.
+    Points with one cell line, media and ray count share a trace
+    (config.trace_groups); the channels are the ones each point gives when
+    traced alone, bit for bit.  Every point's rays are held until the last
+    channel is made, which the sweep budget (config.sweep_ray_cells) bounds.
     """
     traced: list = [None] * len(points)
     for group in cfg.trace_groups(points):
@@ -154,17 +154,17 @@ def _channels(points: list[cfg.Scenario]) -> Iterator[Channel]:
         yield Channel(layout, media, h0, paths, focus, detected)
 
 
-# The last single-scenario channel: at most one entry, the key of its inputs
-# -> its Channel, every array read-only.  Commands run back to back on one
+# The last single-scenario channel: at most one entry, its built inputs ->
+# its Channel, every array read-only.  Commands run back to back on one
 # scenario, as scripts/run_channel_battery.py runs trace, cir, pulse and
-# detector, trace it once, and so do scenarios that differ only in keys the
-# channel does not read, such as gamma_mode, cir_dt_fs or the pulse keys.
+# detector, trace it once, and so do scenarios that build equal inputs but
+# differ in gamma_mode, cir_dt_fs, the pulse keys or a key the shape ignores.
 _last_channel: dict[tuple, Channel] = {}
 
 
 def _channel(scenario: cfg.Scenario) -> Channel:
     """scenario's channel, traced unless the last call's had the same inputs."""
-    key = (scenario.trace_key(), scenario.n_cells, scenario.detector_gap_um(),
+    key = (scenario.build_layout(), scenario.build_media(), scenario.k_rays,
            scenario.detector_width_um)
     if key not in _last_channel:
         _last_channel.clear()

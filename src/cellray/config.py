@@ -15,7 +15,8 @@ from itertools import accumulate
 from numbers import Integral, Real
 from typing import Any, Optional
 
-from .geometry import ArrayLayout, CellShape, Fusiform, Pyramidal, Spherical, center_line
+from .geometry import (ArrayLayout, CellShape, Fusiform, Pyramidal, Spherical, cell_line,
+                       center_line)
 from .optics import Media, Medium, Wavelength
 from .signal import pulse_samples, samples_carrier
 
@@ -131,16 +132,6 @@ class Scenario:
         span = n * self.build_shape().axial_extent + max(n - 1, 0) * self.d_l_um
         return self.total_um - self.d_E_um - span
 
-    def trace_key(self) -> tuple:
-        """The values of the keys the rays read before they leave the last cell.
-
-        Read from the fields, not from a built layout: a layout holds the cell
-        count and detector gap, in which the points of one trace may differ.
-        """
-        return tuple(getattr(self, key) for key, rule in SCHEMA.items()
-                     if self.shape in rule.shapes and not rule.pulse
-                     and key not in TRACE_FREE_KEYS)
-
     def pulse_grid_s(self) -> tuple[float, float]:
         """The transmitted pulse's FWHM and sample step, in seconds."""
         return self.tau_fs * 1e-15, self.waveform_dt_fs * 1e-15
@@ -207,12 +198,6 @@ MAX_PULSE_SAMPLES = 100_000   # samples of the transmitted pulse
 MAX_PATH_SAMPLES = 100_000    # rows of the center-line path-loss curve
 MAX_SWEEP_POINTS = 2_000      # points of a sweep grid
 SWEEP_KEYS = ("parameter", "values", "start", "stop", "step")  # of a sweep block
-
-# The keys in which the points of one shared trace may differ: they set where
-# the rays stop (the cell count, the detector plane) or what is read off them,
-# not the rays' path through the cells the points share (trace_arrays).
-TRACE_FREE_KEYS = ("n_cells", "d_R_um", "total_um", "detector_width_um", "cir_dt_fs",
-                   "gamma_mode")
 
 
 def default_scenario(shape: str = "fusiform") -> Scenario:
@@ -417,16 +402,19 @@ def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
 def sweep_values(scenario: Scenario) -> list[float]:
     """The sweep grid's points, at most MAX_SWEEP_POINTS + 1 of them.
 
-    A start/stop grid holds the points start + i*step up to stop, within 1e-12.
+    A start/stop grid holds the points start + i*step up to stop, within
+    1e-12 times the larger of |start| and |stop|.
     """
     grid = scenario.sweep or {}
     if "values" in grid:
         return list(grid["values"][:MAX_SWEEP_POINTS + 1])
-    start, step = grid["start"], grid.get("step", 1)
+    start, stop, step = grid["start"], grid["stop"], grid.get("step", 1)
+    # Compared as a difference: stop + tolerance can overflow and admit every point.
+    tolerance = 1e-12 * max(abs(start), abs(stop))
     values: list[float] = []
     # Point i is start + i*step: adding step repeatedly would accumulate rounding.
     while len(values) <= MAX_SWEEP_POINTS and \
-            start + len(values) * step <= grid["stop"] + 1e-12:
+            start + len(values) * step - stop <= tolerance:
         values.append(start + len(values) * step)
     return values
 
@@ -440,10 +428,12 @@ def sweep_points(scenario: Scenario) -> list[Scenario]:
 
 
 def trace_groups(points: list[Scenario]) -> list[list[int]]:
-    """The indices of the points that share one trace, in order of first point."""
+    """The indices of the points that share one trace, in order of first point:
+    the points with one cell line (geometry.cell_line), media and ray count."""
     groups: dict[tuple, list[int]] = {}
     for i, point in enumerate(points):
-        groups.setdefault(point.trace_key(), []).append(i)
+        key = (cell_line(point.build_layout()), point.build_media(), point.k_rays)
+        groups.setdefault(key, []).append(i)
     return list(groups.values())
 
 

@@ -488,6 +488,11 @@ def trace_array(layout: ArrayLayout, media: Media,
     return trace_arrays([layout], media, h0)[0]
 
 
+def cell_line(layout: ArrayLayout) -> tuple[CellShape, float, float]:
+    """What layouts traced together must share: all but the cell count and detector gap."""
+    return layout.shape, layout.gap, layout.source_gap
+
+
 def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
                  h0: np.ndarray) -> list[tuple[RayBatch, FocusReport]]:
     """trace_array of every layout, from one pass through the longest array.
@@ -501,8 +506,7 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
     """
     if len(h0) == 0:
         raise ValueError("empty ray bundle")
-    lines = {(layout.shape, layout.gap, layout.source_gap) for layout in layouts}
-    if len(lines) > 1:
+    if len(set(map(cell_line, layouts))) > 1:
         raise ValueError("layouts traced together must share shape, gap and source_gap")
     at_count: dict[int, list[int]] = {}  # cell count -> indices of its layouts
     for i, layout in enumerate(layouts):

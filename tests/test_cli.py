@@ -178,11 +178,14 @@ class TestScenarioConfig:
             assert validate(sc) == [], grid
 
     def test_empty_sweep_grid_rejected(self):
-        # The check agrees with sweep_values at its 1e-12 inclusion edge.
+        # The check agrees with sweep_values at its inclusion edge: 1e-12
+        # times the larger of |start| and |stop| past stop.
         for grid, points in (({"values": []}, 0), ({"start": 5, "stop": 1}, 0),
                              ({"start": 1.0, "stop": 1.0 - 2e-12}, 0),
                              ({"start": 1.0, "stop": 1.0 - 5e-13}, 1),
-                             ({"start": 5, "stop": 5}, 1)):
+                             ({"start": 5, "stop": 5}, 1),
+                             # An absolute 1e-12 ran this grid to 1.1e-12, 111 points.
+                             ({"start": 0, "stop": 1e-13, "step": 1e-14}, 11)):
             sc = default_scenario()
             sc.sweep = {"parameter": "d_l_um", **grid}
             assert len(sweep_values(sc)) == points, grid
@@ -1056,6 +1059,55 @@ def test_channel_kept_for_the_same_values_only(tmp_path, capsys, traces, first, 
                      "--set", "k_rays=101",
                      *(arg for item in overrides for arg in ("--set", item))]) == 0
     assert traces["trace_array"] == traced
+
+
+# One other valid value of each SCHEMA key but shape, on every default
+# scenario; d_R_um also takes the detector gap total_um leaves, 0.0 on each.
+OTHER_VALUES = [
+    ("h_c_um", 40.0), ("w_c_um", 15.0), ("r_c_um", 8.0), ("n_cells", 17), ("d_l_um", 4.0),
+    ("d_E_um", 4.0), ("d_R_um", 10.0), ("d_R_um", 0.0), ("total_um", 460.0),
+    ("n_cell", 1.40), ("mu_a_cell_per_mm", 2.0), ("mu_s_prime_cell_per_mm", 4.0),
+    ("n_tissue", 1.33), ("mu_a_tissue_per_mm", 2.0), ("mu_s_prime_tissue_per_mm", 4.0),
+    ("lambda_nm", 500.0), ("tau_fs", 2.0), ("e0", 2.0), ("k_rays", 12), ("cir_dt_fs", 5.0),
+    ("waveform_dt_fs", 0.02), ("gamma_mode", "aggregate"), ("detector_width_um", 30.0),
+]
+ONE_KEY_CHANGED = [(shape, key, value) for shape in SHAPES for key, value in OTHER_VALUES]
+
+
+def one_key_changed(shape: str, key: str, value) -> tuple[Scenario, Scenario]:
+    """The shape's default scenario at 11 rays, and the same with key at value."""
+    base = replace(default_scenario(shape), k_rays=11)
+    changed = replace(base, **{key: value})
+    assert validate(changed) == [] and base.detector_gap_um() == 0.0
+    return base, changed
+
+
+def test_one_key_changed_covers_every_key():
+    assert {key for key, _ in OTHER_VALUES} == SCHEMA.keys() - {"shape"}
+
+
+def reads_not(shape: str, key: str) -> bool:
+    """Whether key changes nothing the rays see: a pulse key or one shape does not read."""
+    return SCHEMA[key].pulse or shape not in SCHEMA[key].shapes
+
+
+@pytest.mark.parametrize("shape, key, value", ONE_KEY_CHANGED)
+def test_trace_groups_share_exactly_where_the_cell_line_holds(shape, key, value):
+    # The points differ where the rays stop or in what is read off them.
+    shared = reads_not(shape, key) or key in ("n_cells", "d_R_um", "total_um",
+                                              "detector_width_um", "cir_dt_fs", "gamma_mode")
+    assert trace_groups(list(one_key_changed(shape, key, value))) == \
+        ([[0, 1]] if shared else [[0], [1]])
+
+
+@pytest.mark.parametrize("shape, key, value", ONE_KEY_CHANGED)
+def test_kept_channel_serves_exactly_the_same_inputs(traces, shape, key, value):
+    base, changed = one_key_changed(shape, key, value)
+    shared = reads_not(shape, key) or key in ("cir_dt_fs", "gamma_mode") \
+        or key == "d_R_um" and value == base.detector_gap_um()
+    cli._channel(base)
+    cli._channel(changed)
+    assert traces["trace_array"] == (1 if shared else 2)
 
 
 def test_kept_channel_arrays_are_read_only():
