@@ -44,6 +44,13 @@ traces again, a spherical trace followed by a cir that differs only in
 h_c_um, which the sphere does not read, so it reuses the kept channel, and
 a d_l_um sweep from 0 to 1e-13 in 1e-14 steps (11 points; trees that
 included points up to an absolute 1e-12 past stop ran 111).
+Three sweeps cover what validate judges of a sweep's base: its types and
+grid only. sweep-base-unfit sweeps n_cells=1..3 from a base of 40 cells,
+which do not fit 450 um (exit 0; trees that judged the base's swept value
+exited 2); sweep-grid-and-base has an empty grid and a negative base gap,
+and the grid is reported alone (exit 2; those trees named the gap too);
+sweep-unread-total sweeps total_um with d_R_um set, which leaves total_um
+unread (exit 2; trees without that rule wrote equal CIRs, exit 0).
 Every job's exit code, stdout, stderr and output files are compared byte
 for byte, and so is whether its --out exists, since a failed run must not
 leave even an empty directory.
@@ -141,6 +148,13 @@ def jobs() -> dict[str, list[str]]:
                              "k_rays=301", "--set", "sweep=h_c_um=30,40"],
         "sweep-past-fit": ["--command", "sweep", "--set", "k_rays=301",
                            "--set", "sweep=n_cells=17..19"],
+        # A sweep's base is judged by its types and grid, not by the swept value.
+        "sweep-base-unfit": ["--command", "sweep", "--set", "k_rays=301", "--set",
+                             "n_cells=40", "--set", "sweep=n_cells=1..3"],
+        "sweep-grid-and-base": ["--command", "sweep", "--set", "d_l_um=-3",
+                                "--set", "sweep=n_cells=3..1"],
+        "sweep-unread-total": ["--command", "sweep", "--set", "k_rays=11", "--set", "d_R_um=5",
+                               "--set", 'sweep={"parameter": "total_um", "values": [400, 500]}'],
         "cir-sweep-block": ["--command", "cir", "--set", "k_rays=301",
                             "--set", "sweep=n_cells=1..2"],
         # Trace reuse: equal tracer inputs share a trace or the kept channel,

@@ -137,7 +137,7 @@ def _channels(points: list[cfg.Scenario]) -> Iterator[Channel]:
     Points with one cell line, media and ray count share a trace
     (config.trace_groups); the channels are the ones each point gives when
     traced alone, bit for bit.  Every point's rays are held until the last
-    channel is made, which the sweep budget (config.sweep_ray_cells) bounds.
+    channel is made, which the ray-cell charge (config.ray_cells) bounds.
     """
     traced: list = [None] * len(points)
     for group in cfg.trace_groups(points):

@@ -185,8 +185,8 @@ SCHEMA: dict[str, Rule] = {f.name: f.metadata["rule"] for f in fields(Scenario)
 
 # The work budget: validate rejects a scenario whose run would exceed a cap.
 # Each cap admits the benchmark and test scenarios 100 times over.
-# A run is charged max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1) ray-cells;
-# a sweep the sum of its trace groups' charges (sweep_ray_cells).
+# A scenario's runs are charged by the traces they make (ray_cells): a lone
+# run max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1) ray-cells.
 MAX_RAY_CELLS = 2_500_000
 # The tracer's cost per cell is about flat below this many rays, so a trace
 # is charged for at least this many: at most 2,500 cells at small k_rays.
@@ -237,39 +237,38 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
 def validate(scenario: Scenario) -> list[str]:
     """All invariant violations, each starting with the offending key.
 
-    Ranges, cross-key rules and the sweep grid are judged once every type and
-    the shape are right; the work budget once no other rule is broken.  A
-    sweep is judged by the points it runs (_point_problems), not by its base.
+    A scenario is judged as its runs: itself, or a sweep's points, so a
+    sweep's base is judged only by its types and its grid.  The stages, each
+    once the ones before it pass: every type and the shape; a sweep's grid;
+    each run's ranges and cross-key rules; the ray-cell charge of all runs
+    (ray_cells); the rest of each run's work budget.  A stage over the runs
+    reports the first run that breaks it, as that run alone would.
     """
     s = scenario
-    problems = _form_problems(s) or (_budget_problems(s) if s.sweep is None
-                                     else _point_problems(s))
-    return [f"{key}: {problem}" for key, problem in problems]
-
-
-def _form_problems(s: Scenario) -> list[tuple[str, str]]:
-    """The type and shape stage, then the range stage once it passes."""
     problems = [(key, problem) for key, rule in SCHEMA.items()
                 if (problem := rule.type_problem(getattr(s, key)))]
     if s.shape not in SHAPES:  # the shape picks the rows the ranges read
         problems.append(("shape", SCHEMA["shape"].range_problem(s.shape)))
-    return problems or _range_problems(s)
+    if not problems and s.sweep is not None:
+        problems = [("sweep", problem) for problem in _sweep_problems(s)]
+    if not problems:
+        runs = [s] if s.sweep is None else sweep_points(s)
+        # The charge bounds the loops over each run's cells in _budget_problems.
+        problems = (next(filter(None, map(_range_problems, runs)), [])
+                    or _charge_problems(s, runs)
+                    or next(filter(None, map(_budget_problems, runs)), []))
+    return [f"{key}: {problem}" for key, problem in problems]
 
 
-def _point_problems(s: Scenario) -> list[tuple[str, str]]:
-    """A sweep's violations, each point's as its own run would report them.
-
-    The first point that breaks a type or range rule, else the sweep's
-    ray-cell cap, else the first point over a budget cap: the sweep's cap
-    bounds the loops over each point's cells in _budget_problems.
-    """
-    points = sweep_points(s)
-    if problems := next(filter(None, map(_form_problems, points)), None):
-        return problems
-    if (charged := sweep_ray_cells(points)) > MAX_RAY_CELLS:
+def _charge_problems(s: Scenario, runs: list[Scenario]) -> list[tuple[str, str]]:
+    if (charged := ray_cells(runs)) <= MAX_RAY_CELLS:
+        return []
+    if s.sweep is not None:
         return [("sweep", f"its traces are charged {charged} ray-cells, over "
                           f"the cap of {MAX_RAY_CELLS}")]
-    return next(filter(None, map(_budget_problems, points)), [])
+    return [("k_rays" if s.k_rays > MIN_CHARGED_RAYS else "n_cells",
+             f"{s.k_rays} rays (charged as {max(s.k_rays, MIN_CHARGED_RAYS)}) through "
+             f"{max(s.n_cells, 1)} cells exceed the cap of {MAX_RAY_CELLS} ray-cells")]
 
 
 def _range_problems(s: Scenario) -> list[tuple[str, str]]:
@@ -313,8 +312,6 @@ def _range_problems(s: Scenario) -> list[tuple[str, str]]:
         if not math.isfinite(omega0):
             problems.append(("lambda_nm", "the carrier 2 pi c / lambda must be finite, "
                                           f"got {omega0!r} rad/s"))
-    if s.sweep is not None:
-        problems += [("sweep", problem) for problem in _sweep_problems(s)]
     return problems
 
 
@@ -327,7 +324,8 @@ def _sweep_problems(s: Scenario) -> list[str]:
     problems = []
     if rule is None or rule.kind == "choice":
         problems.append(f"cannot sweep {param!r}")
-    elif rule.pulse or s.shape not in rule.shapes:
+    elif rule.pulse or s.shape not in rule.shapes \
+            or param == "total_um" and s.d_R_um is not None:  # the gap ignores total_um
         problems.append(f"{param!r} changes no sweep output (CIR, path loss, ray counts)")
     unknown = [key for key in grid if key not in SWEEP_KEYS]
     if unknown:
@@ -354,22 +352,16 @@ def _sweep_problems(s: Scenario) -> list[str]:
         return [f"the {param} grid has no points"]
     if len(points) > MAX_SWEEP_POINTS:
         return [f"the {param} grid has more than {MAX_SWEEP_POINTS} points"]
-    if rule.kind == "integer":
-        broken = [x for x in points if not float(x).is_integer()]
+    if rule.kind == "integer":  # each point's value, as read, must pass the type stage
+        broken = [x for x in points if rule.type_problem(rule.coerce(x))]
         if broken:
             return [f"{param} takes whole numbers, got {broken[0]!r}"]
     return []
 
 
 def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
-    """The caps, against the sizes the run would allocate, by the formulas it runs."""
-    cells = max(s.n_cells, 1)
-    rays = max(s.k_rays, MIN_CHARGED_RAYS)
-    if rays * cells > MAX_RAY_CELLS:
-        # The ray-cell cap also bounds the loops over cells below.
-        return [("k_rays" if s.k_rays > MIN_CHARGED_RAYS else "n_cells",
-                 f"{s.k_rays} rays (charged as {rays}) through {cells} cells exceed the "
-                 f"cap of {MAX_RAY_CELLS} ray-cells")]
+    """The caps but the ray-cell charge, against the sizes the run would
+    allocate, by the formulas it runs."""
     problems = []
     layout = s.build_layout()
     samples = accumulate((n for _, _, n in center_line(layout)), initial=1)
@@ -437,16 +429,17 @@ def trace_groups(points: list[Scenario]) -> list[list[int]]:
     return list(groups.values())
 
 
-def sweep_ray_cells(points: list[Scenario]) -> int:
-    """The ray-cells a sweep over points is charged, by the traces it runs.
+def ray_cells(runs: list[Scenario]) -> int:
+    """The ray-cells the runs are charged, by the traces they make.
 
-    A group of points that share a trace is charged like one run through its
-    largest cell count, plus one cell for each further point: every point
-    copies the rays and runs them to its own detector plane.
+    A group of runs that share a trace is charged like one run through its
+    largest cell count, plus one cell for each further run: every run copies
+    the rays and runs them to its own detector plane.  A lone run is charged
+    max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1).
     """
     total = 0
-    for group in trace_groups(points):
-        rays = max(points[group[0]].k_rays, MIN_CHARGED_RAYS)
-        cells = max(max(points[i].n_cells for i in group), 1) + len(group) - 1
+    for group in trace_groups(runs):
+        rays = max(runs[group[0]].k_rays, MIN_CHARGED_RAYS)
+        cells = max(max(runs[i].n_cells for i in group), 1) + len(group) - 1
         total += rays * cells
     return total

@@ -76,25 +76,14 @@ class Media:
     tissue: Medium
 
 
-def dpf(medium: Medium, d_mm: float) -> float:
-    """Differential pathlength factor from diffusion theory.
-
-    0.5*sqrt(3*mu_s'/mu_a) * [1 - 1/(1 + d*sqrt(3*mu_a*mu_s'))].
-    Strictly increasing in d, 0 at d = 0, bounded by 0.5*sqrt(3*mu_s'/mu_a).
-    """
-    if d_mm < 0.0:
-        raise ValueError(f"distance must be non-negative, got {d_mm}")
-    bound = 0.5 * math.sqrt(3.0 * medium.mu_s_prime / medium.mu_a)
-    k = math.sqrt(3.0 * medium.mu_a * medium.mu_s_prime)
-    return bound * (1.0 - 1.0 / (1.0 + d_mm * k))
-
-
 def absorbance(medium: Medium, d_mm):
     """Natural-log attenuation exponent mu_a * d * DPF(d).
 
-    Unlike dpf() this accepts slightly negative d: the analytic inter-cell
-    average for fusiform arrays can dip below zero, and the product
-    d * DPF(d) stays non-negative for d > -1/sqrt(3*mu_a*mu_s').
+    DPF(d) = 0.5*sqrt(3*mu_s'/mu_a) * [1 - 1/(1 + d*sqrt(3*mu_a*mu_s'))] is
+    the diffusion-theory differential pathlength factor.  d may be slightly
+    negative: the analytic inter-cell average for fusiform arrays can dip
+    below zero, and the product d * DPF(d) stays non-negative for
+    d > -1/sqrt(3*mu_a*mu_s').
     """
     k = math.sqrt(3.0 * medium.mu_a * medium.mu_s_prime)
     if np.any(np.asarray(d_mm) * k <= -1.0):

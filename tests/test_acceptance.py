@@ -38,7 +38,6 @@ from cellray.optics import (
     Media,
     Medium,
     Wavelength,
-    dpf,
     total_path_loss,
     transmittance,
 )
@@ -51,7 +50,7 @@ from cellray.signal import (
     spectrum,
 )
 from cellray.channel import ImpulseResponse
-from measures import coordinate_clusters, energy
+from measures import coordinate_clusters, dpf, energy
 from scalar_tracer import NoIntersection, RayState, TotalInternalReflection
 
 MEDIA = Media(cell=Medium(1.36, 0.9, 3.43), tissue=Medium(1.35, 1.34, 3.43))

@@ -13,6 +13,7 @@ import warnings
 from collections import Counter
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,9 @@ from cellray.config import (
     SCHEMA,
     Scenario,
     default_scenario,
+    ray_cells,
     scenario_from_dict,
     sweep_points,
-    sweep_ray_cells,
     sweep_values,
     trace_groups,
     validate,
@@ -200,10 +201,10 @@ class TestScenarioConfig:
         assert [p.n_cells for p in points] == list(range(1, 19))
         assert trace_groups(points) == [list(range(18))]
         # The battery's sweep: one trace through 18 cells, 17 more detector legs.
-        assert sweep_ray_cells(points) == 1000 * (18 + 17)
+        assert ray_cells(points) == 1000 * (18 + 17)
         sc.sweep = {"parameter": "d_l_um", "values": [1.0, 3.0, 1.0]}
         assert trace_groups(sweep_points(sc)) == [[0, 2], [1]]
-        assert sweep_ray_cells(sweep_points(sc)) == 1000 * 19 + 1000 * 18
+        assert ray_cells(sweep_points(sc)) == 1000 * 19 + 1000 * 18
         sc.sweep = {"parameter": "total_um", "values": [450.0, 500.0]}
         assert trace_groups(sweep_points(sc)) == [[0, 1]]
         # Real keys are read as floats, -0.0 as 0.0: equal spellings share.
@@ -220,7 +221,7 @@ class TestScenarioConfig:
         sc = default_scenario()
         sc.k_rays = 10_000
         sc.sweep = {"parameter": "d_l_um", "values": [1.0, 2.0]}
-        assert sweep_ray_cells(sweep_points(sc)) == 2 * 10_000 * 18
+        assert ray_cells(sweep_points(sc)) == 2 * 10_000 * 18
         assert validate(sc) == []
         sc.sweep["values"] = [1.0, 2.0] * 7  # 2 traces, 7 legs each
         assert validate(sc) == []
@@ -235,8 +236,28 @@ class TestScenarioConfig:
         # traces only the points, 200,000 rays through 2 cells and one leg.
         sc = replace(default_scenario(), k_rays=200_000,
                      sweep={"parameter": "n_cells", "start": 1, "stop": 2})
-        assert sweep_ray_cells(sweep_points(sc)) == 600_000
+        assert ray_cells(sweep_points(sc)) == 600_000
         assert validate(sc) == []
+
+    @pytest.mark.parametrize("shape, k_rays, n_cells", [
+        ("fusiform", 1001, 18), ("fusiform", 1, 0), ("pyramidal", 20_001, 1),
+        ("spherical", 301, 5), ("fusiform", 200_000, 18)])
+    def test_lone_run_charge(self, shape, k_rays, n_cells):
+        sc = replace(default_scenario(shape), k_rays=k_rays, n_cells=n_cells, d_R_um=5.0)
+        assert ray_cells([sc]) == max(k_rays, 1000) * max(n_cells, 1)
+
+    def test_broken_grid_reported_alone(self):
+        # No point can be built from an empty grid, so the base's gap is not judged.
+        sc = replace(default_scenario(), d_l_um=-3.0,
+                     sweep={"parameter": "n_cells", "start": 3, "stop": 1})
+        assert validate(sc) == ["sweep: the n_cells grid has no points"]
+
+    def test_integer_sweep_point_read_as_an_integer(self):
+        # Validate judges no point's types, so the grid admits only values
+        # that read as integers; a whole Fraction stays a Fraction.
+        sc = replace(default_scenario(), sweep={"parameter": "n_cells",
+                                                "values": [Fraction(3)]})
+        assert validate(sc) == ["sweep: n_cells takes whole numbers, got Fraction(3, 1)"]
 
     @pytest.mark.parametrize("param", sorted(k for k, rule in SCHEMA.items() if rule.pulse))
     def test_pulse_key_sweep_rejected(self, param):
@@ -921,6 +942,32 @@ def test_validate_and_sweep_give_one_verdict(tmp_path, capsys, monkeypatch, over
         assert not out.exists()
     assert verdicts[0] == verdicts[1]
     assert traced == Counter()
+
+
+@pytest.mark.parametrize("base, sweep", [
+    ("n_cells=40", "n_cells=1..3"),      # 40 cells do not fit 450 um
+    ("d_l_um=-3", "d_l_um=1,2"),         # a negative gap
+    ("w_c_um=40", "w_c_um=10,20"),       # a fusiform lens wider than it is high
+    ("k_rays=0", "k_rays=11,21"),        # no rays
+])
+def test_sweep_base_value_of_the_swept_key_not_judged(tmp_path, capsys, base, sweep):
+    # A sweep runs only its points, each of which sets the swept key.
+    argv = ["--set", "k_rays=11", "--set", base, "--set", f"sweep={sweep}"]
+    assert main(["--command", "validate", *argv]) == 0
+    assert json.loads(capsys.readouterr().out) == {"violations": []}
+    assert main(["--command", "sweep", "--out", str(tmp_path), *argv]) == 0
+    assert (tmp_path / "sweep_summary.csv").exists()
+
+
+def test_total_um_sweep_with_an_explicit_gap_exits_2(tmp_path, capsys):
+    # It used to write one CIR per point, all equal, and equal summary rows.
+    code = main(["--command", "sweep", "--out", str(tmp_path / "out"), "--set", "k_rays=11",
+                 "--set", "d_R_um=5", "--set",
+                 'sweep={"parameter": "total_um", "values": [400, 500]}'])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["detail"] == [
+        "sweep: 'total_um' changes no sweep output (CIR, path loss, ray counts)"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_no_per_ray_objects(tmp_path, capsys, monkeypatch):

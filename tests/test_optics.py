@@ -12,12 +12,11 @@ from cellray.optics import (
     Medium,
     Wavelength,
     absorbance,
-    dpf,
     total_path_loss,
     transmittance,
 )
 from conftest import CELL, TISSUE
-from measures import light_speed_m_per_s
+from measures import dpf, light_speed_m_per_s
 
 
 def dpf_oracle(medium: Medium, d_mm: float) -> float:
