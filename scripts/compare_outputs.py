@@ -3,59 +3,19 @@
 
 Usage: python scripts/compare_outputs.py OTHER_TREE
 
-Runs one fixed job matrix through `cellray.cli.main` for each tree, in one
-subprocess per tree with PYTHONPATH=<tree>/src: the five single-scenario
-commands on the three shapes in both gamma modes (gamma_mode does not key
-the channel the CLI keeps, so each shape's eight traced jobs trace once),
-then trace, cir, pulse and detector back to back on each shape's default
-scenario, so the later three reuse the channel the CLI kept from the
-first, plus K=1, N=0 (cir and trace), a tiny detector, a 3-point sweep,
-two sweeps that fail at a point, three sweeps that validate rejects before
-any trace (a negative gap, judged by --command validate; an h_c_um sweep on
-a spherical cell, which reads no h_c_um; n_cells=17..19, whose 19 cells do
-not fit the total length), a cir run given a sweep block, which only the
-sweep command takes (exit 2; trees older than that rule ran the base
-scenario, exit 0), and seven error cases: a negative gap
-(exit 2), an empty channel (exit 3), too many CIR bins and the convolution
-cap (each exit 2, raised inside the command), a wavelength whose carrier
-divides by zero, one whose carrier phase overflows at the pulse's last
-sample, and a 5 fs pulse step that aliases the 456 nm carrier (each exit
-2; trees older than the carrier-step rule ran the last one, exit 0). A
-channel whose three detected rays all have a gain of 0.0 runs through
-trace (exit 0, no dominant delay), cir, pulse and detector (each exit 3).
-Sweeps whose points share one trace (n_cells with 0, repeats and unsorted
-values, total_um, d_R_um) and one whose points do not (d_l_um, with a
-repeat) run on the three shapes in both gamma modes too. Two kinds of
-pulse job cover the convolution window and the CSV writer's fixed-width
-path: K=101 at 0.02 fs steps on the three shapes (~100k-row waveforms),
-and a free-space pulse whose window starts at bin 0. cir and detector at
-N=1, K=20,001 on the three shapes are the wide-shallow benchmark's jobs;
-the detector maps' 20k rows cover the writer's run-by-run path, since each
-block's sorted coordinates cross zero at most once. Free-space pathloss
-curves of 1,023 and 1,024 rows straddle the MIN_RUN_ROWS a block's sign
-runs must average for that path. A trace through cells less dense than the
-tissue covers every way a ray is lost. Three jobs spell a real key as -0.0
-or as an int: a trace at d_E_um=-0.0, a trace at h_c_um=30 and a sweep
-over the h_c_um values 30 and 30.0, whose two points share one trace.
-Six jobs cover trace reuse and the grid's end: a sweep over n_cell with a
-repeat (1.36, 1.40, 1.36; the two 1.36 points share a trace), a trace
-followed by a cir at mu_a_cell_per_mm=2.0, whose media differ, so it
-traces again, a spherical trace followed by a cir that differs only in
-h_c_um, which the sphere does not read, so it reuses the kept channel, and
-a d_l_um sweep from 0 to 1e-13 in 1e-14 steps (11 points; trees that
-included points up to an absolute 1e-12 past stop ran 111).
-Three sweeps cover what validate judges of a sweep's base: its types and
-grid only. sweep-base-unfit sweeps n_cells=1..3 from a base of 40 cells,
-which do not fit 450 um (exit 0; trees that judged the base's swept value
-exited 2); sweep-grid-and-base has an empty grid and a negative base gap,
-and the grid is reported alone (exit 2; those trees named the gap too);
-sweep-unread-total sweeps total_um with d_R_um set, which leaves total_um
-unread (exit 2; trees without that rule wrote equal CIRs, exit 0).
+Runs one fixed job matrix (jobs(), each job's reason beside it) through
+`cellray.cli.main` for each tree, in one subprocess per tree with
+PYTHONPATH=<tree>/src and all jobs in one process, so later jobs may reuse
+the channel the CLI kept from earlier ones.  The matrix covers every
+command on the three shapes in both gamma modes, sweeps, the wide-shallow
+and long-pulse benchmark jobs, and the error paths; a job that raises is
+recorded with the code "exception" and its traceback.
+
 Every job's exit code, stdout, stderr and output files are compared byte
 for byte, and so is whether its --out exists, since a failed run must not
-leave even an empty directory.
-The jobs that differ are listed, and the exit code is 1 on any difference,
-0 when every job matches.
+leave even an empty directory.  The jobs that differ are listed.  The exit
+status is 0 when every job matches, 1 on any difference and 2 on a bad
+argument.
 """
 
 from __future__ import annotations
@@ -172,6 +132,12 @@ def jobs() -> dict[str, list[str]]:
                             'sweep={"parameter": "d_l_um", "start": 0, "stop": 1e-13, '
                             '"step": 1e-14}'],
         "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
+        # The center line's chord overflows: r_c squared, and w_c * h_c/2.
+        "error-huge-sphere": ["--command", "validate", "--set", "shape=spherical", "--set",
+                              "r_c_um=1e155", "--set", "total_um=null", "--set", "d_R_um=0"],
+        "error-huge-prism": ["--command", "cir", "--set", "shape=pyramidal", "--set",
+                             "w_c_um=1e155", "--set", "h_c_um=1e155", "--set", "total_um=null",
+                             "--set", "d_R_um=0"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],
         "error-cir-bins": ["--command", "cir", "--set", "k_rays=11",

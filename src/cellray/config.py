@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field, fields, replace
-from itertools import accumulate
 from numbers import Integral, Real
 from typing import Any, Optional
 
@@ -275,7 +274,8 @@ def _range_problems(s: Scenario) -> list[tuple[str, str]]:
     problems = [(key, problem) for key, rule in SCHEMA.items()
                 if s.shape in rule.shapes
                 and (problem := rule.range_problem(getattr(s, key)))]
-    if s.shape == "fusiform" and not {key for key, _ in problems} & {"h_c_um", "w_c_um"}:
+    sized = not {key for key, _ in problems} & {"h_c_um", "w_c_um", "r_c_um"}
+    if sized and s.shape == "fusiform":
         if s.w_c_um > s.h_c_um:
             problems.append(("w_c_um", f"fusiform needs w_c <= h_c, got "
                                        f"w_c={s.w_c_um}, h_c={s.h_c_um}"))
@@ -288,6 +288,14 @@ def _range_problems(s: Scenario) -> list[tuple[str, str]]:
                 problems.append(("h_c_um", "the square of the fusiform curvature radius "
                                            "(h_c^2 + w_c^2) / (4 w_c) must be positive "
                                            f"and finite, got radius {radius}"))
+    elif sized:  # the center line, which the budget stage walks, crosses this chord
+        try:
+            chord = s.build_shape().chord_at(0.0)
+        except OverflowError:  # r_c squared beyond the float range
+            chord = math.inf
+        if not math.isfinite(chord):
+            problems.append(("r_c_um" if s.shape == "spherical" else "w_c_um",
+                             f"the cell's chord on the axis must be finite, got {chord}"))
     if s.d_R_um is None and s.total_um is None:
         problems.append(("d_R_um", "either d_R_um or total_um must be set"))
     elif not any(SCHEMA[key].layout for key, _ in problems):
@@ -364,9 +372,8 @@ def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
     allocate, by the formulas it runs."""
     problems = []
     layout = s.build_layout()
-    samples = accumulate((n for _, _, n in center_line(layout)), initial=1)
     if not math.isfinite(layout.total_length) or \
-            any(total > MAX_PATH_SAMPLES for total in samples):
+            1 + sum(n for _, _, n in center_line(layout)) > MAX_PATH_SAMPLES:
         problems.append(("total_um" if s.d_R_um is None else "d_R_um",
                          f"the {layout.total_length:.6g} um center line needs more than "
                          f"{MAX_PATH_SAMPLES} path-loss samples"))

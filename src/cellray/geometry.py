@@ -30,7 +30,6 @@ one pass through the longest: cell i's entry vertex does not depend on the
 cell count, so each layout's rays are a copy of the shared state at its
 count, run on to its own detector plane.  The cell loop lives there alone;
 trace_array is its one-layout case, and no other tracer is in the package.
-RayPath objects are built only when a caller indexes or iterates a batch.
 
 Every value equals, bit for bit, the one a per-ray scalar loop computes with
 the math module; tests/scalar_tracer.py keeps such a loop as the oracle of
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -61,7 +61,7 @@ TOL = 1e-9
 # Fate codes: the stop codes of a cell crossing, in the order a ray can meet
 # them, and DEVIATED for a pyramidal miss, which runs on to the detector.
 CROSSED, MISS, TIR, BACKWARD, DEVIATED = range(5)
-# Each fate's word in rays.csv, the report's counts and RayPath.status.
+# Each fate's word in rays.csv, the report's counts and a batch's status view.
 STATUS = np.array(["arrived", "leaked", "leaked", "leaked", "deviated"])
 STATUS.flags.writeable = False
 
@@ -195,36 +195,6 @@ class ArrayLayout:
         return self.source_gap + index * (self.shape.axial_extent + self.gap)
 
 
-@dataclass(frozen=True)
-class RayState:
-    """A ray sample: position (x, h) and direction theta."""
-
-    x: float
-    h: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not abs(self.theta) < 0.5 * math.pi:
-            raise ValueError(f"forward ray requires |theta| < pi/2, got {self.theta}")
-
-
-@dataclass
-class RayPath:
-    """Ray ray_index of a RayBatch, read off its arrays: fate and exit state.
-
-    status is "arrived", "leaked" or "deviated"; loss_cell is the index of
-    the first cell the ray failed to traverse, None for arrived rays.
-    perfbench/spans.py's delivered-ray counter is the only client of this
-    view and of RayState, its exit; both go when that counter reads
-    RayBatch.delivered (ROADMAP item 1).
-    """
-
-    ray_index: int
-    status: str
-    loss_cell: Optional[int]
-    exit: RayState
-
-
 @dataclass(eq=False)
 class RayBatch:
     """Traced rays as arrays: entry i of every array belongs to ray i.
@@ -235,9 +205,10 @@ class RayBatch:
     loss of leaked ones.  cell_length and tissue_length are the summed
     per-medium path lengths, all that a ray's channel atom reads.
 
-    Indexing or iterating builds RayPath views; perfbench/spans.py's
-    delivered-ray counter is their only client, and __iter__ and
-    __getitem__ go with RayPath (ROADMAP item 1).
+    Iterating a batch gives each ray's status view, a namespace whose one
+    attribute, status, is the ray's STATUS word.  perfbench/spans.py's
+    delivered-ray counter is its only reader; __iter__ goes when that
+    counter reads delivered (ROADMAP item 1).
     """
 
     fate: np.ndarray
@@ -256,16 +227,8 @@ class RayBatch:
         """Where a ray reaches the detector plane: it arrived or deviated."""
         return (self.fate == CROSSED) | (self.fate == DEVIATED)
 
-    def __iter__(self) -> Iterator[RayPath]:
-        return map(self.__getitem__, range(len(self)))
-
-    def __getitem__(self, i: int) -> RayPath:
-        i = range(len(self))[i]
-        loss = int(self.loss_cell[i])
-        exit_state = RayState(float(self.exit_x[i]), float(self.exit_h[i]),
-                              float(self.exit_theta[i]))
-        return RayPath(ray_index=i, status=str(STATUS[self.fate[i]]),
-                       loss_cell=None if loss < 0 else loss, exit=exit_state)
+    def __iter__(self) -> Iterator[SimpleNamespace]:
+        return (SimpleNamespace(status=word) for word in STATUS[self.fate].tolist())
 
 
 @dataclass(eq=False)
