@@ -132,12 +132,18 @@ def jobs() -> dict[str, list[str]]:
                             'sweep={"parameter": "d_l_um", "start": 0, "stop": 1e-13, '
                             '"step": 1e-14}'],
         "error-negative-gap": ["--command", "cir", "--set", "d_l_um=-3"],
-        # The center line's chord overflows: r_c squared, and w_c * h_c/2.
+        # Sizes over the 1e6 um range, whose center-line chord overflowed.
         "error-huge-sphere": ["--command", "validate", "--set", "shape=spherical", "--set",
                               "r_c_um=1e155", "--set", "total_um=null", "--set", "d_R_um=0"],
         "error-huge-prism": ["--command", "cir", "--set", "shape=pyramidal", "--set",
                              "w_c_um=1e155", "--set", "h_c_um=1e155", "--set", "total_um=null",
                              "--set", "d_R_um=0"],
+        # A 2 m prism, over the size range.
+        "range-tall-prism": ["--command", "cir", "--set", "shape=pyramidal",
+                             "--set", "h_c_um=2e6"],
+        # Delays that overflow to inf: the bin cap rejects them, and stderr
+        # holds only the JSON record.
+        "error-index-overflow": ["--command", "cir", "--set", "n_tissue=1.7e308"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],
         "error-cir-bins": ["--command", "cir", "--set", "k_rays=11",

@@ -131,7 +131,8 @@ def contributions(batch: RayBatch, media: Media,
     d_a_um = batch.cell_length[delivered]
     d_e_um = batch.tissue_length[delivered]
     coord = batch.exit_h[delivered]
-    delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
+    with np.errstate(over="ignore"):  # a huge index gives inf delays, which build_cir rejects
+        delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
     gain = transmittance(media.cell, d_a_um / UM_PER_MM)
     gain *= transmittance(media.tissue, d_e_um / UM_PER_MM)
     atoms = Atoms(delay, gain, coord)

@@ -92,9 +92,11 @@ class Scenario:
     """
 
     shape: str = _key("fusiform", "choice", SHAPES, layout=True)
-    h_c_um: float = _key(30.0, "real", 0.0, closed=False, shapes=_HW_SHAPES, layout=True)
-    w_c_um: float = _key(20.0, "real", 0.0, closed=False, shapes=_HW_SHAPES, layout=True)
-    r_c_um: float = _key(10.0, "real", 0.0, closed=False, shapes=("spherical",), layout=True)
+    # The size range keeps every squared size, the fusiform curvature radius
+    # and the chord on the axis positive and finite.
+    h_c_um: float = _key(30.0, "real", 1e-6, high=1e6, shapes=_HW_SHAPES, layout=True)
+    w_c_um: float = _key(20.0, "real", 1e-6, high=1e6, shapes=_HW_SHAPES, layout=True)
+    r_c_um: float = _key(10.0, "real", 1e-6, high=1e6, shapes=("spherical",), layout=True)
     n_cells: int = _key(18, "integer", 0, layout=True)
     d_l_um: float = _key(5.0, "real", 0.0, layout=True)
     d_E_um: float = _key(5.0, "real", 0.0, layout=True)
@@ -108,7 +110,8 @@ class Scenario:
     n_tissue: float = _key(1.35, "real", 1.0)
     mu_a_tissue_per_mm: float = _key(1.34, "real", 1e-6, high=1e6)
     mu_s_prime_tissue_per_mm: float = _key(3.43, "real", 1e-6, high=1e6)
-    lambda_nm: float = _key(456.0, "real", 0.0, closed=False, pulse=True)
+    # Keeps the carrier 2 pi c / lambda finite; samples_carrier then bounds its phase.
+    lambda_nm: float = _key(456.0, "real", 1e-6, pulse=True)
     tau_fs: float = _key(1.0, "real", 0.0, closed=False, pulse=True)
     # Squared in the report's peak powers, which must stay finite.
     e0: float = _key(1.0, "real", 0.0, closed=False, high=1e100, pulse=True)
@@ -274,28 +277,10 @@ def _range_problems(s: Scenario) -> list[tuple[str, str]]:
     problems = [(key, problem) for key, rule in SCHEMA.items()
                 if s.shape in rule.shapes
                 and (problem := rule.range_problem(getattr(s, key)))]
-    sized = not {key for key, _ in problems} & {"h_c_um", "w_c_um", "r_c_um"}
-    if sized and s.shape == "fusiform":
-        if s.w_c_um > s.h_c_um:
-            problems.append(("w_c_um", f"fusiform needs w_c <= h_c, got "
-                                       f"w_c={s.w_c_um}, h_c={s.h_c_um}"))
-        else:
-            try:
-                radius = s.build_shape().curvature_radius
-            except OverflowError:  # h_c squared beyond the float range
-                radius = math.inf
-            if not 0.0 < radius * radius < math.inf:
-                problems.append(("h_c_um", "the square of the fusiform curvature radius "
-                                           "(h_c^2 + w_c^2) / (4 w_c) must be positive "
-                                           f"and finite, got radius {radius}"))
-    elif sized:  # the center line, which the budget stage walks, crosses this chord
-        try:
-            chord = s.build_shape().chord_at(0.0)
-        except OverflowError:  # r_c squared beyond the float range
-            chord = math.inf
-        if not math.isfinite(chord):
-            problems.append(("r_c_um" if s.shape == "spherical" else "w_c_um",
-                             f"the cell's chord on the axis must be finite, got {chord}"))
+    sized = not {key for key, _ in problems} & {"h_c_um", "w_c_um"}
+    if sized and s.shape == "fusiform" and s.w_c_um > s.h_c_um:
+        problems.append(("w_c_um", f"fusiform needs w_c <= h_c, got "
+                                   f"w_c={s.w_c_um}, h_c={s.h_c_um}"))
     if s.d_R_um is None and s.total_um is None:
         problems.append(("d_R_um", "either d_R_um or total_um must be set"))
     elif not any(SCHEMA[key].layout for key, _ in problems):
@@ -311,15 +296,6 @@ def _range_problems(s: Scenario) -> list[tuple[str, str]]:
     if s.waveform_dt_fs > 0.0 and s.tau_fs > 0.0 and dt >= tau / 10.0:
         problems.append(("waveform_dt_fs", "must be under tau/10 to resolve the envelope, "
                                            f"got a {dt!r} s step for tau/10 = {tau / 10.0!r} s"))
-    # Judged by the carrier the pulse is built with: 2 pi c / lambda.
-    if s.lambda_nm > 0.0:
-        try:
-            omega0 = s.build_wavelength().omega0_rad_per_s
-        except ZeroDivisionError:  # the wavelength in metres underflows to 0
-            omega0 = math.inf
-        if not math.isfinite(omega0):
-            problems.append(("lambda_nm", "the carrier 2 pi c / lambda must be finite, "
-                                          f"got {omega0!r} rad/s"))
     return problems
 
 
@@ -384,13 +360,7 @@ def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
         problems.append(("waveform_dt_fs", f"a {8.0 * tau:.6g} s pulse span at "
                                            f"{dt:.6g} s steps needs more than "
                                            f"{MAX_PULSE_SAMPLES} samples"))
-    elif not math.isfinite(  # the largest phase omega0 * t the pulse takes the cosine of
-            phase := omega0 * (dt * (int(samples) // 2))):
-        problems.append(("lambda_nm", f"the carrier phase at the pulse's last sample "
-                                      f"must be finite, got {phase!r} rad"))
-    # gaussian_pulse's own test, in seconds.  It follows the phase check, so
-    # that a phase overflow, which a step this coarse often brings too, still
-    # names lambda_nm.
+    # gaussian_pulse's own test, in seconds.
     elif not samples_carrier(dt, omega0):
         problems.append(("waveform_dt_fs", f"must be under lambda/(2c) = "
                                            f"{math.pi / omega0!r} s to sample the "

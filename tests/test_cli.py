@@ -46,6 +46,7 @@ from cellray.geometry import (
     collimated_bundle,
     trace_array,
 )
+from cellray.optics import Wavelength
 from cellray.signal import UnderResolved, gaussian_pulse
 
 FLOAT_KEYS = [f.name for f in fields(Scenario) if "float" in f.type]
@@ -604,11 +605,18 @@ REJECTED_INPUTS = [
     # 2,501 cells at small k_rays, and 10^9 rays through 18 cells.
     ("trace", ["k_rays=1", "n_cells=2501", "total_um=9e4", "sweep=n_cells=1..2"], "sweep"),
     ("cir", ["k_rays=1000000000", "sweep=k_rays=11,12"], "sweep"),
-    # The center line's chord overflows: r_c squared (an OverflowError) and
-    # w_c * h_c/2 (an infinite chord that math.ceil cannot take).
+    # Sizes over the 1e6 um range.  Their center-line chord overflowed: r_c
+    # squared (an OverflowError) and w_c * h_c/2 (an infinite chord that
+    # math.ceil cannot take).
     ("validate", ["shape=spherical", "r_c_um=1e155", "total_um=null", "d_R_um=0"], "r_c_um"),
     ("cir", ["shape=pyramidal", "w_c_um=1e155", "h_c_um=1e155", "total_um=null", "d_R_um=0"],
      "w_c_um"),
+    # Ran, at sizes or a wavelength outside the micrometre cells and visible
+    # light the model is built for: a 2 m prism, a 0.5 pm sphere and 5e-7 nm light.
+    ("cir", ["shape=pyramidal", "h_c_um=2e6"], "h_c_um"),
+    ("cir", ["shape=spherical", "r_c_um=5e-7", "k_rays=11"], "r_c_um"),
+    ("cir", ["lambda_nm=5e-7", "tau_fs=1e-6", "waveform_dt_fs=1e-10", "k_rays=11"],
+     "lambda_nm"),
 ]
 
 
@@ -624,6 +632,21 @@ def test_rejected_naming_key_without_files(tmp_path, capsys, command, overrides,
     assert record["error"] == "validation"
     assert any(v.startswith(f"{key}:") for v in record["detail"]), record
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "cir", "pulse", "detector"])
+@pytest.mark.parametrize("key", ["n_cell", "n_tissue"])
+def test_overflowing_delays_exit_2_without_a_warning(tmp_path, capsys, command, key):
+    # pytest captures warnings, so only an error filter shows one that would
+    # print to stderr ahead of the JSON record.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["--command", command, "--out", str(tmp_path / "out"),
+                     "--set", "k_rays=11", "--set", f"{key}=1.7e308"])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["detail"][0].startswith("waveform_dt_fs:" if command == "pulse"
+                                          else "cir_dt_fs:")
 
 
 @pytest.mark.parametrize("command", ["trace", "pathloss", "cir", "pulse", "detector"])
@@ -817,12 +840,33 @@ def test_schema_covers_every_key():
     assert list(SCHEMA) == [f.name for f in fields(Scenario) if f.name != "sweep"]
 
 
+SIZE = st.floats(SCHEMA["h_c_um"].low, SCHEMA["h_c_um"].high)
+
+
+@given(SIZE, SIZE, st.floats(SCHEMA["lambda_nm"].low, allow_infinity=False))
+@example(1e6, 1e-6, 1e-6)
+@example(1e-6, 1e-6, 1.7e308)
+@example(1e6, 1e6, 456.0)
+def test_ranges_keep_sizes_and_carrier_finite(a, b, lambda_nm):
+    """The size and wavelength ranges stand for the overflow rules validate
+    no longer holds: a fusiform radius with a positive, finite square, a
+    finite chord on the axis for every shape, and a finite carrier."""
+    assert SCHEMA["r_c_um"].low == SCHEMA["w_c_um"].low == SCHEMA["h_c_um"].low
+    assert SCHEMA["r_c_um"].high == SCHEMA["w_c_um"].high == SCHEMA["h_c_um"].high
+    h, w = max(a, b), min(a, b)
+    lens = geo.Fusiform(h_c=h, w_c=w)
+    assert 0.0 < lens.curvature_radius**2 < math.inf
+    for shape in (lens, geo.Spherical(r_c=a), geo.Pyramidal(h_c=a, w_c=b)):
+        assert math.isfinite(shape.chord_at(0.0))
+    assert 0.0 < Wavelength(nm=lambda_nm).omega0_rad_per_s < math.inf
+
+
 # Values no key may crash on: wrong types, signed zeros, extremes,
 # subnormals, non-finite numbers, empty containers and strings.
 HOSTILE = st.sampled_from([
     None, True, False, "", "x", "fusiform", "aggregate", [], {}, [1.0], {"a": 1},
     0, 1, -1, 2, 18, 2**63, 10**400, 0.0, -0.0, 0.5, 2.5, 1e300, -1e300, 1e-300,
-    -1e-300, 1e-310, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
+    -1e-300, 1e-310, 5e-324, -5e-324, 1.7e308, math.nan, math.inf, -math.inf,
 ])
 SWEEP_BLOCK = st.one_of(
     HOSTILE,
@@ -846,13 +890,21 @@ SWEEP_BLOCK = st.one_of(
          11, None)  # the center-line chord overflows
 @example("trace", {"shape": "pyramidal", "w_c_um": 1e155, "h_c_um": 1e155, "total_um": None,
                    "d_R_um": 0}, 11, None)
+@example("cir", {"n_tissue": 1.7e308}, 11, None)  # the delays overflow
+# The corners of the size ranges.
+@example("detector", {"h_c_um": 1e6, "w_c_um": 1e-6}, 11, None)
+@example("pulse", {"h_c_um": 1e-6, "w_c_um": 1e-6}, 11, None)
+@example("pathloss", {"shape": "spherical", "r_c_um": 1e-6}, 11, None)
+@example("cir", {"shape": "pyramidal", "h_c_um": 1e6, "w_c_um": 1e-6}, 11, None)
 @settings(max_examples=200, deadline=timedelta(seconds=10))
 def test_any_scenario_exits_0_2_or_3(command, keys, k_rays, sweep):
-    # Every input runs or is rejected: no exception escapes main, a report
-    # holds only finite numbers, as strict JSON requires, and so does every
+    # Every input runs or is rejected: no exception escapes main, no warning
+    # is raised (stderr holds only the JSON error record), a report holds
+    # only finite numbers, as strict JSON requires, and so does every
     # numeric CSV field of a run that exits 0.
     data = {**keys, "k_rays": k_rays, "sweep": sweep}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(data))
         with contextlib.redirect_stdout(io.StringIO()), \
