@@ -141,13 +141,21 @@ def jobs() -> dict[str, list[str]]:
         # A 2 m prism, over the size range.
         "range-tall-prism": ["--command", "cir", "--set", "shape=pyramidal",
                              "--set", "h_c_um=2e6"],
-        # Delays that overflow to inf: the bin cap rejects them, and stderr
-        # holds only the JSON record.
+        # An index over its range, whose delays overflowed to inf: the range
+        # names it, and stderr holds only the JSON record.
         "error-index-overflow": ["--command", "cir", "--set", "n_tissue=1.7e308"],
         "error-empty-channel": ["--command", "cir", "--set", "n_cells=0", "--set",
                                 "k_rays=10", "--set", "detector_width_um=0.001"],
+        # Under the cir_dt_fs range; it used to meet the bin cap.
         "error-cir-bins": ["--command", "cir", "--set", "k_rays=11",
                            "--set", "cir_dt_fs=1e-12"],
+        # In range, over a cap: 2 ps delays in 1e-19 s bins, and a 20 cm
+        # center line of one path-loss sample per micrometre.
+        "error-cir-bins-in-range": ["--command", "cir", "--set", "k_rays=11",
+                                    "--set", "cir_dt_fs=1e-4"],
+        "error-path-samples": ["--command", "pathloss", "--set", "total_um=2e5"],
+        # 1e-320 fs is 0.0 s: the range names tau_fs, not the tau/10 step rule.
+        "error-tau-underflow": ["--command", "pulse", "--set", "tau_fs=1e-320"],
         # 80,001 pulse samples times 509,730 CIR bins.
         "error-convolution-cap": ["--command", "pulse", "--set", "tau_fs=40", "--set",
                                   "waveform_dt_fs=0.004", "--set", "k_rays=11"],

@@ -131,8 +131,7 @@ def contributions(batch: RayBatch, media: Media,
     d_a_um = batch.cell_length[delivered]
     d_e_um = batch.tissue_length[delivered]
     coord = batch.exit_h[delivered]
-    with np.errstate(over="ignore"):  # a huge index gives inf delays, which build_cir rejects
-        delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
+    delay = (d_a_um * media.cell.n + d_e_um * media.tissue.n) * 1e-6 / SPEED_OF_LIGHT_M_PER_S
     gain = transmittance(media.cell, d_a_um / UM_PER_MM)
     gain *= transmittance(media.tissue, d_e_um / UM_PER_MM)
     atoms = Atoms(delay, gain, coord)
@@ -156,8 +155,7 @@ def build_cir(detected: Atoms, n_rays: int, dt_s: float = 10e-15,
         raise BinOverflow(f"bin width must be positive, got {dt_s!r} s")
     if not detected.gain.any():
         raise EmptyChannel(_ZERO_GAIN if detected else "no ray reaches the detector")
-    with np.errstate(over="ignore"):
-        slots = np.rint(detected.delay_s / dt_s)
+    slots = np.rint(detected.delay_s / dt_s)
     # Checked before the cast: an overflowed cast gives a negative slot.
     if not (slots.min() >= 0.0 and slots.max() < MAX_CIR_BINS):
         raise BinOverflow(f"delays up to {detected.delay_s.max():.6g} s need more than "

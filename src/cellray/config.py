@@ -28,15 +28,14 @@ class Rule:
     """The rule for one scenario key, kept in its Scenario field (see SCHEMA).
 
     kind is "integer", "real", "optional" (a real or None) or "choice".
-    low is the lower bound, allowed itself when closed, or the choices;
-    high, when given, is an upper bound that is allowed itself.
+    low is the lower bound, or the choices; high, when given, is the upper
+    bound.  Both bounds are allowed themselves.
     shapes are the cell shapes whose runs read the key; layout marks the
     keys the cell line reads, pulse the keys only the pulse reads.
     """
 
     kind: str
-    low: Any = None
-    closed: bool = True
+    low: Any
     high: Optional[float] = None
     shapes: tuple[str, ...] = SHAPES
     layout: bool = False
@@ -56,8 +55,10 @@ class Rule:
     def range_problem(self, value: Any) -> Optional[str]:
         if self.kind == "choice":
             return None if value in self.low else f"must be one of {self.low}, got {value!r}"
-        if not (self.low is None or value > self.low or (self.closed and value == self.low)):
-            return f"must be {'>=' if self.closed else '>'} {self.low:g}, got {value}"
+        if value is None:  # an unset optional key
+            return None
+        if value < self.low:
+            return f"must be >= {self.low:g}, got {value}"
         if self.high is not None and value > self.high:
             return f"must be <= {self.high:g}, got {value}"
         return None
@@ -75,9 +76,26 @@ class Rule:
         return value
 
 
-def _key(default: Any, kind: str, low: Any = None, **rule: Any) -> Any:
+def _key(default: Any, kind: str, low: Any, **rule: Any) -> Any:
     """A Scenario field: its default, and its Rule in the field's metadata."""
     return field(default=default, metadata={"rule": Rule(kind, low, **rule)})
+
+
+# The work budget: validate rejects a scenario whose run would exceed a cap.
+# Each cap admits the benchmark and test scenarios 100 times over.
+# A scenario's runs are charged by the traces they make (ray_cells): a lone
+# run max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1) ray-cells.
+MAX_RAY_CELLS = 2_500_000
+# The tracer's cost per cell is about flat below this many rays, so a trace
+# is charged for at least this many: at most 2,500 cells at small k_rays.
+MIN_CHARGED_RAYS = 1_000
+# Multiply-adds of the pulse convolution, pulse samples * CIR bins; checked
+# by the pulse command once the CIR is binned.
+MAX_CONVOLUTION = 5_000_000_000
+MAX_PULSE_SAMPLES = 100_000   # samples of the transmitted pulse
+MAX_PATH_SAMPLES = 100_000    # rows of the center-line path-loss curve
+MAX_SWEEP_POINTS = 2_000      # points of a sweep grid
+SWEEP_KEYS = ("parameter", "values", "start", "stop", "step")  # of a sweep block
 
 
 _HW_SHAPES = ("fusiform", "pyramidal")  # the shapes sized by h_c and w_c
@@ -97,29 +115,33 @@ class Scenario:
     h_c_um: float = _key(30.0, "real", 1e-6, high=1e6, shapes=_HW_SHAPES, layout=True)
     w_c_um: float = _key(20.0, "real", 1e-6, high=1e6, shapes=_HW_SHAPES, layout=True)
     r_c_um: float = _key(10.0, "real", 1e-6, high=1e6, shapes=("spherical",), layout=True)
-    n_cells: int = _key(18, "integer", 0, layout=True)
-    d_l_um: float = _key(5.0, "real", 0.0, layout=True)
-    d_E_um: float = _key(5.0, "real", 0.0, layout=True)
-    d_R_um: Optional[float] = _key(None, "optional", layout=True)
-    total_um: Optional[float] = _key(450.0, "optional", layout=True)
-    n_cell: float = _key(1.36, "real", 1.0)
+    # At most the cells that the ray-cell charge admits a lone run.
+    n_cells: int = _key(18, "integer", 0, high=MAX_RAY_CELLS // MIN_CHARGED_RAYS, layout=True)
+    # With the sizes and n_cells, keeps the detector gap and the center line finite.
+    d_l_um: float = _key(5.0, "real", 0.0, high=1e6, layout=True)
+    d_E_um: float = _key(5.0, "real", 0.0, high=1e6, layout=True)
+    d_R_um: Optional[float] = _key(None, "optional", 0.0, high=1e6, layout=True)
+    total_um: Optional[float] = _key(450.0, "optional", 0.0, high=1e6, layout=True)
+    # With n_tissue, keeps every delay, and so every CIR slot, finite.
+    n_cell: float = _key(1.36, "real", 1.0, high=1e6)
     # The four coefficients' range keeps the diffusion model's sqrt(3 mu_s'/mu_a)
     # and sqrt(3 mu_a mu_s') finite, and with them every gain and path loss.
     mu_a_cell_per_mm: float = _key(0.9, "real", 1e-6, high=1e6)
     mu_s_prime_cell_per_mm: float = _key(3.43, "real", 1e-6, high=1e6)
-    n_tissue: float = _key(1.35, "real", 1.0)
+    n_tissue: float = _key(1.35, "real", 1.0, high=1e6)
     mu_a_tissue_per_mm: float = _key(1.34, "real", 1e-6, high=1e6)
     mu_s_prime_tissue_per_mm: float = _key(3.43, "real", 1e-6, high=1e6)
     # Keeps the carrier 2 pi c / lambda finite; samples_carrier then bounds its phase.
     lambda_nm: float = _key(456.0, "real", 1e-6, pulse=True)
-    tau_fs: float = _key(1.0, "real", 0.0, closed=False, pulse=True)
-    # Squared in the report's peak powers, which must stay finite.
-    e0: float = _key(1.0, "real", 0.0, closed=False, high=1e100, pulse=True)
+    # With both steps, keeps the sample counts finite and the seconds normal.
+    tau_fs: float = _key(1.0, "real", 1e-6, high=1e6, pulse=True)
+    # Squared in the report's peak powers, which must stay finite and normal.
+    e0: float = _key(1.0, "real", 1e-100, high=1e100, pulse=True)
     k_rays: int = _key(1001, "integer", 1)
-    cir_dt_fs: float = _key(10.0, "real", 0.0, closed=False)
-    waveform_dt_fs: float = _key(0.05, "real", 0.0, closed=False, pulse=True)
+    cir_dt_fs: float = _key(10.0, "real", 1e-6, high=1e6)
+    waveform_dt_fs: float = _key(0.05, "real", 1e-6, high=1e6, pulse=True)
     gamma_mode: str = _key("per-path", "choice", GAMMA_MODES)
-    detector_width_um: float = _key(40.0, "real", 0.0, closed=False)
+    detector_width_um: float = _key(40.0, "real", 1e-6, high=1e6)
     sweep: Optional[dict] = None
 
     # -- derived quantities -------------------------------------------------
@@ -184,23 +206,6 @@ _DEFAULTS = Scenario().to_dict()  # scenario_from_dict's starting point
 # The rule of every Scenario key but sweep, in field order.
 SCHEMA: dict[str, Rule] = {f.name: f.metadata["rule"] for f in fields(Scenario)
                            if "rule" in f.metadata}
-
-# The work budget: validate rejects a scenario whose run would exceed a cap.
-# Each cap admits the benchmark and test scenarios 100 times over.
-# A scenario's runs are charged by the traces they make (ray_cells): a lone
-# run max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1) ray-cells.
-MAX_RAY_CELLS = 2_500_000
-# The tracer's cost per cell is about flat below this many rays, so a trace
-# is charged for at least this many: at most 2,500 cells at small k_rays.
-MIN_CHARGED_RAYS = 1_000
-# Multiply-adds of the pulse convolution, pulse samples * CIR bins; checked
-# by the pulse command once the CIR is binned.
-MAX_CONVOLUTION = 5_000_000_000
-MAX_PULSE_SAMPLES = 100_000   # samples of the transmitted pulse
-MAX_PATH_SAMPLES = 100_000    # rows of the center-line path-loss curve
-MAX_SWEEP_POINTS = 2_000      # points of a sweep grid
-SWEEP_KEYS = ("parameter", "values", "start", "stop", "step")  # of a sweep block
-
 
 def default_scenario(shape: str = "fusiform") -> Scenario:
     if shape not in SHAPES:
@@ -268,32 +273,28 @@ def _charge_problems(s: Scenario, runs: list[Scenario]) -> list[tuple[str, str]]
     if s.sweep is not None:
         return [("sweep", f"its traces are charged {charged} ray-cells, over "
                           f"the cap of {MAX_RAY_CELLS}")]
-    return [("k_rays" if s.k_rays > MIN_CHARGED_RAYS else "n_cells",
-             f"{s.k_rays} rays (charged as {max(s.k_rays, MIN_CHARGED_RAYS)}) through "
-             f"{max(s.n_cells, 1)} cells exceed the cap of {MAX_RAY_CELLS} ray-cells")]
+    # A lone run in the n_cells range is over only with k_rays > MIN_CHARGED_RAYS.
+    return [("k_rays", f"{s.k_rays} rays through {max(s.n_cells, 1)} cells exceed "
+                       f"the cap of {MAX_RAY_CELLS} ray-cells")]
 
 
 def _range_problems(s: Scenario) -> list[tuple[str, str]]:
     problems = [(key, problem) for key, rule in SCHEMA.items()
                 if s.shape in rule.shapes
                 and (problem := rule.range_problem(getattr(s, key)))]
-    sized = not {key for key, _ in problems} & {"h_c_um", "w_c_um"}
-    if sized and s.shape == "fusiform" and s.w_c_um > s.h_c_um:
+    broken = {key for key, _ in problems}  # the cross-key rules read only keys in range
+    if not broken & {"h_c_um", "w_c_um"} and s.shape == "fusiform" and s.w_c_um > s.h_c_um:
         problems.append(("w_c_um", f"fusiform needs w_c <= h_c, got "
                                    f"w_c={s.w_c_um}, h_c={s.h_c_um}"))
     if s.d_R_um is None and s.total_um is None:
         problems.append(("d_R_um", "either d_R_um or total_um must be set"))
     elif not any(SCHEMA[key].layout for key, _ in problems):
-        try:
-            gap = s.detector_gap_um()
-        except OverflowError:  # a cell count beyond the float range
-            gap = -math.inf
-        if gap < 0.0:
+        if (gap := s.detector_gap_um()) < 0.0:
             problems.append(("d_R_um", f"detector gap resolves to {gap:.6g} um; "
                                        "cells do not fit the total length"))
     # Judged in seconds, as gaussian_pulse judges it: the fs values can round apart.
     tau, dt = s.pulse_grid_s()
-    if s.waveform_dt_fs > 0.0 and s.tau_fs > 0.0 and dt >= tau / 10.0:
+    if not broken & {"tau_fs", "waveform_dt_fs"} and dt >= tau / 10.0:
         problems.append(("waveform_dt_fs", "must be under tau/10 to resolve the envelope, "
                                            f"got a {dt!r} s step for tau/10 = {tau / 10.0!r} s"))
     return problems
@@ -348,15 +349,14 @@ def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
     allocate, by the formulas it runs."""
     problems = []
     layout = s.build_layout()
-    if not math.isfinite(layout.total_length) or \
-            1 + sum(n for _, _, n in center_line(layout)) > MAX_PATH_SAMPLES:
+    if 1 + sum(n for _, _, n in center_line(layout)) > MAX_PATH_SAMPLES:
         problems.append(("total_um" if s.d_R_um is None else "d_R_um",
                          f"the {layout.total_length:.6g} um center line needs more than "
                          f"{MAX_PATH_SAMPLES} path-loss samples"))
     tau, dt = s.pulse_grid_s()
     samples = pulse_samples(tau, dt)
     omega0 = s.build_wavelength().omega0_rad_per_s  # finite: the range stage checks it
-    if not samples <= MAX_PULSE_SAMPLES:
+    if samples > MAX_PULSE_SAMPLES:
         problems.append(("waveform_dt_fs", f"a {8.0 * tau:.6g} s pulse span at "
                                            f"{dt:.6g} s steps needs more than "
                                            f"{MAX_PULSE_SAMPLES} samples"))

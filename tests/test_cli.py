@@ -3,6 +3,7 @@ import csv
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -565,8 +566,8 @@ REJECTED_INPUTS = [
      "sweep"),
     ("pulse", ["tau_fs=1e6", "waveform_dt_fs=1e-3"], "waveform_dt_fs"),
     ("pulse", ["waveform_dt_fs=1e-310"], "waveform_dt_fs"),
-    ("cir", ["n_cell=1e300"], "cir_dt_fs"),
-    ("cir", ["n_tissue=1e300"], "cir_dt_fs"),
+    ("cir", ["n_cell=1e300"], "n_cell"),
+    ("cir", ["n_tissue=1e300"], "n_tissue"),
     ("cir", ["total_um=1e300", "d_R_um=null"], "total_um"),
     ("cir", ["cir_dt_fs=1e-300"], "cir_dt_fs"),
     ("cir", ["cir_dt_fs=1e-310"], "cir_dt_fs"),
@@ -617,6 +618,17 @@ REJECTED_INPUTS = [
     ("cir", ["shape=spherical", "r_c_um=5e-7", "k_rays=11"], "r_c_um"),
     ("cir", ["lambda_nm=5e-7", "tau_fs=1e-6", "waveform_dt_fs=1e-10", "k_rays=11"],
      "lambda_nm"),
+    # Positive, but 0.0 once read in seconds or squared: tau/10 blamed the
+    # step for tau, a 0 s bin width was caught only after the trace, and e0
+    # squared underflowed in report.json's peak powers.
+    ("pulse", ["tau_fs=1e-320"], "tau_fs"),
+    ("cir", ["cir_dt_fs=1e-320"], "cir_dt_fs"),
+    ("pulse", ["waveform_dt_fs=1e-320"], "waveform_dt_fs"),
+    ("pulse", ["e0=1e-300"], "e0"),
+    # In range, yet over a cap, so each cap stays reachable: 2 ps delays in
+    # 1e-19 s bins, and a 20 cm center line sampled every micrometre.
+    ("cir", ["k_rays=11", "cir_dt_fs=1e-4"], "cir_dt_fs"),
+    ("pathloss", ["total_um=2e5"], "total_um"),
 ]
 
 
@@ -645,8 +657,7 @@ def test_overflowing_delays_exit_2_without_a_warning(tmp_path, capsys, command, 
                      "--set", "k_rays=11", "--set", f"{key}=1.7e308"])
     assert code == 2
     record = json.loads(capsys.readouterr().err)
-    assert record["detail"][0].startswith("waveform_dt_fs:" if command == "pulse"
-                                          else "cir_dt_fs:")
+    assert record["detail"][0].startswith(f"{key}:")
 
 
 @pytest.mark.parametrize("command", ["trace", "pathloss", "cir", "pulse", "detector"])
@@ -861,6 +872,60 @@ def test_ranges_keep_sizes_and_carrier_finite(a, b, lambda_nm):
     assert 0.0 < Wavelength(nm=lambda_nm).omega0_rad_per_s < math.inf
 
 
+def range_corners(*keys):
+    """Every combination of the keys' range ends, as read from SCHEMA."""
+    ends = [(SCHEMA[key].low, SCHEMA[key].high) for key in keys]
+    return [dict(zip(keys, corner)) for corner in itertools.product(*ends)]
+
+
+@pytest.mark.parametrize("shape", cfg.SHAPES)
+def test_ranges_keep_lengths_and_sample_counts_finite(shape):
+    """The ranges stand for the overflow guards validate and the run no
+    longer hold: at every corner the detector gap and the source-detector
+    length are finite, and pulse_samples counts an int."""
+    assert all(rule.high is not None for key, rule in SCHEMA.items()
+               if rule.kind != "choice" and key not in ("k_rays", "lambda_nm"))
+    for corner in range_corners("n_cells", "h_c_um", "w_c_um", "r_c_um", "d_l_um", "d_E_um",
+                                "total_um", "d_R_um"):
+        if shape == "fusiform" and corner["w_c_um"] > corner["h_c_um"]:
+            continue  # validate rejects the lens
+        s = replace(default_scenario(shape), **corner)
+        assert math.isfinite(replace(s, d_R_um=None).detector_gap_um())
+        assert math.isfinite(s.build_layout().total_length)
+    for corner in range_corners("tau_fs", "waveform_dt_fs"):
+        tau, dt = replace(default_scenario(shape), **corner).pulse_grid_s()
+        assert type(sig.pulse_samples(tau, dt)) is int
+
+
+def test_ranges_admit_every_shipped_and_benchmark_scenario(tmp_path, workloads):
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        assert validate(load_scenario(str(path), [])) == [], path
+    for workload in workloads.WORKLOADS:
+        for seed in range(12):
+            plan = workloads.plan(workload, seed, tmp_path / f"{workload}-{seed}")
+            for job in plan.jobs:
+                if job.expect == 0:
+                    assert validate(load_scenario(job.scenario, list(job.overrides))) == [], \
+                        (workload, seed, job.id)
+
+
+def test_tau_under_its_range_is_the_one_problem():
+    # 1e-320 fs is 0.0 s: the tau/10 rule would blame the step for it.
+    assert validate(replace(default_scenario(), tau_fs=1e-320)) == \
+        ["tau_fs: must be >= 1e-06, got 1e-320"]
+
+
+@pytest.mark.parametrize("command, key, value, cap",
+                         [("cir", "cir_dt_fs", 1e-4, "bins of"),
+                          ("pathloss", "total_um", 2e5, "path-loss samples")])
+def test_caps_stay_reachable_in_range(tmp_path, capsys, command, key, value, cap):
+    assert SCHEMA[key].low <= value <= SCHEMA[key].high
+    assert main(["--command", command, "--out", str(tmp_path / "out"), "--set", "k_rays=11",
+                 "--set", f"{key}={value!r}"]) == 2
+    [problem] = json.loads(capsys.readouterr().err)["detail"]
+    assert problem.startswith(f"{key}:") and cap in problem, problem
+
+
 # Values no key may crash on: wrong types, signed zeros, extremes,
 # subnormals, non-finite numbers, empty containers and strings.
 HOSTILE = st.sampled_from([
@@ -890,7 +955,7 @@ SWEEP_BLOCK = st.one_of(
          11, None)  # the center-line chord overflows
 @example("trace", {"shape": "pyramidal", "w_c_um": 1e155, "h_c_um": 1e155, "total_um": None,
                    "d_R_um": 0}, 11, None)
-@example("cir", {"n_tissue": 1.7e308}, 11, None)  # the delays overflow
+@example("cir", {"n_tissue": 1.7e308}, 11, None)  # over its range, the delays overflowed
 # The corners of the size ranges.
 @example("detector", {"h_c_um": 1e6, "w_c_um": 1e-6}, 11, None)
 @example("pulse", {"h_c_um": 1e-6, "w_c_um": 1e-6}, 11, None)
