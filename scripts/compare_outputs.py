@@ -154,6 +154,21 @@ def jobs() -> dict[str, list[str]]:
         "error-cir-bins-in-range": ["--command", "cir", "--set", "k_rays=11",
                                     "--set", "cir_dt_fs=1e-4"],
         "error-path-samples": ["--command", "pathloss", "--set", "total_um=2e5"],
+        # 1,250 points charged 2,499,000 ray-cells, just under the cap, in one
+        # trace group: the path-sample cap walks one center line for all.
+        "validate-nsweep-1250": ["--command", "validate", "--set", "k_rays=1000", "--set",
+                                 "total_um=60000", "--set", "sweep=n_cells=1..1250"],
+        # The 40th point's line is 99,980.5 um, under 100,000, but its stretches
+        # rounded up to whole micrometres need more than 100,000 samples.
+        **{f"validate-nsweep-path-cap{suffix}": [
+            "--command", "validate", "--set", f"shape={shape}", "--set", "k_rays=11",
+            "--set", "d_R_um=99000", "--set", "d_l_um=4.5", "--set", "sweep=n_cells=1..45"]
+           for shape, suffix in (("fusiform", ""), ("pyramidal", "-pyramidal"))},
+        # One trace group whose points differ only in their last stretch: the
+        # third needs 100,001 samples, the two before it exactly 100,000.
+        "validate-dR-sweep-path-cap": ["--command", "validate", "--set", "k_rays=11", "--set",
+                                       "n_cells=40", "--set", "d_l_um=4.5", "--set",
+                                       "sweep=d_R_um=98998.5,98999,98999.25,99000"],
         # 1e-320 fs is 0.0 s: the range names tau_fs, not the tau/10 step rule.
         "error-tau-underflow": ["--command", "pulse", "--set", "tau_fs=1e-320"],
         # 80,001 pulse samples times 509,730 CIR bins.

@@ -14,9 +14,10 @@ the run created.
 main may run many times in one process, as scripts/run_channel_battery.py
 runs it: every call parses with the one parser _parser builds on first
 use, and the CLI keeps the last channel it traced (_channel), keyed on the
-layout, media, ray count and detector width it is built from.  A sweep
-row is written from the few values it holds (counts, dominant delay,
-total gain, path loss), without building a report per point.
+layout, media, ray count and detector width it is built from; a command
+builds each run's layout and media once, in config.trace_groups.  A
+sweep row is written from the few values it holds (counts, dominant
+delay, total gain, path loss), without building a report per point.
 """
 
 from __future__ import annotations
@@ -131,18 +132,16 @@ class Channel:
     detected: ch.Atoms
 
 
-def _channels(points: list[cfg.Scenario]) -> Iterator[Channel]:
+def _channels(points: list[cfg.Scenario], groups: list[tuple]) -> Iterator[Channel]:
     """The points' channels, in order; each trace group is traced once.
 
-    Points with one cell line, media and ray count share a trace
-    (config.trace_groups); the channels are the ones each point gives when
-    traced alone, bit for bit.  Every point's rays are held until the last
-    channel is made, which the ray-cell charge (config.ray_cells) bounds.
+    groups are the points' config.trace_groups, which hold every layout and
+    media; the channels are the ones each point gives when traced alone,
+    bit for bit.  Every point's rays are held until the last channel is
+    made, which the ray-cell charge (config.ray_cells) bounds.
     """
     traced: list = [None] * len(points)
-    for group in cfg.trace_groups(points):
-        layouts = [points[i].build_layout() for i in group]
-        media = points[group[0]].build_media()
+    for group, layouts, media in groups:
         h0 = geo.collimated_bundle(layouts[0].shape, points[group[0]].k_rays)
         # A lone layout goes through trace_array, the entry point perfbench times.
         results = geo.trace_arrays(layouts, media, h0) if len(group) > 1 \
@@ -164,11 +163,12 @@ _last_channel: dict[tuple, Channel] = {}
 
 def _channel(scenario: cfg.Scenario) -> Channel:
     """scenario's channel, traced unless the last call's had the same inputs."""
-    key = (scenario.build_layout(), scenario.build_media(), scenario.k_rays,
-           scenario.detector_width_um)
+    groups = cfg.trace_groups([scenario])
+    [(_, [layout], media)] = groups
+    key = (layout, media, scenario.k_rays, scenario.detector_width_um)
     if key not in _last_channel:
         _last_channel.clear()
-        chan = next(_channels([scenario]))
+        chan = next(_channels([scenario], groups))
         for array in (chan.h0, *vars(chan.paths).values(), *vars(chan.focus).values(),
                       *vars(chan.detected).values()):
             if isinstance(array, np.ndarray):
@@ -261,7 +261,7 @@ def center_line_profile(layout: geo.ArrayLayout) -> tuple[np.ndarray, ...]:
     distance, cell_um, tissue_um = [np.zeros(1)], [np.zeros(1)], [np.zeros(1)]
     pos = 0.0
     done = {"cell": 0.0, "tissue": 0.0}  # per-medium distance before the segment
-    for length, tag, samples in geo.center_line(layout):
+    for length, tag, samples, _ in geo.center_line(layout):
         frac = np.minimum(np.arange(1, samples + 1) * 1.0, length)
         distance.append(pos + frac)
         for medium, column in (("cell", cell_um), ("tissue", tissue_um)):
@@ -272,8 +272,7 @@ def center_line_profile(layout: geo.ArrayLayout) -> tuple[np.ndarray, ...]:
 
 
 def cmd_pathloss(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
-    layout = scenario.build_layout()
-    media = scenario.build_media()
+    [(_, [layout], media)] = cfg.trace_groups([scenario])
     # Cumulative center-line loss profile, each DPF on the running
     # per-medium total.
     distance, cell_um, tissue_um = center_line_profile(layout)
@@ -341,7 +340,7 @@ def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     param = scenario.sweep["parameter"]
     points = cfg.sweep_points(scenario)
     outputs, rows = {}, []
-    for i, (point, chan) in enumerate(zip(points, _channels(points))):
+    for i, (point, chan) in enumerate(zip(points, _channels(points, cfg.trace_groups(points)))):
         # The row's fields as _base_report gives them, without its other work;
         # a binned CIR carries light, so its dominant delay is the report's.
         cir = _cir(point, chan, "cir_dt_fs")

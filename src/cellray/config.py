@@ -12,7 +12,7 @@ import copy
 import math
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .geometry import (ArrayLayout, CellShape, Fusiform, Pyramidal, Spherical, cell_line,
                        center_line)
@@ -245,11 +245,11 @@ def validate(scenario: Scenario) -> list[str]:
     """All invariant violations, each starting with the offending key.
 
     A scenario is judged as its runs: itself, or a sweep's points, so a
-    sweep's base is judged only by its types and its grid.  The stages, each
-    once the ones before it pass: every type and the shape; a sweep's grid;
-    each run's ranges and cross-key rules; the ray-cell charge of all runs
-    (ray_cells); the rest of each run's work budget.  A stage over the runs
-    reports the first run that breaks it, as that run alone would.
+    sweep's base is judged only by its types and grid.  The stages, each once
+    the ones before pass: the types and shape; a sweep's grid; each run's
+    ranges and cross-key rules; the work budget (_budget_problems) on the
+    runs' trace_groups, built once and walked once per group.  A stage over
+    the runs reports the first run that breaks it, as that run alone would.
     """
     s = scenario
     problems = [(key, problem) for key, rule in SCHEMA.items()
@@ -260,22 +260,8 @@ def validate(scenario: Scenario) -> list[str]:
         problems = [("sweep", problem) for problem in _sweep_problems(s)]
     if not problems:
         runs = [s] if s.sweep is None else sweep_points(s)
-        # The charge bounds the loops over each run's cells in _budget_problems.
-        problems = (next(filter(None, map(_range_problems, runs)), [])
-                    or _charge_problems(s, runs)
-                    or next(filter(None, map(_budget_problems, runs)), []))
+        problems = next(filter(None, map(_range_problems, runs)), []) or _budget_problems(s, runs)
     return [f"{key}: {problem}" for key, problem in problems]
-
-
-def _charge_problems(s: Scenario, runs: list[Scenario]) -> list[tuple[str, str]]:
-    if (charged := ray_cells(runs)) <= MAX_RAY_CELLS:
-        return []
-    if s.sweep is not None:
-        return [("sweep", f"its traces are charged {charged} ray-cells, over "
-                          f"the cap of {MAX_RAY_CELLS}")]
-    # A lone run in the n_cells range is over only with k_rays > MIN_CHARGED_RAYS.
-    return [("k_rays", f"{s.k_rays} rays through {max(s.n_cells, 1)} cells exceed "
-                       f"the cap of {MAX_RAY_CELLS} ray-cells")]
 
 
 def _range_problems(s: Scenario) -> list[tuple[str, str]]:
@@ -344,15 +330,19 @@ def _sweep_problems(s: Scenario) -> list[str]:
     return []
 
 
-def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
-    """The caps but the ray-cell charge, against the sizes the run would
-    allocate, by the formulas it runs."""
+def _budget_problems(s: Scenario, runs: list[Scenario]) -> list[tuple[str, str]]:
+    """The work budget, by the formulas the runs run: the ray-cell charge of
+    all runs, which bounds _path_rows' walks, then the first run over another
+    cap.  Every run has s's pulse keys, so a pulse problem is the first run's."""
+    groups = trace_groups(runs)
+    if (charged := ray_cells(runs, groups)) > MAX_RAY_CELLS:
+        if s.sweep is not None:
+            return [("sweep", f"its traces are charged {charged} ray-cells, over "
+                              f"the cap of {MAX_RAY_CELLS}")]
+        # A lone run in the n_cells range is over only with k_rays > MIN_CHARGED_RAYS.
+        return [("k_rays", f"{s.k_rays} rays through {max(s.n_cells, 1)} cells exceed "
+                           f"the cap of {MAX_RAY_CELLS} ray-cells")]
     problems = []
-    layout = s.build_layout()
-    if 1 + sum(n for _, _, n in center_line(layout)) > MAX_PATH_SAMPLES:
-        problems.append(("total_um" if s.d_R_um is None else "d_R_um",
-                         f"the {layout.total_length:.6g} um center line needs more than "
-                         f"{MAX_PATH_SAMPLES} path-loss samples"))
     tau, dt = s.pulse_grid_s()
     samples = pulse_samples(tau, dt)
     omega0 = s.build_wavelength().omega0_rad_per_s  # finite: the range stage checks it
@@ -365,7 +355,14 @@ def _budget_problems(s: Scenario) -> list[tuple[str, str]]:
         problems.append(("waveform_dt_fs", f"must be under lambda/(2c) = "
                                            f"{math.pi / omega0!r} s to sample the "
                                            f"{s.lambda_nm:g} nm carrier, got a {dt!r} s step"))
-    return problems
+    for i, layout, rows in sorted(_path_rows(groups)):
+        if rows > MAX_PATH_SAMPLES:
+            problems.insert(0, ("total_um" if runs[i].d_R_um is None else "d_R_um",
+                                f"the {layout.total_length:.6g} um center line needs more "
+                                f"than {MAX_PATH_SAMPLES} path-loss samples"))
+        if problems:
+            return problems
+    return []
 
 
 def sweep_values(scenario: Scenario) -> list[float]:
@@ -396,27 +393,45 @@ def sweep_points(scenario: Scenario) -> list[Scenario]:
             for value in sweep_values(scenario)]
 
 
-def trace_groups(points: list[Scenario]) -> list[list[int]]:
-    """The indices of the points that share one trace, in order of first point:
-    the points with one cell line (geometry.cell_line), media and ray count."""
-    groups: dict[tuple, list[int]] = {}
-    for i, point in enumerate(points):
-        key = (cell_line(point.build_layout()), point.build_media(), point.k_rays)
-        groups.setdefault(key, []).append(i)
+def trace_groups(runs: list[Scenario]) -> list[tuple]:
+    """(indices, layouts, media) of the runs that share one trace, in order of
+    first run: those with one cell line (geometry.cell_line), media and ray
+    count.  Each run's layout and media are built here, once."""
+    groups: dict[tuple, tuple] = {}
+    for i, run in enumerate(runs):
+        layout, media = run.build_layout(), run.build_media()
+        group = groups.setdefault((cell_line(layout), media, run.k_rays), ([], [], media))
+        group[0].append(i)
+        group[1].append(layout)
     return list(groups.values())
 
 
-def ray_cells(runs: list[Scenario]) -> int:
+def ray_cells(runs: list[Scenario], groups: Optional[list[tuple]] = None) -> int:
     """The ray-cells the runs are charged, by the traces they make.
 
-    A group of runs that share a trace is charged like one run through its
-    largest cell count, plus one cell for each further run: every run copies
-    the rays and runs them to its own detector plane.  A lone run is charged
-    max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1).
+    Each of the runs' trace groups (built unless given) is charged like one
+    run through its largest cell count, plus a cell for each further run:
+    each copies the rays and runs them to its own detector plane.  A lone
+    run is charged max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1).
     """
     total = 0
-    for group in trace_groups(runs):
-        rays = max(runs[group[0]].k_rays, MIN_CHARGED_RAYS)
-        cells = max(max(runs[i].n_cells for i in group), 1) + len(group) - 1
+    for indices, layouts, _ in trace_groups(runs) if groups is None else groups:
+        rays = max(runs[indices[0]].k_rays, MIN_CHARGED_RAYS)
+        cells = max(max(layout.n_cells for layout in layouts), 1) + len(layouts) - 1
         total += rays * cells
     return total
+
+
+def _path_rows(groups: list[tuple]) -> Iterator[tuple[int, ArrayLayout, int]]:
+    """(index, layout, rows) of each run, rows = 1 + its center line's samples,
+    from one walk of its group's longest line: its stretches up to a run's
+    last cell are that run's, whose last stretch runs on to its detector."""
+    for indices, layouts, _ in groups:
+        rows, shared = 1, [(1, 0.0)]  # the rows, and where the line is, after each cell
+        for _, medium, samples, end in center_line(max(layouts, key=lambda x: x.n_cells)):
+            rows += samples
+            if medium == "cell":
+                shared.append((rows, end))
+        for i, layout in zip(indices, layouts):
+            rows, end = shared[layout.n_cells]
+            yield i, layout, rows + math.ceil(max(layout.total_length - end, 0.0))

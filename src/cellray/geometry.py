@@ -562,28 +562,29 @@ def _to_detector(layout: ArrayLayout, rays: np.ndarray, fate: np.ndarray,
                               detector_radius if detector_radius > 0.0 else math.nan)
 
 
-def center_line(layout: ArrayLayout) -> Iterator[tuple[float, str, int]]:
-    """(length, medium, samples) of each stretch of the axial ray, source to detector.
+def center_line(layout: ArrayLayout) -> Iterator[tuple[float, str, int, float]]:
+    """(length, medium, samples, end) of each stretch of the axial ray, source to detector.
 
-    Stretches of zero length are left out.  A stretch is sampled every 1 um
-    and at its end: ceil(length) samples.  The center line enters the shape
-    pad/2 past the entry vertex when the mid-height chord is shorter than
-    the axial extent (pyramidal cells).
+    A stretch is sampled every 1 um and at its end: ceil(length) samples.
+    Each cell gives one, a zero chord too, and the n-th ends where n cells'
+    last stretch starts; zero-length tissue stretches are left out.  The
+    line enters the shape pad/2 past the entry vertex when the mid-height
+    chord is shorter than the axial extent (pyramidal cells).
     """
-    chord = layout.shape.chord_at(0.0)
+    chord = layout.shape.chord_at(0.0)  # >= 0.0 in every shape: sqrt(r * r) is r
     pad = layout.shape.axial_extent - chord
     cursor = 0.0
     for i in range(layout.n_cells):
         entry = layout.cell_entry_x(i) + 0.5 * pad
-        yield from _stretch(entry - cursor, "tissue")
-        yield from _stretch(chord, "cell")
+        yield from _stretch(entry - cursor, entry)
         cursor = entry + chord
-    yield from _stretch(layout.total_length - cursor, "tissue")
+        yield chord, "cell", math.ceil(chord), cursor
+    yield from _stretch(layout.total_length - cursor, layout.total_length)
 
 
-def _stretch(length: float, medium: str) -> Iterator[tuple[float, str, int]]:
+def _stretch(length: float, end: float) -> Iterator[tuple[float, str, int, float]]:
     if length > 0.0:
-        yield length, medium, math.ceil(length)
+        yield length, "tissue", math.ceil(length), end
 
 
 def avg_distances(shape: CellShape, gap: float) -> tuple[float, float]:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from collections import Counter
 from dataclasses import FrozenInstanceError, asdict, fields, replace
@@ -51,6 +52,11 @@ from cellray.optics import Wavelength
 from cellray.signal import UnderResolved, gaussian_pulse
 
 FLOAT_KEYS = [f.name for f in fields(Scenario) if "float" in f.type]
+
+
+def group_indices(runs: list[Scenario]) -> list[list[int]]:
+    """The run indices of each of the runs' trace groups."""
+    return [indices for indices, _, _ in trace_groups(runs)]
 
 
 class TestScenarioConfig:
@@ -201,23 +207,23 @@ class TestScenarioConfig:
         sc.sweep = {"parameter": "n_cells", "start": 1, "stop": 18}
         points = sweep_points(sc)
         assert [p.n_cells for p in points] == list(range(1, 19))
-        assert trace_groups(points) == [list(range(18))]
+        assert group_indices(points) == [list(range(18))]
         # The battery's sweep: one trace through 18 cells, 17 more detector legs.
         assert ray_cells(points) == 1000 * (18 + 17)
         sc.sweep = {"parameter": "d_l_um", "values": [1.0, 3.0, 1.0]}
-        assert trace_groups(sweep_points(sc)) == [[0, 2], [1]]
+        assert group_indices(sweep_points(sc)) == [[0, 2], [1]]
         assert ray_cells(sweep_points(sc)) == 1000 * 19 + 1000 * 18
         sc.sweep = {"parameter": "total_um", "values": [450.0, 500.0]}
-        assert trace_groups(sweep_points(sc)) == [[0, 1]]
+        assert group_indices(sweep_points(sc)) == [[0, 1]]
         # Real keys are read as floats, -0.0 as 0.0: equal spellings share.
         sc.sweep = {"parameter": "h_c_um", "values": [30, 30.0]}
-        assert trace_groups(sweep_points(sc)) == [[0, 1]]
+        assert group_indices(sweep_points(sc)) == [[0, 1]]
         sc.sweep = {"parameter": "d_E_um", "values": [0.0, -0.0]}
-        assert trace_groups(sweep_points(sc)) == [[0, 1]]
+        assert group_indices(sweep_points(sc)) == [[0, 1]]
         # A spherical cell reads no h_c_um.
         sc = replace(default_scenario("spherical"), k_rays=301,
                      sweep={"parameter": "h_c_um", "values": [30.0, 40.0, 50.0]})
-        assert trace_groups(sweep_points(sc)) == [[0, 1, 2]]
+        assert group_indices(sweep_points(sc)) == [[0, 1, 2]]
 
     def test_sweep_over_the_ray_cell_cap_names_sweep(self):
         sc = default_scenario()
@@ -674,8 +680,8 @@ def test_only_the_sweep_command_takes_a_sweep_block(tmp_path, capsys, monkeypatc
 
 
 def test_sweep_cap_judged_before_any_point_budget(monkeypatch):
-    # A point's budget walks its center line, 2,000 cells here, for the
-    # path-sample cap; the sweep's ray-cell cap bounds that work.
+    # The budget walks each trace group's longest center line, 2,000 cells
+    # here, for the path-sample cap; the sweep's ray-cell cap bounds that work.
     walked = count_calls(monkeypatch, (cfg, "center_line"))
     sc = replace(default_scenario(), k_rays=1000, n_cells=2000, total_um=60000.0,
                  sweep={"parameter": "n_cell", "start": 1.36, "stop": 1.37,
@@ -685,7 +691,38 @@ def test_sweep_cap_judged_before_any_point_budget(monkeypatch):
     sc.sweep = {"parameter": "n_cell", "values": [1.36, 1.37]}
     sc.n_cells = 1000
     assert validate(sc) == []
-    assert walked == Counter(center_line=2)
+    assert walked == Counter(center_line=2)  # two media, two trace groups
+    sc.sweep = {"parameter": "n_cells", "values": [1000, 500, 1000]}
+    assert validate(sc) == []
+    assert walked == Counter(center_line=3)  # one trace group
+
+
+@pytest.mark.parametrize("argv, most", [
+    (["--command", "cir"], {"build_layout": 2, "build_media": 2, "detector_gap_um": 3}),
+    (["--command", "sweep", "--set", "k_rays=101", "--set", "sweep=n_cells=1..18"],
+     {"build_layout": 36, "build_media": 36, "detector_gap_um": 54}),
+])
+def test_validate_and_the_command_each_build_a_runs_inputs_once(tmp_path, capsys, monkeypatch, argv, most):
+    # validate's range stage works out the detector gap; validate and the
+    # command then build each run's layout and media once, in trace_groups.
+    built = count_calls(monkeypatch, *((Scenario, name) for name in most))
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert all(built[name] <= bound for name, bound in most.items()), built
+
+
+def test_n_cells_sweep_validates_with_one_walk(monkeypatch):
+    # 1,250 points charged 2,499,000 ray-cells, just under the cap, share one
+    # trace group, so the path-sample cap walks one center line, not 1,250.
+    walked = count_calls(monkeypatch, (cfg, "center_line"))
+    sc = load_scenario(None, ["k_rays=1000", "total_um=60000", "sweep=n_cells=1..1250"])
+    assert ray_cells(sweep_points(sc)) == 2_499_000
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert validate(sc) == []
+        seconds.append(time.perf_counter() - start)
+    assert walked == Counter(center_line=3)
+    assert min(seconds) < 0.3, seconds
 
 
 def test_step_just_under_the_carrier_limit_runs(tmp_path, capsys):
@@ -1106,6 +1143,7 @@ gap_strategy = st.one_of(st.just(0.0), st.floats(0.0, 30.0))
 
 
 @given(shape_strategy, st.integers(0, 18), gap_strategy, gap_strategy, gap_strategy)
+@example(Fusiform(h_c=1e6, w_c=1e-3), 3, 5.0, 2.5, 7.25)  # a zero chord on the axis
 @settings(max_examples=300, deadline=None)
 def test_center_line_grid_matches_walk(shape, n_cells, gap, source_gap, detector_gap):
     # The numpy grid against the 1 um walk it replaced, exactly.
@@ -1113,6 +1151,36 @@ def test_center_line_grid_matches_walk(shape, n_cells, gap, source_gap, detector
     got = center_line_profile(layout)
     assert [column.tolist() for column in got] == \
         list(oracle.center_line_profile(layout))
+
+
+# Sizes and gaps across their whole ranges: a fusiform w_c/h_c under about
+# 7e-9 has a zero chord on the axis.
+wide_shape_strategy = st.one_of(
+    st.builds(Spherical, r_c=st.floats(1e-6, 1e6)),
+    st.tuples(st.floats(1e-6, 1e6), st.floats(1e-12, 1.0)).map(
+        lambda t: Fusiform(h_c=t[0], w_c=max(t[0] * t[1], 1e-6))),
+    st.builds(Pyramidal, h_c=st.floats(1e-6, 1e6), w_c=st.floats(1e-6, 1e6)),
+)
+wide_gap_strategy = st.one_of(st.just(0.0), st.floats(0.0, 30.0), st.floats(0.0, 1e6))
+
+
+@given(st.one_of(shape_strategy, wide_shape_strategy), gap_strategy | wide_gap_strategy,
+       gap_strategy | wide_gap_strategy,
+       st.lists(st.tuples(st.integers(0, 12), gap_strategy | wide_gap_strategy),
+                min_size=1, max_size=8))
+@example(Pyramidal(h_c=30.0, w_c=20.0), 0.0, 0.0, [(3, 0.0), (0, 0.0), (3, 7.5), (1, 0.0)])
+@example(Fusiform(h_c=1e6, w_c=1e-3), 0.0, 5.0, [(2, 0.0), (4, 0.5), (4, 0.0)])
+@example(Spherical(r_c=0.1), 0.0, 0.0, [(12, 0.0), (7, 0.0), (0, 0.0), (12, 0.3)])
+@settings(max_examples=500, deadline=None)
+def test_one_walk_counts_every_layout_of_a_cell_line(shape, gap, source_gap, runs):
+    # Layouts on one cell line: cell counts that repeat or are 0, and their
+    # own detector gaps, as explicit d_R_um values give them.
+    layouts = [ArrayLayout(shape, n, gap, source_gap, detector_gap)
+               for n, detector_gap in runs]
+    indices = list(range(len(layouts)))
+    assert sorted(cfg._path_rows([(indices, layouts, None)])) == \
+        [(i, layout, 1 + sum(samples for _, _, samples, _ in geo.center_line(layout)))
+         for i, layout in enumerate(layouts)]
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1248,7 +1316,7 @@ def test_trace_groups_share_exactly_where_the_cell_line_holds(shape, key, value)
     # The points differ where the rays stop or in what is read off them.
     shared = reads_not(shape, key) or key in ("n_cells", "d_R_um", "total_um",
                                               "detector_width_um", "cir_dt_fs", "gamma_mode")
-    assert trace_groups(list(one_key_changed(shape, key, value))) == \
+    assert group_indices(list(one_key_changed(shape, key, value))) == \
         ([[0, 1]] if shared else [[0], [1]])
 
 
@@ -1337,7 +1405,7 @@ def test_sweep_rows_equal_the_points_reports(monkeypatch, shape):
     rows = list(zip(*outputs["sweep_summary.csv"].keywords["columns"]))
     points = sweep_points(scenario)
     assert len(rows) == len(points) == 18
-    for point, chan, row in zip(points, cli._channels(points), rows):
+    for point, chan, row in zip(points, cli._channels(points, trace_groups(points)), rows):
         cir = cli._cir(point, chan, "cir_dt_fs")
         report = cli._base_report(point, chan, cir)
         assert row == (float(point.n_cells), report["dominant_delay_s"], cir.total_gain(),
