@@ -14,10 +14,10 @@ the run created.
 main may run many times in one process, as scripts/run_channel_battery.py
 runs it: every call parses with the one parser _parser builds on first
 use, and the CLI keeps the last channel it traced (_channel), keyed on the
-layout, media, ray count and detector width it is built from; a command
-builds each run's layout and media once, in config.trace_groups.  A
-sweep row is written from the few values it holds (counts, dominant
-delay, total gain, path loss), without building a report per point.
+layout, media, ray count and detector width it is built from; validate
+and a traced command each build a run's layout and media once, in
+config.trace_groups.  A sweep row is written from the few values it holds
+(counts, dominant delay, total gain, path loss), not from a report.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def center_line_profile(layout: geo.ArrayLayout) -> tuple[np.ndarray, ...]:
 
 
 def cmd_pathloss(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
-    [(_, [layout], media)] = cfg.trace_groups([scenario])
+    layout, media = scenario.build_layout(), scenario.build_media()
     # Cumulative center-line loss profile, each DPF on the running
     # per-medium total.
     distance, cell_um, tissue_um = center_line_profile(layout)

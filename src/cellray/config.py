@@ -406,16 +406,16 @@ def trace_groups(runs: list[Scenario]) -> list[tuple]:
     return list(groups.values())
 
 
-def ray_cells(runs: list[Scenario], groups: Optional[list[tuple]] = None) -> int:
+def ray_cells(runs: list[Scenario], groups: list[tuple]) -> int:
     """The ray-cells the runs are charged, by the traces they make.
 
-    Each of the runs' trace groups (built unless given) is charged like one
+    Each of the runs' trace groups is charged like one
     run through its largest cell count, plus a cell for each further run:
     each copies the rays and runs them to its own detector plane.  A lone
     run is charged max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1).
     """
     total = 0
-    for indices, layouts, _ in trace_groups(runs) if groups is None else groups:
+    for indices, layouts, _ in groups:
         rays = max(runs[indices[0]].k_rays, MIN_CHARGED_RAYS)
         cells = max(max(layout.n_cells for layout in layouts), 1) + len(layouts) - 1
         total += rays * cells

@@ -209,10 +209,11 @@ class TestScenarioConfig:
         assert [p.n_cells for p in points] == list(range(1, 19))
         assert group_indices(points) == [list(range(18))]
         # The battery's sweep: one trace through 18 cells, 17 more detector legs.
-        assert ray_cells(points) == 1000 * (18 + 17)
+        assert ray_cells(points, trace_groups(points)) == 1000 * (18 + 17)
         sc.sweep = {"parameter": "d_l_um", "values": [1.0, 3.0, 1.0]}
-        assert group_indices(sweep_points(sc)) == [[0, 2], [1]]
-        assert ray_cells(sweep_points(sc)) == 1000 * 19 + 1000 * 18
+        points = sweep_points(sc)
+        assert group_indices(points) == [[0, 2], [1]]
+        assert ray_cells(points, trace_groups(points)) == 1000 * 19 + 1000 * 18
         sc.sweep = {"parameter": "total_um", "values": [450.0, 500.0]}
         assert group_indices(sweep_points(sc)) == [[0, 1]]
         # Real keys are read as floats, -0.0 as 0.0: equal spellings share.
@@ -229,7 +230,8 @@ class TestScenarioConfig:
         sc = default_scenario()
         sc.k_rays = 10_000
         sc.sweep = {"parameter": "d_l_um", "values": [1.0, 2.0]}
-        assert ray_cells(sweep_points(sc)) == 2 * 10_000 * 18
+        points = sweep_points(sc)
+        assert ray_cells(points, trace_groups(points)) == 2 * 10_000 * 18
         assert validate(sc) == []
         sc.sweep["values"] = [1.0, 2.0] * 7  # 2 traces, 7 legs each
         assert validate(sc) == []
@@ -244,7 +246,8 @@ class TestScenarioConfig:
         # traces only the points, 200,000 rays through 2 cells and one leg.
         sc = replace(default_scenario(), k_rays=200_000,
                      sweep={"parameter": "n_cells", "start": 1, "stop": 2})
-        assert ray_cells(sweep_points(sc)) == 600_000
+        points = sweep_points(sc)
+        assert ray_cells(points, trace_groups(points)) == 600_000
         assert validate(sc) == []
 
     @pytest.mark.parametrize("shape, k_rays, n_cells", [
@@ -252,7 +255,7 @@ class TestScenarioConfig:
         ("spherical", 301, 5), ("fusiform", 200_000, 18)])
     def test_lone_run_charge(self, shape, k_rays, n_cells):
         sc = replace(default_scenario(shape), k_rays=k_rays, n_cells=n_cells, d_R_um=5.0)
-        assert ray_cells([sc]) == max(k_rays, 1000) * max(n_cells, 1)
+        assert ray_cells([sc], trace_groups([sc])) == max(k_rays, 1000) * max(n_cells, 1)
 
     def test_broken_grid_reported_alone(self):
         # No point can be built from an empty grid, so the base's gap is not judged.
@@ -715,7 +718,8 @@ def test_n_cells_sweep_validates_with_one_walk(monkeypatch):
     # trace group, so the path-sample cap walks one center line, not 1,250.
     walked = count_calls(monkeypatch, (cfg, "center_line"))
     sc = load_scenario(None, ["k_rays=1000", "total_um=60000", "sweep=n_cells=1..1250"])
-    assert ray_cells(sweep_points(sc)) == 2_499_000
+    points = sweep_points(sc)
+    assert ray_cells(points, trace_groups(points)) == 2_499_000
     seconds = []
     for _ in range(3):
         start = time.perf_counter()
