@@ -169,6 +169,15 @@ def jobs() -> dict[str, list[str]]:
         "validate-dR-sweep-path-cap": ["--command", "validate", "--set", "k_rays=11", "--set",
                                        "n_cells=40", "--set", "d_l_um=4.5", "--set",
                                        "sweep=d_R_um=98998.5,98999,98999.25,99000"],
+        # 203,892 bins per point: the first 59 points' CIRs need more than
+        # one CIR's bin cap in all, so the sweep writes nothing.
+        "sweep-cir-bins-cap": ["--command", "sweep", "--set", "k_rays=11", "--set",
+                               "cir_dt_fs=0.01", "--set", "sweep=detector_width_um=40..99"],
+        # One trace group of 2,001 points charged 2,001,000 ray-cells: under
+        # the charge, which bounds a grid's points to 2,500.
+        "validate-sweep-2001-points": ["--command", "validate", "--set", "n_cells=0", "--set",
+                                       "k_rays=1", "--set", "sweep=detector_width_um=1..2001"],
+        "validate-sweep-grid-cap": ["--command", "validate", "--set", "sweep=d_l_um=0..1e9"],
         # 1e-320 fs is 0.0 s: the range names tau_fs, not the tau/10 step rule.
         "error-tau-underflow": ["--command", "pulse", "--set", "tau_fs=1e-320"],
         # 80,001 pulse samples times 509,730 CIR bins.

@@ -339,11 +339,15 @@ def cmd_detector(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
 def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     param = scenario.sweep["parameter"]
     points = cfg.sweep_points(scenario)
-    outputs, rows = {}, []
+    outputs, rows, bins = {}, [], 0
     for i, (point, chan) in enumerate(zip(points, _channels(points, cfg.trace_groups(points)))):
         # The row's fields as _base_report gives them, without its other work;
         # a binned CIR carries light, so its dominant delay is the report's.
         cir = _cir(point, chan, "cir_dt_fs")
+        # Every point's bins are held until the write: all of them share one CIR's cap.
+        if (bins := bins + len(cir.bins)) > ch.MAX_CIR_BINS:
+            raise CliError("validation", [f"sweep: the CIRs of its first {i + 1} points need "
+                                          f"{bins} bins, over the cap of {ch.MAX_CIR_BINS}"], 2)
         counts = _counts(chan)
         outputs[f"cir_{i:03d}.csv"] = partial(ch.write_cir_csv, cir)
         rows.append((float(getattr(point, param)), cir.dominant_bin()[0], cir.total_gain(),

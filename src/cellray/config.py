@@ -8,16 +8,15 @@ in both media.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import Any, Iterator, Optional
 
 from .geometry import (ArrayLayout, CellShape, Fusiform, Pyramidal, Spherical, cell_line,
-                       center_line)
+                       center_line, span)
 from .optics import Media, Medium, Wavelength
-from .signal import pulse_samples, samples_carrier
+from .signal import pulse_samples, resolves_envelope, samples_carrier
 
 SHAPES = ("fusiform", "spherical", "pyramidal")
 GAMMA_MODES = ("per-path", "aggregate")
@@ -43,9 +42,8 @@ class Rule:
 
     def type_problem(self, value: Any) -> Optional[str]:
         # NaN compares False against every bound: a real must be finite first.
-        # An exact int passes without the slower Integral check.
-        if self.kind == "integer" and type(value) is not int \
-                and (isinstance(value, bool) or not isinstance(value, Integral)):
+        if self.kind == "integer" and (isinstance(value, bool)
+                                       or not isinstance(value, Integral)):
             return f"must be an integer, got {value!r}"
         if (self.kind == "real" or self.kind == "optional" and value is not None) \
                 and not _is_finite_number(value):
@@ -94,7 +92,7 @@ MIN_CHARGED_RAYS = 1_000
 MAX_CONVOLUTION = 5_000_000_000
 MAX_PULSE_SAMPLES = 100_000   # samples of the transmitted pulse
 MAX_PATH_SAMPLES = 100_000    # rows of the center-line path-loss curve
-MAX_SWEEP_POINTS = 2_000      # points of a sweep grid
+MAX_SWEEP_POINTS = MAX_RAY_CELLS // MIN_CHARGED_RAYS  # sweep grid points the charge admits
 SWEEP_KEYS = ("parameter", "values", "start", "stop", "step")  # of a sweep block
 
 
@@ -152,9 +150,7 @@ class Scenario:
             return self.d_R_um
         if self.total_um is None:
             raise ValueError("either d_R_um or total_um must be set")
-        n = self.n_cells
-        span = n * self.build_shape().axial_extent + max(n - 1, 0) * self.d_l_um
-        return self.total_um - self.d_E_um - span
+        return self.total_um - self.d_E_um - span(self.build_shape(), self.n_cells, self.d_l_um)
 
     def pulse_grid_s(self) -> tuple[float, float]:
         """The transmitted pulse's FWHM and sample step, in seconds."""
@@ -188,18 +184,10 @@ class Scenario:
         return Wavelength(nm=self.lambda_nm)
 
     def to_dict(self) -> dict[str, Any]:
-        """The fields by name, equal to dataclasses.asdict(self).
-
-        Only sweep, the one container key, is copied (deeply); the other
-        keys of a valid scenario hold scalars.
-        """
-        data = {name: getattr(self, name) for name in _FIELD_NAMES}
-        if self.sweep is not None:
-            data["sweep"] = copy.deepcopy(self.sweep)
-        return data
+        """The fields by name, the sweep block copied: dataclasses.asdict."""
+        return asdict(self)
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(Scenario))
 _DEFAULTS = Scenario().to_dict()  # scenario_from_dict's starting point
 
 
@@ -215,9 +203,7 @@ def default_scenario(shape: str = "fusiform") -> Scenario:
 
 def _is_finite_number(value: Any) -> bool:
     """A real, not a bool, that converts to a finite float."""
-    # An exact float or int skips the slower Real check.
-    if type(value) not in (float, int) and (isinstance(value, bool)
-                                            or not isinstance(value, Real)):
+    if isinstance(value, bool) or not isinstance(value, Real):
         return False
     try:
         return math.isfinite(value)
@@ -280,7 +266,7 @@ def _range_problems(s: Scenario) -> list[tuple[str, str]]:
                                        "cells do not fit the total length"))
     # Judged in seconds, as gaussian_pulse judges it: the fs values can round apart.
     tau, dt = s.pulse_grid_s()
-    if not broken & {"tau_fs", "waveform_dt_fs"} and dt >= tau / 10.0:
+    if not broken & {"tau_fs", "waveform_dt_fs"} and not resolves_envelope(tau, dt):
         problems.append(("waveform_dt_fs", "must be under tau/10 to resolve the envelope, "
                                            f"got a {dt!r} s step for tau/10 = {tau / 10.0!r} s"))
     return problems

@@ -38,7 +38,7 @@ math's do, and its cos and sin matched math.cos and math.sin on every input
 checked.  Its vectorised arctan2 and tan do not: on x86-64 with AVX-512
 they differ from math.atan2 and math.tan in the last bit for about 5 % and
 0.5 % of inputs, and that drift reaches the written CSV files.  Those two
-therefore run through math, one element at a time (_atan2, _tan).
+therefore run through math by optics.elementwise, the rule's one home.
 
 All functions are pure; rays are independent and may be traced in parallel
 and merged by index.
@@ -53,7 +53,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .optics import Media
+from .optics import Media, elementwise
 
 # Intersection/arc-membership slop, in micrometres.
 TOL = 1e-9
@@ -159,6 +159,11 @@ class Pyramidal:
 CellShape = Union[Fusiform, Spherical, Pyramidal]
 
 
+def span(shape: CellShape, n_cells: int, gap: float) -> float:
+    """Axial length of n_cells cells with a gap between each two (um)."""
+    return n_cells * shape.axial_extent + max(n_cells - 1, 0) * gap
+
+
 @dataclass(frozen=True)
 class ArrayLayout:
     """One-dimensional array of identical cells along the propagation axis.
@@ -186,9 +191,7 @@ class ArrayLayout:
     @property
     def total_length(self) -> float:
         """Source plane to detector plane distance (um)."""
-        n = self.n_cells
-        cells = n * self.shape.axial_extent + max(n - 1, 0) * self.gap
-        return self.source_gap + cells + self.detector_gap
+        return self.source_gap + span(self.shape, self.n_cells, self.gap) + self.detector_gap
 
     def cell_entry_x(self, index: int) -> float:
         """Axial position of cell `index`'s entry vertex."""
@@ -246,16 +249,6 @@ class FocusReport:
     theta_f: np.ndarray
     x_f: np.ndarray
     detector_radius: float
-
-
-def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Elementwise math.atan2 (see the module docstring for why not numpy's)."""
-    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), float, len(y))
-
-
-def _tan(x: np.ndarray) -> np.ndarray:
-    """Elementwise math.tan (see the module docstring for why not numpy's)."""
-    return np.fromiter(map(math.tan, x.tolist()), float, len(x))
 
 
 def _refract(dx, dy, nx, ny, n_in: float, n_out: float):
@@ -525,7 +518,7 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
         # above TOL, a negative t_entry included, adds nothing.
         run[3] += np.where(t_exit > TOL, t_exit, 0.0)
         run[4] += np.where(t_entry > TOL, t_entry, 0.0)
-        theta = _atan2(dy, dx)
+        theta = elementwise(math.atan2, dy, dx)
         run[:3] = xx, xh, theta
         cells[0, cell] = np.max(np.abs(xh))
         if not isinstance(shape, Pyramidal):
@@ -555,7 +548,7 @@ def _to_detector(layout: ArrayLayout, rays: np.ndarray, fate: np.ndarray,
     remaining = d_total - x[delivered]
     final_leg = remaining / np.cos(theta[delivered])
     tissue_length[delivered] += np.where(final_leg > TOL, final_leg, 0.0)
-    h[delivered] += _tan(theta[delivered]) * remaining
+    h[delivered] += elementwise(math.tan, theta[delivered]) * remaining
     x[delivered] = d_total
     detector_radius = float(np.max(np.abs(h[delivered]))) if delivered.size else 0.0
     return batch, FocusReport(source_radius, *cells,

@@ -6,6 +6,10 @@ micrometres; callers convert with UM_PER_MM at the boundary.
 
 absorbance and transmittance take one distance or an array of them; an
 array gives, element by element, the bits a scalar call gives.
+
+elementwise is the package's one home of the math-module rule: an array
+goes through a math function one element at a time, since numpy's
+vectorised exp, arctan2 and tan can differ from math's in the last bit.
 """
 
 from __future__ import annotations
@@ -108,16 +112,22 @@ def transmittance(medium: Medium, d_mm):
     neighbouring doubles lie ~2e-22 mm apart, so nearby distances can give
     one value.
 
-    d_mm may be an array.  The exponential then still runs through
-    math.exp, one element at a time, because numpy's vectorised exp differs
-    from it in the last bit for about 5 % of inputs.
+    d_mm may be an array.  Its exponential then runs through elementwise,
+    the one home of the math-module rule: numpy's vectorised exp differs
+    from math.exp in the last bit for about 5 % of inputs.
     """
     if np.any(np.asarray(d_mm) < 0.0):
         raise ValueError(f"distance must be non-negative, got {np.min(d_mm)}")
     exponent = absorbance(medium, d_mm)
     if np.ndim(exponent) == 0:
         return math.exp(-exponent)
-    return np.fromiter(map(math.exp, (-exponent).tolist()), float, len(exponent))
+    return elementwise(math.exp, -exponent)
+
+
+def elementwise(f, *arrays: np.ndarray) -> np.ndarray:
+    """f(a[i], b[i], ...) for each i of the equal-length 1-D arrays, through f
+    itself, one element at a time: bit for bit a per-element math loop."""
+    return np.fromiter(map(f, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 
 
 def total_path_loss(layout, media: Media) -> float:

@@ -47,7 +47,7 @@ class Waveform:
 
 @dataclass(eq=False)
 class Spectrum:
-    """One-sided discrete spectrum of a real waveform."""
+    """One-sided discrete spectrum of a real waveform: each bin's magnitude."""
 
     df: float
     amps: np.ndarray
@@ -56,12 +56,8 @@ class Spectrum:
     def frequencies(self) -> np.ndarray:
         return self.df * np.arange(len(self.amps))
 
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.amps)
-
     def peak_frequency(self) -> float:
-        return self.df * int(np.argmax(np.abs(self.amps)))
+        return self.df * int(np.argmax(self.amps))
 
 
 def _field(t: np.ndarray, e0: float, tau: float, omega0: float) -> np.ndarray:
@@ -82,17 +78,22 @@ def samples_carrier(dt_s: float, omega0: float) -> bool:
     return dt_s * omega0 < math.pi
 
 
+def resolves_envelope(tau_s: float, dt_s: float) -> bool:
+    """Whether dt_s resolves the envelope of a tau_s FWHM pulse: dt < tau/10."""
+    return dt_s < tau_s / 10.0
+
+
 def gaussian_pulse(e0: float, tau_s: float, wavelength: Wavelength,
                    dt_s: float) -> Waveform:
     """Carrier-resolved Gaussian pulse centred on t = 0, spanning 8 tau.
 
     The grid is symmetric and lands exactly on t = 0, where the field
-    equals e0.  Raises UnderResolved for dt >= tau/10 and for a step that
-    cannot sample the carrier (samples_carrier).
+    equals e0.  Raises UnderResolved for a step that cannot resolve the
+    envelope (resolves_envelope) or sample the carrier (samples_carrier).
     """
     if tau_s <= 0.0:
         raise ValueError("tau must be positive")
-    if dt_s >= tau_s / 10.0:
+    if not resolves_envelope(tau_s, dt_s):
         raise UnderResolved(f"dt {dt_s} cannot resolve tau {tau_s}")
     if not samples_carrier(dt_s, wavelength.omega0_rad_per_s):
         raise UnderResolved(f"dt {dt_s} cannot sample the {wavelength.nm} nm carrier")
@@ -151,9 +152,9 @@ def envelope(w: Waveform) -> np.ndarray:
 
 
 def spectrum(w: Waveform) -> Spectrum:
-    """One-sided discrete Fourier spectrum."""
+    """One-sided discrete Fourier spectrum, the magnitude of each rfft bin."""
     n = len(w.samples)
-    return Spectrum(df=1.0 / (n * w.dt), amps=np.fft.rfft(w.samples))
+    return Spectrum(df=1.0 / (n * w.dt), amps=np.abs(np.fft.rfft(w.samples)))
 
 
 def estimate_channel(tx: Waveform, rx: Waveform) -> ImpulseResponse:
@@ -194,4 +195,4 @@ def write_waveform_csv(w: Waveform, path) -> None:
 
 
 def write_spectrum_csv(s: Spectrum, path) -> None:
-    write_csv(path, ("frequency_hz", "magnitude"), (s.frequencies, s.magnitude))
+    write_csv(path, ("frequency_hz", "magnitude"), (s.frequencies, s.amps))

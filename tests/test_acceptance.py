@@ -27,7 +27,6 @@ from cellray.geometry import (
     Fusiform,
     Pyramidal,
     Spherical,
-    _atan2,
     _cross,
     avg_distances,
     collimated_bundle,
@@ -38,6 +37,7 @@ from cellray.optics import (
     Media,
     Medium,
     Wavelength,
+    elementwise,
     total_path_loss,
     transmittance,
 )
@@ -282,10 +282,11 @@ def test_criterion_9_property_battery(runs):
     # events per cell crossing the traced paths report, 99,020 on the
     # default scenarios.  An event's normal angle and the ray angles before
     # and after it come from the normals and directions _cross returns; the
-    # survivors' angle is carried through _atan2, as trace_arrays carries
+    # survivors' angle is carried through math.atan2, as trace_arrays carries
     # it, so the stepped rays are the traced rays bit for bit.
     def angle(v, crossed):  # of each crossed ray's (x, h) pair; a face normal may be floats
-        return _atan2(*(np.broadcast_to(c, crossed.shape)[crossed] for c in v[::-1]))
+        return elementwise(math.atan2,
+                           *(np.broadcast_to(c, crossed.shape)[crossed] for c in v[::-1]))
 
     worst_snell = 0.0
     checked = crossings = 0

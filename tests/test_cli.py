@@ -571,6 +571,7 @@ class TestCliCommands:
 REJECTED_INPUTS = [
     ("pathloss", ["total_um=1e300"], "total_um"),
     ("sweep", ["sweep=d_l_um=0..1e300"], "sweep"),
+    ("sweep", ["sweep=d_l_um=0..1e9"], "sweep"),
     ("sweep", ['sweep={"parameter": "d_l_um", "start": 0, "stop": 1, "step": 1e-300}'],
      "sweep"),
     ("pulse", ["tau_fs=1e6", "waveform_dt_fs=1e-3"], "waveform_dt_fs"),
@@ -727,6 +728,45 @@ def test_n_cells_sweep_validates_with_one_walk(monkeypatch):
         seconds.append(time.perf_counter() - start)
     assert walked == Counter(center_line=3)
     assert min(seconds) < 0.3, seconds
+
+
+@pytest.mark.parametrize("grid", [
+    "d_l_um=0..1e9",
+    json.dumps({"parameter": "d_l_um", "values": list(range(cfg.MAX_SWEEP_POINTS + 1))}),
+], ids=["start-stop", "values"])
+def test_sweep_grid_over_the_point_bound_exits_2(tmp_path, capsys, grid):
+    # Each point is charged at least MIN_CHARGED_RAYS ray-cells, so the
+    # charge admits no more points than the grid bound does.
+    assert cfg.MAX_SWEEP_POINTS == cfg.MAX_RAY_CELLS // cfg.MIN_CHARGED_RAYS == 2500
+    out = tmp_path / "out"
+    assert main(["--command", "sweep", "--out", str(out), "--set", f"sweep={grid}"]) == 2
+    assert json.loads(capsys.readouterr().err)["detail"] == \
+        ["sweep: the d_l_um grid has more than 2500 points"]
+    assert not out.exists()
+
+
+def test_sweep_of_2001_points_validates_under_the_charge():
+    # One trace group of 2,001 points, charged 1000 * 2001 ray-cells: the
+    # charge, not the grid bound, judges a grid of up to 2,500 points.
+    sc = load_scenario(None, ["n_cells=0", "k_rays=1", "sweep=detector_width_um=1..2001"])
+    points = sweep_points(sc)
+    assert len(points) == 2001
+    assert ray_cells(points, trace_groups(points)) == 2_001_000
+    assert validate(sc) == []
+
+
+def test_sweep_cirs_share_one_cir_bin_cap(tmp_path, capsys):
+    # 203,892 bins per point: the first 58 points' 11,825,736 bins fit the
+    # cap, the 59th point's take the sum over it, before any file is written.
+    argv = ["--command", "sweep", "--out", str(tmp_path / "out"), "--set", "k_rays=11",
+            "--set", "cir_dt_fs=0.01", "--set", "sweep=detector_width_um=40..99"]
+    assert main(["--command", "validate", *argv[2:]]) == 0
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["detail"] == [
+        f"sweep: the CIRs of its first 59 points need {59 * 203_892} bins, over the cap "
+        f"of {ch.MAX_CIR_BINS}"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_step_just_under_the_carrier_limit_runs(tmp_path, capsys):

@@ -12,6 +12,7 @@ from cellray.optics import (
     Medium,
     Wavelength,
     absorbance,
+    elementwise,
     total_path_loss,
     transmittance,
 )
@@ -181,3 +182,17 @@ def test_wavelength_carrier():
     assert lam.frequency_hz == pytest.approx(6.574e14, rel=1e-3)
     with pytest.raises(ValueError):
         Wavelength(0.0)
+
+
+def test_elementwise_is_a_math_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]
+    x = np.concatenate([special, rng.normal(0.0, 10.0, 2000),
+                        rng.uniform(-1e3, 1e3, 2000), 10.0 ** rng.uniform(-300, 300, 500)])
+    y = rng.permutation(x)
+    for f, args in ((math.exp, (-np.abs(x),)), (math.tan, (x,)), (math.atan2, (y, x))):
+        got = elementwise(f, *args)
+        want = [f(*values) for values in zip(*(a.tolist() for a in args))]
+        assert got.dtype == float and got.shape == args[0].shape
+        assert got.tobytes() == np.array(want).tobytes()
+    assert elementwise(math.atan2, np.empty(0), np.empty(0)).shape == (0,)

@@ -305,6 +305,13 @@ class TestSpectrum:
         assert sp.df == pytest.approx(1.0 / (len(tx.samples) * tx.dt))
         assert len(sp.amps) == len(tx.samples) // 2 + 1
 
+    def test_amps_are_the_rfft_magnitudes(self, tx):
+        rx = received_pulse(tx, 2e-12, 0.7)
+        for w in (tx, rx, Waveform(0.0, DT, np.array([0.0, -0.0, 5e-324, -1.0]))):
+            sp = spectrum(w)
+            assert sp.amps.tobytes() == np.abs(np.fft.rfft(w.samples)).tobytes()
+            assert sp.peak_frequency() == sp.df * int(np.argmax(sp.amps))
+
 
 def test_waveform_validation():
     for dt in (0.0, -0.0, -DT):
