@@ -294,8 +294,9 @@ def _format_e12(x: np.ndarray, field: np.ndarray) -> np.ndarray:
     return field
 
 
-# The fields of +0.0 and -0.0.
+# The fields of +0.0 and -0.0, and -0.0's bits: only the sign bit is set.
 _ZERO = _format_e12(np.array([0.0, -0.0]), np.empty((2, E12_WORDS), np.uint32))
+_NEGATIVE_ZERO_BITS = np.array(-0.0).view(np.int64)
 
 
 def format_e12(values, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -313,17 +314,22 @@ def format_e12(values, out: Optional[np.ndarray] = None) -> np.ndarray:
     made NULs: NaN, +-inf, subnormals, exponents of 100 or more in
     magnitude, and a scaled fraction within E12_GUARD of .5 (0.8 % of
     random values).  When most values are zeros, as in a sparse waveform,
-    the fields of +0.0 and -0.0 are stamped and only the others formatted.
+    the fields of +0.0 are stamped, then those of -0.0 where there are any,
+    and only the non-zero values are formatted, when there are any.
     """
     x = np.asarray(values, dtype=np.float64)
     field = np.empty((len(x), E12_WORDS), np.uint32) if out is None else out
     nonzero = x != 0.0  # NaN included
-    if 2 * np.count_nonzero(nonzero) >= len(x):
+    count = np.count_nonzero(nonzero)
+    if 2 * count >= len(x):
         return _format_e12(x, field)
-    nonzero = np.flatnonzero(nonzero)
     field[:] = _ZERO[0]
-    field[np.signbit(x)] = _ZERO[1]
-    field[nonzero] = _format_e12(x[nonzero], np.empty((len(nonzero), E12_WORDS), np.uint32))
+    negative_zero = x.view(np.int64) == _NEGATIVE_ZERO_BITS
+    if negative_zero.any():
+        field[negative_zero] = _ZERO[1]
+    if count:
+        nonzero = np.flatnonzero(nonzero)
+        field[nonzero] = _format_e12(x[nonzero], np.empty((count, E12_WORDS), np.uint32))
     return field
 
 
@@ -358,6 +364,8 @@ def _sign_runs(rows: np.ndarray, values: list[np.ndarray]) -> Optional[list[list
     the one before it is NUL in every row.  Then the column's text and
     separator are one slice of the run's rows.
     """
+    if len(rows) < MIN_RUN_ROWS:  # the rule below gives None on any such block
+        return None
     sign = np.signbit(values)
     edges = np.flatnonzero((sign[:, 1:] != sign[:, :-1]).any(axis=0)) + 1
     if (len(edges) + 1) * MIN_RUN_ROWS > len(rows):

@@ -9,7 +9,11 @@ example an empty channel).  Only sweep takes a sweep block, since validate
 judges a sweep by its points and not by the base the others run.  A
 command computes every output before --out is created, so a run that
 exits 2 or 3 leaves no file and no directory; an output error removes what
-the run created.
+the run created.  The one exception is pulse's received spectrum: its
+transform runs on a second thread, started as soon as the received
+waveform exists, while run writes the other pulse files, and run waits
+for it on every path.  If the transform raises, run removes what it
+created, as for an output error, and lets the exception through.
 
 main may run many times in one process, as scripts/run_channel_battery.py
 runs it: every call parses with the one parser _parser builds on first
@@ -27,6 +31,7 @@ import contextlib
 import json
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -297,7 +302,46 @@ def cmd_cir(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
                     "pdp.csv": partial(ch.write_pdp_csv, ch.power_delay_profile(cir))}
 
 
-def cmd_pulse(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
+class _Background:
+    """fn(*args) on a thread of its own, started at construction.
+
+    result() waits for the thread, then returns fn's value or raises its
+    exception; as a context manager it waits for the thread on exit.
+    """
+
+    def __init__(self, fn: Callable, *args) -> None:
+        self._outcome: tuple = (None, None)  # (fn's value, its exception)
+        self._thread = threading.Thread(target=self._call, args=(fn, args))
+        self._thread.start()
+
+    def _call(self, fn: Callable, args: tuple) -> None:
+        try:
+            self._outcome = (fn(*args), None)
+        except BaseException as exc:  # raised again by result(), on the caller's thread
+            self._outcome = (None, exc)
+
+    def result(self):
+        self._thread.join()
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value
+
+    def __enter__(self) -> "_Background":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._thread.join()
+
+
+def cmd_pulse(scenario: cfg.Scenario,
+              background: contextlib.ExitStack) -> tuple[dict, Outputs]:
+    """The pulse outputs; rx_spectrum.csv's writer also sets rx_peak_frequency_hz.
+
+    The received spectrum is transformed on a second thread while the rest
+    is computed and the files before rx_spectrum.csv are written; closing
+    background, which run holds open until its files are written, waits for it.
+    """
     tau, dt = scenario.pulse_grid_s()
     tx = sig.gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt)
     chan = _channel(scenario)
@@ -308,20 +352,26 @@ def cmd_pulse(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
             f"{len(cir.bins)} CIR bins exceeds the cap of {cfg.MAX_CONVOLUTION} "
             "multiply-adds"], 2)
     rx = sig.propagate(tx, cir)
+    rx_spectrum = background.enter_context(_Background(sig.spectrum, rx))
     dominant_delay, _ = cir.dominant_bin()
     summary = sig.received_pulse(tx, dominant_delay, cir.total_gain())
-    tx_spectrum, rx_spectrum = sig.spectrum(tx), sig.spectrum(rx)
+    tx_spectrum = sig.spectrum(tx)
     report = _base_report(scenario, chan)
     report["tx_peak_power"] = float(sig.envelope(tx).max() ** 2)
     report["rx_summary_peak_power"] = float(sig.envelope(summary).max() ** 2)
     report["tx_peak_frequency_hz"] = tx_spectrum.peak_frequency()
-    report["rx_peak_frequency_hz"] = rx_spectrum.peak_frequency()
+
+    def write_rx_spectrum(path: Path) -> None:
+        spectrum = rx_spectrum.result()
+        report["rx_peak_frequency_hz"] = spectrum.peak_frequency()
+        sig.write_spectrum_csv(spectrum, path)
+
     return report, {
         "tx.csv": partial(sig.write_waveform_csv, tx),
         "rx.csv": partial(sig.write_waveform_csv, rx),
         "rx_summary.csv": partial(sig.write_waveform_csv, summary),
         "tx_spectrum.csv": partial(sig.write_spectrum_csv, tx_spectrum),
-        "rx_spectrum.csv": partial(sig.write_spectrum_csv, rx_spectrum),
+        "rx_spectrum.csv": write_rx_spectrum,
     }
 
 
@@ -373,40 +423,45 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
                                       "run the sweep command, or set sweep=null"], 2)
     if violations := cfg.validate(scenario):
         raise CliError("validation", violations, 2)
-    handler = {
-        "trace": cmd_trace,
-        "pathloss": cmd_pathloss,
-        "cir": cmd_cir,
-        "pulse": cmd_pulse,
-        "detector": cmd_detector,
-        "sweep": cmd_sweep,
-    }[command]
-    try:
-        report, outputs = handler(scenario)
-    except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
-        raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
-    report["files"] = list(outputs)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    created: list[Path] = []  # the directories the run makes, deepest first
-    kept = None  # out's entries before the run, once listed
-    try:
-        created = [d for d in (out, *out.parents) if not d.exists()]
-        out.mkdir(parents=True, exist_ok=True)
-        kept = set(out.iterdir())
-        for name, write in outputs.items():
-            write(out / name)
-        with open(out / "report.json", "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        # Undo what the run added; a file it overwrote keeps its new bytes.
-        if kept is not None:
-            with contextlib.suppress(OSError):
-                for path in set(out.iterdir()) - kept:
-                    path.unlink()
-        for directory in created:
-            with contextlib.suppress(OSError):
-                directory.rmdir()
-        raise CliError("io", f"cannot write outputs: {exc}", 2)
+    # Closed on every path out of run: it waits for the thread pulse starts.
+    with contextlib.ExitStack() as background:
+        handler = {
+            "trace": cmd_trace,
+            "pathloss": cmd_pathloss,
+            "cir": cmd_cir,
+            "pulse": partial(cmd_pulse, background=background),
+            "detector": cmd_detector,
+            "sweep": cmd_sweep,
+        }[command]
+        try:
+            report, outputs = handler(scenario)
+        except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
+            raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
+        report["files"] = list(outputs)
+        created: list[Path] = []  # the directories the run makes, deepest first
+        kept = None  # out's entries before the run, once listed
+        try:
+            created = [d for d in (out, *out.parents) if not d.exists()]
+            out.mkdir(parents=True, exist_ok=True)
+            kept = set(out.iterdir())
+            for name, write in outputs.items():
+                write(out / name)
+            # Encoded after the writers, one of which may complete the report.
+            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            with open(out / "report.json", "w") as fh:
+                fh.write(text)
+        except BaseException as exc:  # an output error, or pulse's transform failed
+            # Undo what the run added; a file it overwrote keeps its new bytes.
+            if kept is not None:
+                with contextlib.suppress(OSError):
+                    for path in set(out.iterdir()) - kept:
+                        path.unlink()
+            for directory in created:
+                with contextlib.suppress(OSError):
+                    directory.rmdir()
+            if isinstance(exc, OSError):
+                raise CliError("io", f"cannot write outputs: {exc}", 2)
+            raise
     return text
 
 

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import fields
 
 import pytest
@@ -15,6 +16,15 @@ TISSUE = Medium(n=1.35, mu_a=1.34, mu_s_prime=3.43)
 def forget_last_channel():
     """Start every test without the channel cellray.cli kept from an earlier one."""
     cli._last_channel.clear()
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a non-daemon thread it started still running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before and not t.daemon]
+    assert not left, f"threads still running after the test: {left}"
 
 
 @pytest.fixture

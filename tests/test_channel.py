@@ -465,6 +465,11 @@ class TestFormatE12:
         sparse[1::6] = -0.0
         sparse[::3] = E12_TARGETS
         assert e12_text(sparse) == ["%.12e" % v for v in sparse.tolist()]
+        # Zeros of one sign alone (no value formatted), and -0.0 among a few
+        # non-zeros of both signs, NaN among them.
+        for block in (np.zeros(64), np.full(64, -0.0),
+                      np.r_[np.full(7, -0.0), -1.5, 0.0, 2.0, -math.nan]):
+            assert e12_text(block) == ["%.12e" % v for v in block.tolist()]
 
     @given(st.lists(st.one_of(
         st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),

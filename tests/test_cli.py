@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from collections import Counter
@@ -860,7 +861,9 @@ def test_output_error_removes_the_runs_files(tmp_path, capsys, command, blocked,
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
     (out / "notes.txt").write_text("kept")
+    threads = set(threading.enumerate())
     assert main(["--command", command, "--out", str(out), *extra]) == 2
+    assert set(threading.enumerate()) <= threads  # pulse's spectrum thread ended with main
     assert json.loads(capsys.readouterr().err)["error"] == "io"
     assert sorted(p.name for p in out.iterdir()) == sorted([blocked, "notes.txt"])
 
@@ -869,10 +872,46 @@ def test_output_error_removes_the_out_it_made(tmp_path, capsys, monkeypatch):
     def disk_full(*args):
         raise OSError(28, "No space left on device")
 
+    spectrum = sig.spectrum
+
+    def slow_off_the_main_thread(w):  # the rx transform outlasts the writes
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+        return spectrum(w)
+
     monkeypatch.setattr(sig, "write_spectrum_csv", disk_full)  # after three waveforms
+    monkeypatch.setattr(sig, "spectrum", slow_off_the_main_thread)
     out = tmp_path / "new" / "out"
+    threads = set(threading.enumerate())
     assert main(["--command", "pulse", "--out", str(out), "--set", "k_rays=11"]) == 2
+    assert set(threading.enumerate()) <= threads  # the rx spectrum's thread was waited for
     assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rx_transform_error_removes_the_out_it_made(tmp_path, monkeypatch):
+    class TransformFailed(Exception):
+        pass
+
+    received = []
+    propagate, spectrum = sig.propagate, sig.spectrum
+
+    def keep_rx(*args):
+        received.append(propagate(*args))
+        return received[-1]
+
+    def fail_on_rx(w):
+        if w is received[0]:
+            raise TransformFailed("rfft of the received waveform")
+        return spectrum(w)
+
+    monkeypatch.setattr(sig, "propagate", keep_rx)
+    monkeypatch.setattr(sig, "spectrum", fail_on_rx)
+    out = tmp_path / "new" / "out"
+    threads = set(threading.enumerate())
+    with pytest.raises(TransformFailed):
+        main(["--command", "pulse", "--out", str(out), "--set", "k_rays=11"])
+    assert set(threading.enumerate()) <= threads
     assert list(tmp_path.iterdir()) == []
 
 
