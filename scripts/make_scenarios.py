@@ -2,9 +2,10 @@
 """Regenerate the default scenario files under scenarios/."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
-from cellray.config import default_scenario
+from cellray.config import Scenario
 
 OUT = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -14,7 +15,7 @@ def main() -> None:
     for shape in ("fusiform", "spherical", "pyramidal"):
         path = OUT / f"{shape}.json"
         with open(path, "w") as fh:
-            json.dump(default_scenario(shape).to_dict(), fh,
+            json.dump(asdict(Scenario(shape=shape)), fh,
                       indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {path}")

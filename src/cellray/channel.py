@@ -139,8 +139,8 @@ def contributions(batch: RayBatch, media: Media,
     return atoms.select(~off), atoms.select(off)
 
 
-def build_cir(detected: Atoms, n_rays: int, dt_s: float = 10e-15,
-              aggregate_gamma: Optional[float] = None) -> ImpulseResponse:
+def build_cir(detected: Atoms, n_rays: int, dt_s: float,
+              aggregate_gamma: Optional[float]) -> ImpulseResponse:
     """Accumulate detected atoms into a binned impulse response.
 
     Every atom deposits gain/n_rays into the bin nearest its delay, n_rays
@@ -424,6 +424,8 @@ def write_csv(path, header: Sequence[str], columns) -> None:
                          f"got {other}")
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    if not columns:
+        raise ValueError("write_csv needs at least one column")
     n_rows = len(columns[0])
     if any(len(c) != n_rows for c in columns):
         raise ValueError("columns must have equal lengths")

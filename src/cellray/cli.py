@@ -20,8 +20,9 @@ runs it: every call parses with the one parser _parser builds on first
 use, and the CLI keeps the last channel it traced (_channel), keyed on the
 layout, media, ray count and detector width it is built from; validate
 and a traced command each build a run's layout and media once, in
-config.trace_groups.  A sweep row is written from the few values it holds
-(counts, dominant delay, total gain, path loss), not from a report.
+config.trace_groups, whose groups also hold their ray count.  A sweep row
+is written from the few values it holds (counts, dominant delay, total
+gain, path loss), not from a report.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import json
 import math
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterator
@@ -140,14 +141,14 @@ class Channel:
 def _channels(points: list[cfg.Scenario], groups: list[tuple]) -> Iterator[Channel]:
     """The points' channels, in order; each trace group is traced once.
 
-    groups are the points' config.trace_groups, which hold every layout and
-    media; the channels are the ones each point gives when traced alone,
-    bit for bit.  Every point's rays are held until the last channel is
-    made, which the ray-cell charge (config.ray_cells) bounds.
+    groups are the points' config.trace_groups, which hold every layout,
+    media and ray count; the channels are the ones each point gives when
+    traced alone, bit for bit.  Every point's rays are held until the last
+    channel is made, which the ray-cell charge (config.ray_cells) bounds.
     """
     traced: list = [None] * len(points)
-    for group, layouts, media in groups:
-        h0 = geo.collimated_bundle(layouts[0].shape, points[group[0]].k_rays)
+    for group, layouts, media, k_rays in groups:
+        h0 = geo.collimated_bundle(layouts[0].shape, k_rays)
         # A lone layout goes through trace_array, the entry point perfbench times.
         results = geo.trace_arrays(layouts, media, h0) if len(group) > 1 \
             else [geo.trace_array(layouts[0], media, h0)]
@@ -169,8 +170,8 @@ _last_channel: dict[tuple, Channel] = {}
 def _channel(scenario: cfg.Scenario) -> Channel:
     """scenario's channel, traced unless the last call's had the same inputs."""
     groups = cfg.trace_groups([scenario])
-    [(_, [layout], media)] = groups
-    key = (layout, media, scenario.k_rays, scenario.detector_width_um)
+    [(_, [layout], media, k_rays)] = groups
+    key = (layout, media, k_rays, scenario.detector_width_um)
     if key not in _last_channel:
         _last_channel.clear()
         chan = next(_channels([scenario], groups))
@@ -216,7 +217,7 @@ def _base_report(scenario: cfg.Scenario, chan: Channel,
                  cir: ch.ImpulseResponse | None = None) -> dict:
     """The report fields of every traced command; cir is chan's CIR at cir_dt_fs."""
     report = {
-        "scenario": scenario.to_dict(),
+        "scenario": asdict(scenario),
         "path_loss_db": total_path_loss(chan.layout, chan.media),
         "counts": _counts(chan),
     }
@@ -284,7 +285,7 @@ def cmd_pathloss(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     pathloss = DB_PER_NEPER * (absorbance(media.cell, cell_um / UM_PER_MM)
                                + absorbance(media.tissue, tissue_um / UM_PER_MM))
     report = {
-        "scenario": scenario.to_dict(),
+        "scenario": asdict(scenario),
         "path_loss_db": total_path_loss(layout, media),
         # The value as written to the curve's last row.
         "center_line_path_loss_db": float(_fmt(pathloss[-1])),
@@ -302,36 +303,31 @@ def cmd_cir(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
                     "pdp.csv": partial(ch.write_pdp_csv, ch.power_delay_profile(cir))}
 
 
-class _Background:
+class _Background(threading.Thread):
     """fn(*args) on a thread of its own, started at construction.
 
     result() waits for the thread, then returns fn's value or raises its
-    exception; as a context manager it waits for the thread on exit.
+    exception.
     """
 
     def __init__(self, fn: Callable, *args) -> None:
+        super().__init__()
+        self._fn = partial(fn, *args)
         self._outcome: tuple = (None, None)  # (fn's value, its exception)
-        self._thread = threading.Thread(target=self._call, args=(fn, args))
-        self._thread.start()
+        self.start()
 
-    def _call(self, fn: Callable, args: tuple) -> None:
+    def run(self) -> None:
         try:
-            self._outcome = (fn(*args), None)
+            self._outcome = (self._fn(), None)
         except BaseException as exc:  # raised again by result(), on the caller's thread
             self._outcome = (None, exc)
 
     def result(self):
-        self._thread.join()
+        self.join()
         value, error = self._outcome
         if error is not None:
             raise error
         return value
-
-    def __enter__(self) -> "_Background":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._thread.join()
 
 
 def cmd_pulse(scenario: cfg.Scenario,
@@ -352,7 +348,8 @@ def cmd_pulse(scenario: cfg.Scenario,
             f"{len(cir.bins)} CIR bins exceeds the cap of {cfg.MAX_CONVOLUTION} "
             "multiply-adds"], 2)
     rx = sig.propagate(tx, cir)
-    rx_spectrum = background.enter_context(_Background(sig.spectrum, rx))
+    rx_spectrum = _Background(sig.spectrum, rx)
+    background.callback(rx_spectrum.join)
     dominant_delay, _ = cir.dominant_bin()
     summary = sig.received_pulse(tx, dominant_delay, cir.total_gain())
     tx_spectrum = sig.spectrum(tx)
@@ -407,7 +404,7 @@ def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
         ch.write_csv,
         header=[param, "dominant_delay_s", "total_gain", "pathloss_db", "leaked", "deviated"],
         columns=list(zip(*rows)))
-    return {"scenario": scenario.to_dict(), "sweep_parameter": param,
+    return {"scenario": asdict(scenario), "sweep_parameter": param,
             "points": len(points)}, outputs
 
 

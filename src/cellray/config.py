@@ -3,7 +3,8 @@
 Defaults reproduce the blue-light cortical setup: 456 nm, an 18-cell line
 at 25 um pitch over a 450 um source-detector distance, cell/tissue indices
 1.36/1.35, absorption 0.9/1.34 per mm and reduced scattering 3.43 per mm
-in both media.
+in both media.  These are Scenario's field defaults, the only ones: the
+functions a scenario feeds take each value from it.
 """
 
 from __future__ import annotations
@@ -183,22 +184,13 @@ class Scenario:
     def build_wavelength(self) -> Wavelength:
         return Wavelength(nm=self.lambda_nm)
 
-    def to_dict(self) -> dict[str, Any]:
-        """The fields by name, the sweep block copied: dataclasses.asdict."""
-        return asdict(self)
 
-
-_DEFAULTS = Scenario().to_dict()  # scenario_from_dict's starting point
+_DEFAULTS = asdict(Scenario())  # scenario_from_dict's starting point
 
 
 # The rule of every Scenario key but sweep, in field order.
 SCHEMA: dict[str, Rule] = {f.name: f.metadata["rule"] for f in fields(Scenario)
                            if "rule" in f.metadata}
-
-def default_scenario(shape: str = "fusiform") -> Scenario:
-    if shape not in SHAPES:
-        raise ValueError(f"unknown shape {shape!r}")
-    return Scenario(shape=shape)
 
 
 def _is_finite_number(value: Any) -> bool:
@@ -321,7 +313,7 @@ def _budget_problems(s: Scenario, runs: list[Scenario]) -> list[tuple[str, str]]
     all runs, which bounds _path_rows' walks, then the first run over another
     cap.  Every run has s's pulse keys, so a pulse problem is the first run's."""
     groups = trace_groups(runs)
-    if (charged := ray_cells(runs, groups)) > MAX_RAY_CELLS:
+    if (charged := ray_cells(groups)) > MAX_RAY_CELLS:
         if s.sweep is not None:
             return [("sweep", f"its traces are charged {charged} ray-cells, over "
                               f"the cap of {MAX_RAY_CELLS}")]
@@ -380,31 +372,31 @@ def sweep_points(scenario: Scenario) -> list[Scenario]:
 
 
 def trace_groups(runs: list[Scenario]) -> list[tuple]:
-    """(indices, layouts, media) of the runs that share one trace, in order of
-    first run: those with one cell line (geometry.cell_line), media and ray
-    count.  Each run's layout and media are built here, once."""
+    """(indices, layouts, media, k_rays) of the runs that share one trace, in
+    order of first run: those with one cell line (geometry.cell_line), media
+    and ray count.  Each run's layout and media are built here, once."""
     groups: dict[tuple, tuple] = {}
     for i, run in enumerate(runs):
         layout, media = run.build_layout(), run.build_media()
-        group = groups.setdefault((cell_line(layout), media, run.k_rays), ([], [], media))
+        group = groups.setdefault((cell_line(layout), media, run.k_rays),
+                                  ([], [], media, run.k_rays))
         group[0].append(i)
         group[1].append(layout)
     return list(groups.values())
 
 
-def ray_cells(runs: list[Scenario], groups: list[tuple]) -> int:
-    """The ray-cells the runs are charged, by the traces they make.
+def ray_cells(groups: list[tuple]) -> int:
+    """The ray-cells the runs of groups, their trace_groups, are charged.
 
-    Each of the runs' trace groups is charged like one
-    run through its largest cell count, plus a cell for each further run:
-    each copies the rays and runs them to its own detector plane.  A lone
-    run is charged max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1).
+    Each trace group is charged like one run through its largest cell
+    count, plus a cell for each further run: each copies the rays and runs
+    them to its own detector plane.  A lone run is charged
+    max(k_rays, MIN_CHARGED_RAYS) * max(n_cells, 1).
     """
     total = 0
-    for indices, layouts, _ in groups:
-        rays = max(runs[indices[0]].k_rays, MIN_CHARGED_RAYS)
+    for _, layouts, _, k_rays in groups:
         cells = max(max(layout.n_cells for layout in layouts), 1) + len(layouts) - 1
-        total += rays * cells
+        total += max(k_rays, MIN_CHARGED_RAYS) * cells
     return total
 
 
@@ -412,7 +404,7 @@ def _path_rows(groups: list[tuple]) -> Iterator[tuple[int, ArrayLayout, int]]:
     """(index, layout, rows) of each run, rows = 1 + its center line's samples,
     from one walk of its group's longest line: its stretches up to a run's
     last cell are that run's, whose last stretch runs on to its detector."""
-    for indices, layouts, _ in groups:
+    for indices, layouts, _, _ in groups:
         rows, shared = 1, [(1, 0.0)]  # the rows, and where the line is, after each cell
         for _, medium, samples, end in center_line(max(layouts, key=lambda x: x.n_cells)):
             rows += samples

@@ -57,7 +57,7 @@ class Medium:
 class Wavelength:
     """Carrier wavelength of the shaped pulse; no attenuation depends on it."""
 
-    nm: float = 456.0
+    nm: float
 
     def __post_init__(self) -> None:
         if self.nm <= 0.0:

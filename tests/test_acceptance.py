@@ -20,7 +20,7 @@ from cellray.channel import (
     contributions,
     detector_map,
 )
-from cellray.config import default_scenario
+from cellray.config import Scenario
 from cellray.geometry import (
     CROSSED,
     ArrayLayout,
@@ -68,7 +68,7 @@ class Run:
     """One traced default scenario with its channel products."""
 
     def __init__(self, shape: str):
-        scenario = default_scenario(shape)
+        scenario = Scenario(shape=shape)
         self.scenario = scenario
         layout = scenario.build_layout()
         media = scenario.build_media()
@@ -80,7 +80,7 @@ class Run:
         self.detected, _ = contributions(self.paths, media,
                                          scenario.detector_width_um)
         self.cir = build_cir(self.detected, len(self.paths),
-                             scenario.cir_dt_fs * 1e-15)
+                             scenario.cir_dt_fs * 1e-15, None)
         self.received_fraction = sum(self.detected.gain.tolist()) / len(self.paths)
         self.dominant_delay = self.cir.dominant_bin()[0]
 
@@ -143,7 +143,7 @@ def test_criterion_1_closed_forms_match_quadrature():
 def test_criterion_2_free_space_channel():
     layout = ArrayLayout(Spherical(10.0), 0, 5.0, 5.0, 445.0)
     paths, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, 1001))
-    cir = build_cir(contributions(paths, MEDIA, math.inf)[0], len(paths), 10e-15)
+    cir = build_cir(contributions(paths, MEDIA, math.inf)[0], len(paths), 10e-15, None)
     expected_delay = 450e-6 * 1.35 / SPEED_OF_LIGHT_M_PER_S
     spike_time, _ = cir.dominant_bin()
     single = np.count_nonzero(cir.bins) == 1

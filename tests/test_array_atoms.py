@@ -12,7 +12,7 @@ import pytest
 
 import channel_oracle as oracle
 from cellray import channel as ch
-from cellray.config import default_scenario
+from cellray.config import Scenario
 from cellray.geometry import collimated_bundle, trace_array
 from conftest import reversed_batch
 
@@ -21,7 +21,7 @@ EXTENTS = (math.inf, 40.0, 0.001)
 
 
 def scenario_run(shape, **overrides):
-    scenario = replace(default_scenario(shape), **overrides)
+    scenario = replace(Scenario(shape=shape), **overrides)
     layout = scenario.build_layout()
     media = scenario.build_media()
     batch, focus = trace_array(layout, media,

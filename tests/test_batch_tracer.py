@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import scalar_tracer as oracle
 from cell_step import trace_cell, walked_cells
 from cellray.channel import EmptyChannel, build_cir, contributions
-from cellray.config import default_scenario
+from cellray.config import Scenario
 from cellray.geometry import (
     BACKWARD,
     CROSSED,
@@ -100,7 +100,7 @@ def assert_same_trace(layout, media, h0, events=False):
 
 
 def scenario_trace(shape, **overrides):
-    scenario = replace(default_scenario(shape), **overrides)
+    scenario = replace(Scenario(shape=shape), **overrides)
     layout = scenario.build_layout()
     h0 = collimated_bundle(layout.shape, scenario.k_rays).tolist()
     return layout, scenario.build_media(), h0
@@ -231,7 +231,7 @@ class TestRayBatch:
         assert batch.tissue_length.tolist() == [0.0] * 4
         assert [len(atoms) for atoms in contributions(batch, MEDIA, math.inf)] == [0, 0]
         with pytest.raises(EmptyChannel):
-            build_cir(contributions(batch, MEDIA, math.inf)[0], len(batch), 10e-15)
+            build_cir(contributions(batch, MEDIA, math.inf)[0], len(batch), 10e-15, None)
 
     def test_pyramidal_base_exit(self):
         shape = Pyramidal(30.0, 20.0)

@@ -24,7 +24,7 @@ from cellray.channel import (
     power_delay_profile,
     write_csv,
 )
-from cellray.config import default_scenario
+from cellray.config import Scenario
 from cellray.geometry import (
     ArrayLayout,
     FocusReport,
@@ -136,7 +136,7 @@ class TestBuildCir:
         # Detected rays whose gains all underflow to 0.0 carry no light either.
         zero = Atoms(np.array([1e-12, 2e-12]), np.zeros(2), np.array([-1.0, 1.0]))
         with pytest.raises(EmptyChannel, match="gain is 0.0"):
-            build_cir(zero, 2)
+            build_cir(zero, 2, 10e-15, None)
 
     def test_aggregate_mode_scales(self):
         batch = synthetic_batch(450.0)
@@ -409,6 +409,11 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             write_csv(tmp_path / "x.csv", ["a", "b"], [[1, 2], [1]])
 
+    def test_rejects_no_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one column"):
+            write_csv(tmp_path / "x.csv", [], [])
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rejects_header_of_other_length(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "x.csv", ["a"], [[1], [2]])
@@ -497,7 +502,7 @@ def test_write_csv_rejects_other_dtypes(tmp_path, column):
 @settings(max_examples=60, deadline=None)
 def test_atom_gain_in_unit_interval(shape, k, n_cells, gap, detector_gap, extent):
     # A gain is a product of two transmittances: positive and at most 1.
-    scenario = replace(default_scenario(shape), n_cells=n_cells, d_l_um=gap,
+    scenario = replace(Scenario(shape=shape), n_cells=n_cells, d_l_um=gap,
                        d_R_um=detector_gap, total_um=None)
     layout = scenario.build_layout()
     batch, _ = trace_array(layout, MEDIA, collimated_bundle(layout.shape, k))

@@ -33,7 +33,6 @@ from cellray.cli import _sum_in_order, center_line_profile, load_scenario, main
 from cellray.config import (
     SCHEMA,
     Scenario,
-    default_scenario,
     ray_cells,
     scenario_from_dict,
     sweep_points,
@@ -57,33 +56,33 @@ FLOAT_KEYS = [f.name for f in fields(Scenario) if "float" in f.type]
 
 def group_indices(runs: list[Scenario]) -> list[list[int]]:
     """The run indices of each of the runs' trace groups."""
-    return [indices for indices, _, _ in trace_groups(runs)]
+    return [indices for indices, _, _, _ in trace_groups(runs)]
 
 
 class TestScenarioConfig:
     def test_default_is_valid(self):
         for shape in ("fusiform", "spherical", "pyramidal"):
-            assert validate(default_scenario(shape)) == []
+            assert validate(Scenario(shape=shape)) == []
 
     def test_negative_gap_names_field(self):
-        sc = default_scenario()
+        sc = Scenario()
         sc.d_l_um = -1.0
         violations = validate(sc)
         assert len(violations) == 1 and violations[0].startswith("d_l_um")
 
     def test_fusiform_wide_lens_flagged(self):
-        sc = default_scenario("fusiform")
+        sc = Scenario(shape="fusiform")
         sc.w_c_um = 40.0
         assert any(v.startswith("w_c_um") for v in validate(sc))
 
     def test_detector_gap_must_fit(self):
-        sc = default_scenario()
+        sc = Scenario()
         sc.n_cells = 50  # 50 cells at 25 um pitch cannot fit in 450 um
         assert any("detector gap" in v for v in validate(sc))
 
     def test_round_trip(self):
-        sc = default_scenario("spherical")
-        again = scenario_from_dict(json.loads(json.dumps(sc.to_dict())))
+        sc = Scenario(shape="spherical")
+        again = scenario_from_dict(json.loads(json.dumps(asdict(sc))))
         assert again == sc
 
     @pytest.mark.parametrize("sweep", [
@@ -91,40 +90,38 @@ class TestScenarioConfig:
         {"parameter": "n_cells", "start": 1, "stop": 18},
         {"parameter": "d_l_um", "values": [1.0, 5.0, 3.0]},
     ])
-    def test_to_dict_equals_asdict(self, sweep):
-        sc = replace(default_scenario("pyramidal"), k_rays=301, sweep=sweep)
-        data, expected = sc.to_dict(), asdict(sc)
-        assert list(data.items()) == list(expected.items())
-        assert [type(v) for v in data.values()] == [type(v) for v in expected.values()]
+    def test_asdict_round_trips(self, sweep):
+        sc = replace(Scenario(shape="pyramidal"), k_rays=301, sweep=sweep)
+        assert scenario_from_dict(json.loads(json.dumps(asdict(sc)))) == sc
 
-    def test_to_dict_copies_the_sweep(self):
-        sc = replace(default_scenario(), sweep={"parameter": "d_l_um", "values": [1.0, 5.0]})
-        data = sc.to_dict()
+    def test_asdict_copies_the_sweep(self):
+        sc = replace(Scenario(), sweep={"parameter": "d_l_um", "values": [1.0, 5.0]})
+        data = asdict(sc)
         data["sweep"]["values"].append(9.0)
         data["sweep"]["parameter"] = "n_cells"
         data["sweep"]["start"] = 1
         assert sc.sweep == {"parameter": "d_l_um", "values": [1.0, 5.0]}
-        assert sc.to_dict()["sweep"] == sc.sweep
+        assert asdict(sc)["sweep"] == sc.sweep
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             scenario_from_dict({"dl_um": 5.0})
 
     def test_derived_detector_gap(self):
-        sc = default_scenario()
+        sc = Scenario()
         assert sc.detector_gap_um() == pytest.approx(0.0)
         sc.n_cells = 10
         assert sc.detector_gap_um() == pytest.approx(450 - 5 - 10 * 20 - 9 * 5)
 
     def test_sweep_values(self):
-        sc = default_scenario()
+        sc = Scenario()
         sc.sweep = {"parameter": "n_cells", "start": 1, "stop": 4}
         assert sweep_values(sc) == [1, 2, 3, 4]
         sc.sweep = {"parameter": "d_l_um", "values": [2.0, 5.0]}
         assert sweep_values(sc) == [2.0, 5.0]
 
     def test_sweep_grid_by_index(self):
-        sc = default_scenario()
+        sc = Scenario()
         sc.sweep = {"parameter": "d_l_um", "start": 0.0, "stop": 1.0, "step": 0.1}
         grid = sweep_values(sc)
         # Adding 0.1 repeatedly gives 0.7999999999999999 and 0.9999999999999999.
@@ -170,7 +167,7 @@ class TestScenarioConfig:
                      {"values": [1.0, math.nan]},
                      {"start": 1, "stop": 3, "stepp": 2},  # ran at step 1
                      {"values": [1, 2], "start": 1, "stop": 3}):  # ran the values
-            sc = default_scenario()
+            sc = Scenario()
             sc.sweep = {"parameter": "n_cells", **grid}
             assert [v for v in validate(sc) if v.startswith("sweep")], grid
 
@@ -179,11 +176,11 @@ class TestScenarioConfig:
         for grid in ({"values": [1.5, 2.7]}, {"values": [2, 3.5]},
                      {"start": 1, "stop": 4, "step": 0.5},
                      {"start": 1.5, "stop": 4}):
-            sc = default_scenario()
+            sc = Scenario()
             sc.sweep = {"parameter": param, **grid}
             assert [v for v in validate(sc) if v.startswith(f"sweep: {param}")], grid
         for grid in ({"values": [1.0, 3]}, {"start": 1.0, "stop": 4.5, "step": 2.0}):
-            sc = default_scenario()
+            sc = Scenario()
             sc.sweep = {"parameter": param, **grid}
             assert validate(sc) == [], grid
 
@@ -196,25 +193,25 @@ class TestScenarioConfig:
                              ({"start": 5, "stop": 5}, 1),
                              # An absolute 1e-12 ran this grid to 1.1e-12, 111 points.
                              ({"start": 0, "stop": 1e-13, "step": 1e-14}, 11)):
-            sc = default_scenario()
+            sc = Scenario()
             sc.sweep = {"parameter": "d_l_um", **grid}
             assert len(sweep_values(sc)) == points, grid
             named = [v for v in validate(sc) if v.startswith("sweep") and "d_l_um" in v]
             assert bool(named) == (points == 0), grid
 
     def test_sweep_trace_groups_and_charge(self):
-        sc = default_scenario()
+        sc = Scenario()
         sc.k_rays = 301
         sc.sweep = {"parameter": "n_cells", "start": 1, "stop": 18}
         points = sweep_points(sc)
         assert [p.n_cells for p in points] == list(range(1, 19))
         assert group_indices(points) == [list(range(18))]
         # The battery's sweep: one trace through 18 cells, 17 more detector legs.
-        assert ray_cells(points, trace_groups(points)) == 1000 * (18 + 17)
+        assert ray_cells(trace_groups(points)) == 1000 * (18 + 17)
         sc.sweep = {"parameter": "d_l_um", "values": [1.0, 3.0, 1.0]}
         points = sweep_points(sc)
         assert group_indices(points) == [[0, 2], [1]]
-        assert ray_cells(points, trace_groups(points)) == 1000 * 19 + 1000 * 18
+        assert ray_cells(trace_groups(points)) == 1000 * 19 + 1000 * 18
         sc.sweep = {"parameter": "total_um", "values": [450.0, 500.0]}
         assert group_indices(sweep_points(sc)) == [[0, 1]]
         # Real keys are read as floats, -0.0 as 0.0: equal spellings share.
@@ -223,16 +220,16 @@ class TestScenarioConfig:
         sc.sweep = {"parameter": "d_E_um", "values": [0.0, -0.0]}
         assert group_indices(sweep_points(sc)) == [[0, 1]]
         # A spherical cell reads no h_c_um.
-        sc = replace(default_scenario("spherical"), k_rays=301,
+        sc = replace(Scenario(shape="spherical"), k_rays=301,
                      sweep={"parameter": "h_c_um", "values": [30.0, 40.0, 50.0]})
         assert group_indices(sweep_points(sc)) == [[0, 1, 2]]
 
     def test_sweep_over_the_ray_cell_cap_names_sweep(self):
-        sc = default_scenario()
+        sc = Scenario()
         sc.k_rays = 10_000
         sc.sweep = {"parameter": "d_l_um", "values": [1.0, 2.0]}
         points = sweep_points(sc)
-        assert ray_cells(points, trace_groups(points)) == 2 * 10_000 * 18
+        assert ray_cells(trace_groups(points)) == 2 * 10_000 * 18
         assert validate(sc) == []
         sc.sweep["values"] = [1.0, 2.0] * 7  # 2 traces, 7 legs each
         assert validate(sc) == []
@@ -245,35 +242,35 @@ class TestScenarioConfig:
     def test_sweep_charges_its_points_not_its_base(self):
         # The base's 200,000 rays through 18 cells are over the cap; the run
         # traces only the points, 200,000 rays through 2 cells and one leg.
-        sc = replace(default_scenario(), k_rays=200_000,
+        sc = replace(Scenario(), k_rays=200_000,
                      sweep={"parameter": "n_cells", "start": 1, "stop": 2})
         points = sweep_points(sc)
-        assert ray_cells(points, trace_groups(points)) == 600_000
+        assert ray_cells(trace_groups(points)) == 600_000
         assert validate(sc) == []
 
     @pytest.mark.parametrize("shape, k_rays, n_cells", [
         ("fusiform", 1001, 18), ("fusiform", 1, 0), ("pyramidal", 20_001, 1),
         ("spherical", 301, 5), ("fusiform", 200_000, 18)])
     def test_lone_run_charge(self, shape, k_rays, n_cells):
-        sc = replace(default_scenario(shape), k_rays=k_rays, n_cells=n_cells, d_R_um=5.0)
-        assert ray_cells([sc], trace_groups([sc])) == max(k_rays, 1000) * max(n_cells, 1)
+        sc = replace(Scenario(shape=shape), k_rays=k_rays, n_cells=n_cells, d_R_um=5.0)
+        assert ray_cells(trace_groups([sc])) == max(k_rays, 1000) * max(n_cells, 1)
 
     def test_broken_grid_reported_alone(self):
         # No point can be built from an empty grid, so the base's gap is not judged.
-        sc = replace(default_scenario(), d_l_um=-3.0,
+        sc = replace(Scenario(), d_l_um=-3.0,
                      sweep={"parameter": "n_cells", "start": 3, "stop": 1})
         assert validate(sc) == ["sweep: the n_cells grid has no points"]
 
     def test_integer_sweep_point_read_as_an_integer(self):
         # Validate judges no point's types, so the grid admits only values
         # that read as integers; a whole Fraction stays a Fraction.
-        sc = replace(default_scenario(), sweep={"parameter": "n_cells",
+        sc = replace(Scenario(), sweep={"parameter": "n_cells",
                                                 "values": [Fraction(3)]})
         assert validate(sc) == ["sweep: n_cells takes whole numbers, got Fraction(3, 1)"]
 
     @pytest.mark.parametrize("param", sorted(k for k, rule in SCHEMA.items() if rule.pulse))
     def test_pulse_key_sweep_rejected(self, param):
-        sc = default_scenario()
+        sc = Scenario()
         sc.sweep = {"parameter": param, "values": [0.01, 0.02]}
         assert [v for v in validate(sc) if v.startswith("sweep") and param in v]
 
@@ -281,11 +278,11 @@ class TestScenarioConfig:
            st.floats(0.0, 20.0))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, h, frac, n, gap):
-        sc = default_scenario("fusiform")
+        sc = Scenario(shape="fusiform")
         sc.h_c_um, sc.w_c_um = h, h * frac
         sc.n_cells, sc.d_l_um = n, gap
         sc.total_um, sc.d_R_um = None, 12.5
-        assert scenario_from_dict(json.loads(json.dumps(sc.to_dict()))) == sc
+        assert scenario_from_dict(json.loads(json.dumps(asdict(sc)))) == sc
 
 
 def read_csv(path):
@@ -295,7 +292,7 @@ def read_csv(path):
 
 def default_gamma_k101() -> float:
     """The default scenario's cumulative focusing ratio at k_rays = 101."""
-    scenario = replace(default_scenario(), k_rays=101)
+    scenario = replace(Scenario(), k_rays=101)
     layout = scenario.build_layout()
     _, focus = trace_array(layout, scenario.build_media(),
                            collimated_bundle(layout.shape, 101))
@@ -365,7 +362,7 @@ class TestCliCommands:
         assert report["counts"]["arrived"] == 51
 
     def test_scenario_file_and_overrides(self, tmp_path, capsys):
-        scenario = default_scenario("spherical").to_dict()
+        scenario = asdict(Scenario(shape="spherical"))
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
         out = tmp_path / "out"
@@ -688,7 +685,7 @@ def test_sweep_cap_judged_before_any_point_budget(monkeypatch):
     # The budget walks each trace group's longest center line, 2,000 cells
     # here, for the path-sample cap; the sweep's ray-cell cap bounds that work.
     walked = count_calls(monkeypatch, (cfg, "center_line"))
-    sc = replace(default_scenario(), k_rays=1000, n_cells=2000, total_um=60000.0,
+    sc = replace(Scenario(), k_rays=1000, n_cells=2000, total_um=60000.0,
                  sweep={"parameter": "n_cell", "start": 1.36, "stop": 1.37,
                         "step": 0.00000501})
     assert [v.split(":")[0] for v in validate(sc)] == ["sweep"]
@@ -721,7 +718,7 @@ def test_n_cells_sweep_validates_with_one_walk(monkeypatch):
     walked = count_calls(monkeypatch, (cfg, "center_line"))
     sc = load_scenario(None, ["k_rays=1000", "total_um=60000", "sweep=n_cells=1..1250"])
     points = sweep_points(sc)
-    assert ray_cells(points, trace_groups(points)) == 2_499_000
+    assert ray_cells(trace_groups(points)) == 2_499_000
     seconds = []
     for _ in range(3):
         start = time.perf_counter()
@@ -752,7 +749,7 @@ def test_sweep_of_2001_points_validates_under_the_charge():
     sc = load_scenario(None, ["n_cells=0", "k_rays=1", "sweep=detector_width_um=1..2001"])
     points = sweep_points(sc)
     assert len(points) == 2001
-    assert ray_cells(points, trace_groups(points)) == 2_001_000
+    assert ray_cells(trace_groups(points)) == 2_001_000
     assert validate(sc) == []
 
 
@@ -852,6 +849,17 @@ def test_unusable_input_exits_2_without_traceback(tmp_path, case):
     assert child.returncode == 2, child.stderr
     assert "Traceback" not in child.stderr
     assert json.loads(child.stderr)["error"] == kind
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # Every fresh interpreter pays for what importing cellray.cli loads.
+    src = str(Path(ch.__file__).resolve().parent.parent)
+    child = subprocess.run([sys.executable, "-c", "import sys, cellray.cli; print(*sys.modules)"],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    heavy = {"concurrent.futures", "logging", "scipy", "hypothesis", "pytest"}
+    assert heavy.isdisjoint(child.stdout.split())
 
 
 @pytest.mark.parametrize("command, blocked, extra", [("pulse", "rx.csv", ["--set", "k_rays=11"]),
@@ -955,7 +963,7 @@ def test_counts_and_status_words_come_from_fate(tmp_path, capsys):
 def test_step_rule_agrees_with_gaussian_pulse(tau_fs, side):
     """At one ulp either side of tau_fs/10, validate passes the step exactly
     when gaussian_pulse resolves the pulse on the scenario's grid."""
-    scenario = replace(default_scenario(), tau_fs=tau_fs,
+    scenario = replace(Scenario(), tau_fs=tau_fs,
                        waveform_dt_fs=math.nextafter(tau_fs / 10.0, side))
     tau, dt = scenario.pulse_grid_s()
     try:
@@ -1009,11 +1017,11 @@ def test_ranges_keep_lengths_and_sample_counts_finite(shape):
                                 "total_um", "d_R_um"):
         if shape == "fusiform" and corner["w_c_um"] > corner["h_c_um"]:
             continue  # validate rejects the lens
-        s = replace(default_scenario(shape), **corner)
+        s = replace(Scenario(shape=shape), **corner)
         assert math.isfinite(replace(s, d_R_um=None).detector_gap_um())
         assert math.isfinite(s.build_layout().total_length)
     for corner in range_corners("tau_fs", "waveform_dt_fs"):
-        tau, dt = replace(default_scenario(shape), **corner).pulse_grid_s()
+        tau, dt = replace(Scenario(shape=shape), **corner).pulse_grid_s()
         assert type(sig.pulse_samples(tau, dt)) is int
 
 
@@ -1031,7 +1039,7 @@ def test_ranges_admit_every_shipped_and_benchmark_scenario(tmp_path, workloads):
 
 def test_tau_under_its_range_is_the_one_problem():
     # 1e-320 fs is 0.0 s: the tau/10 rule would blame the step for it.
-    assert validate(replace(default_scenario(), tau_fs=1e-320)) == \
+    assert validate(replace(Scenario(), tau_fs=1e-320)) == \
         ["tau_fs: must be >= 1e-06, got 1e-320"]
 
 
@@ -1234,6 +1242,8 @@ def test_center_line_grid_matches_walk(shape, n_cells, gap, source_gap, detector
     got = center_line_profile(layout)
     assert [column.tolist() for column in got] == \
         list(oracle.center_line_profile(layout))
+    # validate's path-sample count is the rows pathloss writes.
+    assert list(cfg._path_rows([([0], [layout], None, None)])) == [(0, layout, len(got[0]))]
 
 
 # Sizes and gaps across their whole ranges: a fusiform w_c/h_c under about
@@ -1261,7 +1271,7 @@ def test_one_walk_counts_every_layout_of_a_cell_line(shape, gap, source_gap, run
     layouts = [ArrayLayout(shape, n, gap, source_gap, detector_gap)
                for n, detector_gap in runs]
     indices = list(range(len(layouts)))
-    assert sorted(cfg._path_rows([(indices, layouts, None)])) == \
+    assert sorted(cfg._path_rows([(indices, layouts, None, None)])) == \
         [(i, layout, 1 + sum(samples for _, _, samples, _ in geo.center_line(layout)))
          for i, layout in enumerate(layouts)]
 
@@ -1349,7 +1359,7 @@ def test_commands_on_one_scenario_trace_it_once(tmp_path, capsys, golden_battery
     ([], ["cir_dt_fs=5.0"], 1),
     ([], ["waveform_dt_fs=0.02"], 1),
     # The same layout, its detector gap given rather than derived.
-    ([], [f"d_R_um={default_scenario().detector_gap_um()!r}"], 1),
+    ([], [f"d_R_um={Scenario().detector_gap_um()!r}"], 1),
     ([], ["detector_width_um=30.0"], 2),
     ([], ["k_rays=103"], 2),
     # A spherical cell reads no h_c_um.
@@ -1379,7 +1389,7 @@ ONE_KEY_CHANGED = [(shape, key, value) for shape in SHAPES for key, value in OTH
 
 def one_key_changed(shape: str, key: str, value) -> tuple[Scenario, Scenario]:
     """The shape's default scenario at 11 rays, and the same with key at value."""
-    base = replace(default_scenario(shape), k_rays=11)
+    base = replace(Scenario(shape=shape), k_rays=11)
     changed = replace(base, **{key: value})
     assert validate(changed) == [] and base.detector_gap_um() == 0.0
     return base, changed
@@ -1472,7 +1482,7 @@ def test_kept_channel_reports_the_callers_scenario(tmp_path, traces):
     first.tau_fs = 2.0  # the earlier caller changes its scenario afterwards
     report = json.loads(cli.run("cir", second, tmp_path / "second"))
     assert traces["trace_array"] == 1
-    assert report["scenario"] == second.to_dict()
+    assert report["scenario"] == asdict(second)
     assert report["scenario"]["tau_fs"] == 1.0
 
 

@@ -267,13 +267,13 @@ class TestEstimateChannel:
     def test_cross_module_dominant_delay(self, media, lam):
         layout = ArrayLayout(Fusiform(30.0, 20.0), 18, 5.0, 5.0, 0.0)
         paths, _ = trace_array(layout, media, collimated_bundle(layout.shape, 201))
-        cir = build_cir(contributions(paths, media, math.inf)[0], len(paths), DT)
+        cir = build_cir(contributions(paths, media, math.inf)[0], len(paths), DT, None)
         tx = gaussian_pulse(1.0, TAU, lam, DT)
         rx = propagate(tx, cir)
         est = estimate_channel(tx, rx)
         # Compare at the coarse channel resolution: nearest coarse bin of the
         # estimated peak matches the built CIR's dominant bin within one bin.
-        coarse = build_cir(contributions(paths, media, math.inf)[0], len(paths), 10e-15)
+        coarse = build_cir(contributions(paths, media, math.inf)[0], len(paths), 10e-15, None)
         est_t, _ = est.dominant_bin()
         ref_t, _ = coarse.dominant_bin()
         assert abs(est_t - ref_t) <= 10e-15
@@ -284,7 +284,7 @@ class TestEstimateChannel:
                                     collimated_bundle(layout.shape, 201))
         from cellray.channel import cumulative_gamma
 
-        cir = build_cir(contributions(paths, media, math.inf)[0], len(paths), DT)
+        cir = build_cir(contributions(paths, media, math.inf)[0], len(paths), DT, None)
         tx = gaussian_pulse(1.0, TAU, lam, DT)
         rx = propagate(tx, cir)
         assert energy(rx) <= cumulative_gamma(report) * energy(tx)
