@@ -7,9 +7,10 @@ there is no hidden randomness anywhere in the pipeline.
 Exit codes: 0 success, 2 validation or input error, 3 physics error (for
 example an empty channel).  Only sweep takes a sweep block, since validate
 judges a sweep by its points and not by the base the others run.  A
-command computes every output before --out is created, so a run that
-exits 2 or 3 leaves no file and no directory; an output error removes what
-the run created.  The one exception is pulse's received spectrum: its
+command computes every output, and run checks that no target in --out is
+anything but a regular file, before --out is created, so a run that exits
+2 or 3 leaves --out as it was; an output error removes what the run
+created.  The one exception is pulse's received spectrum: its
 transform runs on a second thread, started as soon as the received
 waveform exists, while run writes the other pulse files, and run waits
 for it on every path.  If the transform raises, run removes what it
@@ -27,7 +28,6 @@ gain, path loss), not from a report.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -435,6 +435,9 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
         except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
             raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
         report["files"] = list(outputs)
+        for path in (out / name for name in (*outputs, "report.json")):
+            if path.exists() and not path.is_file():
+                raise CliError("io", f"cannot write outputs: {path} is not a regular file", 2)
         created: list[Path] = []  # the directories the run makes, deepest first
         kept = None  # out's entries before the run, once listed
         try:
@@ -469,6 +472,7 @@ def _parser() -> argparse.ArgumentParser:
     Parsing leaves it as it was: "append" copies its default list before
     adding to it.
     """
+    import argparse  # here, not at the top: only main parses
     parser = argparse.ArgumentParser(
         prog="cellray",
         description="Geometric-optics channel simulator for one-dimensional "

@@ -4,7 +4,7 @@ Coordinates: x runs along the propagation axis, h across it, both in
 micrometres.  Ray angles are measured from the +x axis, counterclockwise
 positive, and every live ray satisfies |theta| < pi/2 (forward propagating).
 
-Three cell cross-sections are supported:
+Three cell cross-sections are supported, each a class:
   * Fusiform - a biconvex lens bounded by two circular arcs that meet at
     height +-h_c/2; axial thickness w_c, surface curvature radius
     (h_c^2 + w_c^2) / (4 w_c).
@@ -12,17 +12,22 @@ Three cell cross-sections are supported:
   * Pyramidal - an isosceles triangle with its base parallel to the axis at
     h = -h_c/2 and the apex at +h_c/2, acting as a prism that deviates rays
     toward the base.
+A shape's enter and leave give (t, x, h, miss, normal) of each ray's hit on
+its entry and exit surface (circles for _Radial, Fusiform and Spherical;
+faces for Pyramidal), its miss_fate what a miss becomes, and avg_distances
+the aperture-averaged chord and gap path in closed forms that match
+numerical quadrature to 1e-9 relative.
 
 Tracing is struct-of-arrays.  For cell i, one numpy step (_cross) takes the
-x, h and theta arrays of every ray still on the line, solves the circle or
-segment intersections and refracts by Snell's law.  It returns a stop code
-and the entry and exit crossing (distance, point, normal, direction) of
-every input ray.  The stop code, CROSSED, MISS, TIR (total internal
-reflection) or BACKWARD, is that of the first check a ray fails, in the
-order the surfaces are met, so the arrays hold for every ray exactly what
-tracing it alone would give.  It becomes the ray's int8 fate in RayBatch,
-a pyramidal MISS as DEVIATED; STATUS gives each fate's word (arrived,
-leaked or deviated).  The launch is an array too: collimated_bundle gives
+x, h and theta arrays of every ray still on the line, has the shape find its
+hits and refracts at each by Snell's law.  It returns a stop code and the
+entry and exit crossing (distance, point, normal, direction) of every input
+ray.  The stop code, CROSSED, MISS, TIR (total internal reflection) or
+BACKWARD, is that of the first check a ray fails, in the order the surfaces
+are met, so the arrays hold for every ray exactly what tracing it alone
+would give.  It becomes the ray's int8 fate in RayBatch, a MISS as the
+shape's miss_fate; STATUS gives each fate's word (arrived, leaked or
+deviated).  The launch is an array too: collimated_bundle gives
 the K launch heights, and trace_array traces them as axis-parallel rays from the
 source plane into a RayBatch of per-ray arrays.  trace_arrays does that
 for several layouts on one cell line (equal shape, gap and source gap) in
@@ -49,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -66,8 +71,38 @@ STATUS = np.array(["arrived", "leaked", "leaked", "leaked", "deviated"])
 STATUS.flags.writeable = False
 
 
+class _Radial:
+    """Cells bounded by circles centred on the axis; a ray that misses one leaks.
+
+    _circles(entry_x) gives the entry and exit circle centres, their radius
+    and the midplane where a lens's arcs meet (None for a sphere).  Entry
+    takes a circle's upstream root, exit its downstream root.
+    """
+
+    miss_fate = MISS
+
+    def enter(self, entry_x: float, px, py, dx, dy) -> tuple:
+        c1x, _, r, mid_x = self._circles(entry_x)
+        t, t_far, real = _circle_roots(px, py, dx, dy, c1x, r)
+        miss = ~real | (t < -TOL) | (t_far <= TOL)
+        x, h = px + t * dx, py + t * dy
+        if mid_x is not None:
+            # First hit is beyond the arc's extent: the ray skims past the lens.
+            miss |= x > mid_x + TOL
+        return t, x, h, miss, ((x - c1x) / r, h / r)
+
+    def leave(self, entry_x: float, px, py, dx, dy) -> tuple:
+        _, c2x, r, mid_x = self._circles(entry_x)
+        _, t, real = _circle_roots(px, py, dx, dy, c2x, r)
+        miss = ~real | (t <= TOL)
+        x, h = px + t * dx, py + t * dy
+        if mid_x is not None:
+            miss |= x < mid_x - TOL
+        return t, x, h, miss, ((x - c2x) / r, h / r)
+
+
 @dataclass(frozen=True)
-class Fusiform:
+class Fusiform(_Radial):
     """Lens-shaped cell: height h_c across the axis, axial thickness w_c.
 
     Requires w_c <= h_c; a wider-than-tall lens degenerates the two-arc
@@ -105,9 +140,35 @@ class Fusiform:
         r = self.curvature_radius
         return 2.0 * (math.sqrt(r * r - h * h) - (r - 0.5 * self.w_c))
 
+    def _circles(self, entry_x: float) -> tuple:
+        r = self.curvature_radius
+        return entry_x + r, entry_x + self.w_c - r, r, entry_x + 0.5 * self.w_c
+
+    def avg_distances(self, gap: float) -> tuple[float, float]:
+        """Aperture-averaged in-cell chord and inter-cell path (um): the
+        two-arc surface integrals between x = (r - h)/2 and x = r/2, solved."""
+        h, w = self.h_c, self.w_c
+        r = self.curvature_radius
+        surd = math.sqrt(3.0 * r * r + 2.0 * h * r - h * h)
+        asn = math.asin((r - h) / (2.0 * r))
+        d_a = (
+            6.0 * h * w
+            - 12.0 * r * r * asn
+            + 3.0 * (h - r) * surd
+            + (2.0 * math.pi + math.sqrt(27.0)) * r * r
+            - 12.0 * h * r
+        ) / (6.0 * h)
+        d_e = gap + (
+            6.0 * h * w
+            + 12.0 * r * r * asn
+            + 3.0 * (r - h) * surd
+            - (2.0 * math.pi + math.sqrt(27.0)) * r * r
+        ) / (12.0 * h)
+        return d_a, d_e
+
 
 @dataclass(frozen=True)
-class Spherical:
+class Spherical(_Radial):
     """Circular cell of radius r_c."""
 
     r_c: float
@@ -129,6 +190,16 @@ class Spherical:
             return 0.0
         return 2.0 * math.sqrt(self.r_c**2 - h * h)
 
+    def _circles(self, entry_x: float) -> tuple:
+        c = entry_x + self.r_c
+        return c, c, self.r_c, None
+
+    def avg_distances(self, gap: float) -> tuple[float, float]:
+        """Aperture-averaged in-cell chord pi*r/2 and inter-cell path
+        gap + (1 - pi/4)*r (the dimensionally consistent linear-in-r form), in um."""
+        r = self.r_c
+        return 0.5 * math.pi * r, gap + (1.0 - 0.25 * math.pi) * r
+
 
 @dataclass(frozen=True)
 class Pyramidal:
@@ -136,6 +207,8 @@ class Pyramidal:
 
     h_c: float
     w_c: float
+
+    miss_fate = DEVIATED
 
     def __post_init__(self) -> None:
         if self.h_c <= 0.0 or self.w_c <= 0.0:
@@ -154,6 +227,40 @@ class Pyramidal:
         if not -self.half_aperture < h < self.half_aperture:
             return 0.0
         return self.w_c * (self.half_aperture - h) / self.h_c
+
+    def _corners(self, entry_x: float) -> tuple:
+        """Base-left, base-right and apex (x, h); the left face's unit vector."""
+        half = self.half_aperture
+        ax, ay = entry_x, -half
+        tx, ty = entry_x + 0.5 * self.w_c, half
+        fx, fy = tx - ax, ty - ay
+        norm = math.hypot(fx, fy)
+        return (ax, ay), (entry_x + self.w_c, -half), (tx, ty), (fx / norm, fy / norm)
+
+    def enter(self, entry_x: float, px, py, dx, dy) -> tuple:
+        """Through the left face."""
+        (ax, ay), _, (tx, ty), (ux, uy) = self._corners(entry_x)
+        t, s, hit = _segment_hit(px, py, dx, dy, ax, ay, tx, ty)
+        miss = ~hit | (t < -TOL) | ~_on_segment(s)
+        return t, px + t * dx, py + t * dy, miss, (uy, -ux)
+
+    def leave(self, entry_x: float, px, py, dx, dy) -> tuple:
+        """Through the right face or, for steeply descending rays, the base:
+        the nearer valid hit, the right face on a tie."""
+        (ax, ay), (bx, by), (tx, ty), (ux, uy) = self._corners(entry_x)
+        t_right, s, hit = _segment_hit(px, py, dx, dy, tx, ty, bx, by)
+        right = hit & (t_right > TOL) & _on_segment(s)
+        t_base, s, hit = _segment_hit(px, py, dx, dy, bx, by, ax, ay)
+        base = hit & (t_base > TOL) & _on_segment(s)
+        use_base = base & (~right | (t_base < t_right))
+        t = np.where(use_base, t_base, t_right)
+        normal = np.where(use_base, 0.0, uy), np.where(use_base, -1.0, ux)
+        return t, px + t * dx, py + t * dy, ~(right | base), normal
+
+    def avg_distances(self, gap: float) -> tuple[float, float]:
+        """Aperture-averaged in-cell chord w/2 (a triangle of base w) and
+        inter-cell path gap + w/4 (from the half-chord average), in um."""
+        return 0.5 * self.w_c, gap + 0.25 * self.w_c
 
 
 CellShape = Union[Fusiform, Spherical, Pyramidal]
@@ -331,70 +438,6 @@ def _focus(x: float, h: float, dx: float, dy: float, theta: float,
     return theta_f, x_cross - exit_vertex_x
 
 
-def _cross_radial(c1x: float, c2x: float, r: float, mid_x: Optional[float],
-                  media: Media, px, py, theta) -> tuple:
-    """Circle surfaces centred on the axis at c1x (entry) and c2x (exit).
-
-    Fusiform cells pass the midplane mid_x between their two arcs.
-    """
-    dx, dy = np.cos(theta), np.sin(theta)
-    t_entry, t_far, real = _circle_roots(px, py, dx, dy, c1x, r)
-    miss_in = ~real | (t_entry < -TOL) | (t_far <= TOL)
-    ex, eh = px + t_entry * dx, py + t_entry * dy
-    if mid_x is not None:
-        # First hit is beyond the arc's extent: the ray skims past the lens.
-        miss_in |= ex > mid_x + TOL
-    n1x, n1y = (ex - c1x) / r, eh / r
-    d1x, d1y, tir_in = _refract(dx, dy, n1x, n1y, media.tissue.n, media.cell.n)
-
-    _, t_exit, real = _circle_roots(ex, eh, d1x, d1y, c2x, r)
-    miss_out = ~real | (t_exit <= TOL)
-    xx, xh = ex + t_exit * d1x, eh + t_exit * d1y
-    if mid_x is not None:
-        miss_out |= xx < mid_x - TOL
-    n2x, n2y = (xx - c2x) / r, xh / r
-    d2x, d2y, tir_out = _refract(d1x, d1y, n2x, n2y, media.cell.n, media.tissue.n)
-    fate = _fate((miss_in, MISS), (tir_in, TIR), (d1x <= 0.0, BACKWARD),
-                 (miss_out, MISS), (tir_out, TIR), (d2x <= 0.0, BACKWARD))
-    return (fate, t_entry, ex, eh, (n1x, n1y), (d1x, d1y),
-            t_exit, xx, xh, (n2x, n2y), (d2x, d2y))
-
-
-def _cross_pyramidal(shape: Pyramidal, media: Media, entry_x: float,
-                     px, py, theta) -> tuple:
-    half = shape.half_aperture
-    ax, ay = entry_x, -half                      # base-left corner
-    bx, by = entry_x + shape.w_c, -half          # base-right corner
-    tx_, ty_ = entry_x + 0.5 * shape.w_c, half   # apex
-    dx, dy = np.cos(theta), np.sin(theta)
-
-    t_entry, s, hit = _segment_hit(px, py, dx, dy, ax, ay, tx_, ty_)
-    miss_in = ~hit | (t_entry < -TOL) | ~_on_segment(s)
-    ex, eh = px + t_entry * dx, py + t_entry * dy
-    # Left face normal, perpendicular to (apex - base-left).
-    fx, fy = tx_ - ax, ty_ - ay
-    norm = math.hypot(fx, fy)
-    n1x, n1y = fy / norm, -fx / norm
-    d1x, d1y, tir_in = _refract(dx, dy, n1x, n1y, media.tissue.n, media.cell.n)
-
-    # Exit through the right face or, for steeply descending rays, the base:
-    # the nearer valid hit, the right face on a tie.
-    t_right, s, hit = _segment_hit(ex, eh, d1x, d1y, tx_, ty_, bx, by)
-    right = hit & (t_right > TOL) & _on_segment(s)
-    t_base, s, hit = _segment_hit(ex, eh, d1x, d1y, bx, by, ax, ay)
-    base = hit & (t_base > TOL) & _on_segment(s)
-    use_base = base & (~right | (t_base < t_right))
-    t_exit = np.where(use_base, t_base, t_right)
-    n2x = np.where(use_base, 0.0, fy / norm)     # base or right face normal
-    n2y = np.where(use_base, -1.0, fx / norm)
-    xx, xh = ex + t_exit * d1x, eh + t_exit * d1y
-    d2x, d2y, tir_out = _refract(d1x, d1y, n2x, n2y, media.cell.n, media.tissue.n)
-    fate = _fate((miss_in, MISS), (tir_in, TIR), (d1x <= 0.0, BACKWARD),
-                 (~(right | base), MISS), (tir_out, TIR), (d2x <= 0.0, BACKWARD))
-    return (fate, t_entry, ex, eh, (n1x, n1y), (d1x, d1y),
-            t_exit, xx, xh, (n2x, n2y), (d2x, d2y))
-
-
 def _cross(shape: CellShape, media: Media, entry_x: float, x, h, theta) -> tuple:
     """Push rays through the cell whose entry vertex sits at entry_x.
 
@@ -403,20 +446,18 @@ def _cross(shape: CellShape, media: Media, entry_x: float, x, h, theta) -> tuple
     eh), its normal and the direction after refraction; the same at the
     exit, whose distance is the chord.  Normals and directions are (x, h)
     pairs; a flat face's normal may be floats.  Values past a ray's stop
-    are meaningless.  Circle surfaces take the upstream root for the entry
-    surface and the downstream root for the exit surface.
+    are meaningless.  The shape finds the surface hits (enter, leave);
+    this step refracts at them.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if isinstance(shape, Spherical):
-            c = entry_x + shape.r_c
-            return _cross_radial(c, c, shape.r_c, None, media, x, h, theta)
-        if isinstance(shape, Fusiform):
-            r = shape.curvature_radius
-            return _cross_radial(entry_x + r, entry_x + shape.w_c - r, r,
-                                 entry_x + 0.5 * shape.w_c, media, x, h, theta)
-        if isinstance(shape, Pyramidal):
-            return _cross_pyramidal(shape, media, entry_x, x, h, theta)
-    raise TypeError(f"unsupported shape {type(shape).__name__}")
+        dx, dy = np.cos(theta), np.sin(theta)
+        t_entry, ex, eh, miss_in, n1 = shape.enter(entry_x, x, h, dx, dy)
+        d1x, d1y, tir_in = _refract(dx, dy, *n1, media.tissue.n, media.cell.n)
+        t_exit, xx, xh, miss_out, n2 = shape.leave(entry_x, ex, eh, d1x, d1y)
+        d2x, d2y, tir_out = _refract(d1x, d1y, *n2, media.cell.n, media.tissue.n)
+        fate = _fate((miss_in, MISS), (tir_in, TIR), (d1x <= 0.0, BACKWARD),
+                     (miss_out, MISS), (tir_out, TIR), (d2x <= 0.0, BACKWARD))
+    return (fate, t_entry, ex, eh, n1, (d1x, d1y), t_exit, xx, xh, n2, (d2x, d2y))
 
 
 def collimated_bundle(shape: CellShape, k: int) -> np.ndarray:
@@ -469,7 +510,6 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
         at_count.setdefault(layout.n_cells, []).append(i)
     results: list = [None] * len(layouts)
     shape, k, n_max = layouts[0].shape, len(h0), max(at_count)
-    miss_fate = DEVIATED if isinstance(shape, Pyramidal) else MISS
     # Rows x, h, theta, cell length, tissue length: `run` for the rays still
     # on the line (indexed by `live`), `rays` for every ray.  A ray's row of
     # `rays` is written when it stops and when a layout ends, so it needs no
@@ -506,7 +546,7 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
         if stopped.any():
             lost = live[stopped]
             loss_cell[lost] = cell
-            fate[lost] = np.where(step[stopped] == MISS, miss_fate, step[stopped])
+            fate[lost] = np.where(step[stopped] == MISS, shape.miss_fate, step[stopped])
             rays[:, lost] = run[:, stopped]
             crossed = ~stopped
             live, run = live[crossed], run[:, crossed]
@@ -521,7 +561,7 @@ def trace_arrays(layouts: Sequence[ArrayLayout], media: Media,
         theta = elementwise(math.atan2, dy, dx)
         run[:3] = xx, xh, theta
         cells[0, cell] = np.max(np.abs(xh))
-        if not isinstance(shape, Pyramidal):
+        if isinstance(shape, _Radial):
             j = int(np.argmax(np.abs(eh)))  # the marginal ray
             cells[1:, cell] = _focus(float(xx[j]), float(xh[j]), float(dx[j]),
                                      float(dy[j]), float(theta[j]),
@@ -578,42 +618,3 @@ def center_line(layout: ArrayLayout) -> Iterator[tuple[float, str, int, float]]:
 def _stretch(length: float, end: float) -> Iterator[tuple[float, str, int, float]]:
     if length > 0.0:
         yield length, "tissue", math.ceil(length), end
-
-
-def avg_distances(shape: CellShape, gap: float) -> tuple[float, float]:
-    """Aperture-averaged in-cell chord and inter-cell path, both in um.
-
-    Closed forms match numerical quadrature of their defining integrals to
-    better than 1e-9 relative error:
-      * spherical: pi*r/2 and gap + (1 - pi/4)*r (the dimensionally
-        consistent linear-in-r form);
-      * pyramidal: the chord average w/2 of a triangle of base w, and
-        gap + w/4 from the half-chord average;
-      * fusiform: the two-arc surface integrals between x = (r - h)/2 and
-        x = r/2 evaluated analytically.
-    """
-    if isinstance(shape, Spherical):
-        r = shape.r_c
-        return 0.5 * math.pi * r, gap + (1.0 - 0.25 * math.pi) * r
-    if isinstance(shape, Pyramidal):
-        return 0.5 * shape.w_c, gap + 0.25 * shape.w_c
-    if isinstance(shape, Fusiform):
-        h, w = shape.h_c, shape.w_c
-        r = shape.curvature_radius
-        surd = math.sqrt(3.0 * r * r + 2.0 * h * r - h * h)
-        asn = math.asin((r - h) / (2.0 * r))
-        d_a = (
-            6.0 * h * w
-            - 12.0 * r * r * asn
-            + 3.0 * (h - r) * surd
-            + (2.0 * math.pi + math.sqrt(27.0)) * r * r
-            - 12.0 * h * r
-        ) / (6.0 * h)
-        d_e = gap + (
-            6.0 * h * w
-            + 12.0 * r * r * asn
-            + 3.0 * (r - h) * surd
-            - (2.0 * math.pi + math.sqrt(27.0)) * r * r
-        ) / (12.0 * h)
-        return d_a, d_e
-    raise TypeError(f"unsupported shape {type(shape).__name__}")

@@ -134,14 +134,12 @@ def total_path_loss(layout, media: Media) -> float:
     """Aggregate path loss in dB for an N-cell array from analytic averages.
 
     Sums N intracellular terms at the average in-cell chord, max(N-1, 0)
-    inter-cell tissue terms at the average gap, and one source/detector
-    tissue term, each with its DPF evaluated at its own distance.  The
-    channel module uses exact per-ray distances instead; both are exposed
-    so the averaging error is measurable.
+    inter-cell tissue terms at the average gap path (both the cell shape's
+    avg_distances) and one source/detector tissue term, each with its DPF
+    evaluated at its own distance.  The channel module uses exact per-ray
+    distances instead; both are exposed so the averaging error is measurable.
     """
-    from .geometry import avg_distances
-
-    d_a_um, d_e_um = avg_distances(layout.shape, layout.gap)
+    d_a_um, d_e_um = layout.shape.avg_distances(layout.gap)
     n = layout.n_cells
     total = n * absorbance(media.cell, d_a_um / UM_PER_MM)
     total += max(n - 1, 0) * absorbance(media.tissue, d_e_um / UM_PER_MM)

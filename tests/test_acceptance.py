@@ -28,7 +28,6 @@ from cellray.geometry import (
     Pyramidal,
     Spherical,
     _cross,
-    avg_distances,
     collimated_bundle,
     trace_array,
 )
@@ -107,7 +106,7 @@ def test_criterion_1_closed_forms_match_quadrature():
         shape = Fusiform(h, w)
         r = shape.curvature_radius
         lo, hi = (r - h) / 2.0, r / 2.0
-        d_a, d_e = avg_distances(shape, 5.0)
+        d_a, d_e = shape.avg_distances(5.0)
         q_a = 4.0 / h * quad(lambda x: math.sqrt(r * r - x * x) - (r - w / 2.0),
                              lo, hi, epsabs=1e-13, epsrel=1e-13)[0]
         q_e = 5.0 + 2.0 / h * quad(lambda x: w / 2.0 - math.sqrt(r * r - x * x),
@@ -115,7 +114,7 @@ def test_criterion_1_closed_forms_match_quadrature():
         check(d_a, q_a)
         check(d_e, q_e)
     for r_c in (7.5, 10.0, 15.0):
-        d_a, d_e = avg_distances(Spherical(r_c), 5.0)
+        d_a, d_e = Spherical(r_c).avg_distances(5.0)
         q_a = 2.0 / r_c * quad(lambda x: math.sqrt(r_c * r_c - x * x), 0, r_c,
                                epsabs=1e-13, epsrel=1e-13)[0]
         q_e = 5.0 + quad(lambda x: r_c - math.sqrt(r_c * r_c - x * x), 0, r_c,
@@ -123,7 +122,7 @@ def test_criterion_1_closed_forms_match_quadrature():
         check(d_a, q_a)
         check(d_e, q_e)
     for h, w in ((30.0, 20.0), (30.0, 30.0), (50.0, 14.0)):
-        d_a, d_e = avg_distances(Pyramidal(h, w), 5.0)
+        d_a, d_e = Pyramidal(h, w).avg_distances(5.0)
         q_a = quad(lambda y: w * (1 - y / h), 0, h,
                    epsabs=1e-13, epsrel=1e-13)[0] / h
         q_e = 5.0 + quad(lambda y: w * (1 - y / h) / 2.0, 0, h,

@@ -858,22 +858,70 @@ def test_importing_the_cli_loads_no_heavy_module():
                            env={**os.environ, "PYTHONPATH": src},
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    heavy = {"concurrent.futures", "logging", "scipy", "hypothesis", "pytest"}
+    heavy = {"argparse", "concurrent.futures", "logging", "scipy", "hypothesis", "pytest"}
     assert heavy.isdisjoint(child.stdout.split())
 
 
 @pytest.mark.parametrize("command, blocked, extra", [("pulse", "rx.csv", ["--set", "k_rays=11"]),
                                                    ("pathloss", "report.json", [])])
-def test_output_error_removes_the_runs_files(tmp_path, capsys, command, blocked, extra):
-    # The run fails on `blocked`, a directory, after writing other files.
+def test_output_error_removes_the_runs_files(tmp_path, capsys, monkeypatch, command,
+                                            blocked, extra):
+    # The run fails on `blocked`, a directory, before writing any file.
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
     (out / "notes.txt").write_text("kept")
+    written = []
+    real_open = open
+
+    def recording_open(file, mode="r", *args, **kwargs):  # every writer opens through it
+        if set(mode) & set("wax+"):
+            written.append(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
     threads = set(threading.enumerate())
     assert main(["--command", command, "--out", str(out), *extra]) == 2
     assert set(threading.enumerate()) <= threads  # pulse's spectrum thread ended with main
     assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert written == []
     assert sorted(p.name for p in out.iterdir()) == sorted([blocked, "notes.txt"])
+
+
+def test_output_error_removes_the_files_it_wrote(tmp_path, capsys, monkeypatch):
+    def disk_full(*args):
+        raise OSError(28, "No space left on device")
+
+    spectrum = sig.spectrum
+
+    def slow_off_the_main_thread(w):  # the rx transform outlasts the writes
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+        return spectrum(w)
+
+    monkeypatch.setattr(sig, "write_spectrum_csv", disk_full)  # after three waveforms
+    monkeypatch.setattr(sig, "spectrum", slow_off_the_main_thread)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    threads = set(threading.enumerate())
+    assert main(["--command", "pulse", "--out", str(out), "--set", "k_rays=11"]) == 2
+    assert set(threading.enumerate()) <= threads  # the rx spectrum's thread was joined
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
+
+
+def test_rerun_onto_a_blocked_target_leaves_the_old_outputs(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["--command", "cir", "--set", "k_rays=101", "--out", str(out)]) == 0
+    cir_sha = hashlib.sha256((out / "cir.csv").read_bytes()).hexdigest()
+    (out / "pdp.csv").unlink()
+    (out / "pdp.csv").mkdir()
+    capsys.readouterr()
+    assert main(["--command", "cir", "--set", "k_rays=201", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert hashlib.sha256((out / "cir.csv").read_bytes()).hexdigest() == cir_sha
+    assert json.loads((out / "report.json").read_text())["scenario"]["k_rays"] == 101
 
 
 def test_output_error_removes_the_out_it_made(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from cellray.geometry import (
     Pyramidal,
     Spherical,
     TOL,
-    avg_distances,
     collimated_bundle,
     trace_array,
 )
@@ -99,26 +98,26 @@ def pyramidal_chord_average(h_c, w_c, gap):
 class TestAvgDistances:
     @pytest.mark.parametrize("h,w", [(30.0, 20.0), (25.0, 10.0), (40.0, 12.0)])
     def test_fusiform_matches_quadrature(self, h, w):
-        d_a, d_e = avg_distances(Fusiform(h, w), 5.0)
+        d_a, d_e = Fusiform(h, w).avg_distances(5.0)
         qa, qe = fusiform_quadrature(h, w, 5.0)
         assert d_a == pytest.approx(qa, rel=1e-9)
         assert d_e == pytest.approx(qe, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("r", [7.5, 10.0, 15.0])
     def test_spherical_matches_quadrature(self, r):
-        d_a, d_e = avg_distances(Spherical(r), 5.0)
+        d_a, d_e = Spherical(r).avg_distances(5.0)
         qa, qe = spherical_quadrature(r, 5.0)
         assert d_a == pytest.approx(qa, rel=1e-9)
         assert d_e == pytest.approx(qe, rel=1e-9)
 
     def test_spherical_closed_forms(self):
-        d_a, d_e = avg_distances(Spherical(15.0), 5.0)
+        d_a, d_e = Spherical(15.0).avg_distances(5.0)
         assert d_a == pytest.approx(math.pi * 15.0 / 2.0, rel=1e-12)  # ~23.562
         assert d_e == pytest.approx(5.0 + (1.0 - math.pi / 4.0) * 15.0, rel=1e-12)
 
     @pytest.mark.parametrize("h,w", [(30.0, 20.0), (30.0, 30.0), (50.0, 14.0)])
     def test_pyramidal_matches_chord_average(self, h, w):
-        d_a, d_e = avg_distances(Pyramidal(h, w), 5.0)
+        d_a, d_e = Pyramidal(h, w).avg_distances(5.0)
         qa, qe = pyramidal_chord_average(h, w, 5.0)
         assert d_a == pytest.approx(qa, rel=1e-9)
         assert d_e == pytest.approx(qe, rel=1e-9)

@@ -147,12 +147,10 @@ class TestTotalPathLoss:
         assert all(b > a for a, b in zip(losses, losses[1:]))
 
     def test_termwise_oracle_18_cells(self, media):
-        from cellray.geometry import avg_distances
-
         shape = Fusiform(30.0, 20.0)
         layout = ArrayLayout(shape=shape, n_cells=18, gap=5.0,
                              source_gap=5.0, detector_gap=0.0)
-        d_a, d_e = avg_distances(shape, 5.0)
+        d_a, d_e = shape.avg_distances(5.0)
         d_a, d_e = d_a / 1000.0, d_e / 1000.0
 
         def term(mu_a, mu_s, d):
