@@ -13,9 +13,10 @@ recorded with the code "exception" and its traceback.
 
 Every job's exit code, stdout, stderr and output files are compared byte
 for byte, and so is whether its --out exists, since a failed run must not
-leave even an empty directory.  The jobs that differ are listed.  The exit
-status is 0 when every job matches, 1 on any difference and 2 on a bad
-argument.
+leave even an empty directory.  The jobs that differ are listed, and so is
+every job that leaves a staged .<name>.partial file in either tree, since
+no run may.  The exit status is 0 when every job matches and leaves no
+staged file, 1 otherwise and 2 on a bad argument.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 import tempfile
 import traceback
 import warnings
-from pathlib import Path
+from pathlib import Path, PurePath
 
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ("fusiform", "spherical", "pyramidal")
@@ -235,7 +236,8 @@ def files(job_dir: Path) -> dict[str, bytes]:
 
 
 def differences(a_dir: Path, a: dict, b_dir: Path, b: dict) -> tuple[dict[str, list[str]], int]:
-    """Job id -> what differs between the two runs of that job; files compared."""
+    """Job id -> what differs between the two runs of that job, or what either
+    left staged; files compared."""
     diff, compared = {}, 0
     for job_id in jobs():
         what = [key for key in ("code", "stdout", "stderr") if a[job_id][key] != b[job_id][key]]
@@ -248,6 +250,9 @@ def differences(a_dir: Path, a: dict, b_dir: Path, b: dict) -> tuple[dict[str, l
         shared = sorted(a_files.keys() & b_files.keys())
         what += [f"bytes of {name}" for name in shared if a_files[name] != b_files[name]]
         compared += len(shared)
+        what += [f"{tree} tree leaves {name}"
+                 for tree, found in (("this", a_files), ("the other", b_files))
+                 for name in found if PurePath(name).match(".*.partial")]
         if what:
             diff[job_id] = what
     return diff, compared

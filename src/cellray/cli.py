@@ -7,14 +7,12 @@ there is no hidden randomness anywhere in the pipeline.
 Exit codes: 0 success, 2 validation or input error, 3 physics error (for
 example an empty channel).  Only sweep takes a sweep block, since validate
 judges a sweep by its points and not by the base the others run.  A
-command computes every output, and run checks that no target in --out is
-anything but a regular file, before --out is created, so a run that exits
-2 or 3 leaves --out as it was; an output error removes what the run
-created.  The one exception is pulse's received spectrum: its
-transform runs on a second thread, started as soon as the received
-waveform exists, while run writes the other pulse files, and run waits
-for it on every path.  If the transform raises, run removes what it
-created, as for an output error, and lets the exception through.
+command computes every output before --out is created; run stages every
+file in --out and renames it into place once all are written, so a run
+that exits 2 or 3 leaves --out as it was.  Pulse's received spectrum is
+transformed on a second thread while run writes the other pulse files,
+and run waits for it on every path; if the transform raises, run cleans
+up as for an output error and lets the exception through.
 
 main may run many times in one process, as scripts/run_channel_battery.py
 runs it: every call parses with the one parser _parser builds on first
@@ -31,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import sys
 import threading
 from dataclasses import asdict, dataclass
@@ -78,7 +77,7 @@ def _parse_override(text: str):
         raise CliError("usage", f"--set needs key=value, got {text!r}", 2)
     try:
         value = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError):  # too deep a value is text too
+    except (ValueError, RecursionError):  # too deep or too long a value is text too
         value = raw
     return key.strip(), value
 
@@ -91,10 +90,10 @@ def load_scenario(path: str | None, overrides: list[str]) -> cfg.Scenario:
                 data = json.load(fh)
         except OSError as exc:
             raise CliError("io", f"cannot read scenario file: {exc}", 2)
-        except json.JSONDecodeError as exc:
-            raise CliError("io", f"scenario file is not valid JSON: {exc}", 2)
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # a ValueError too, so it comes first
             raise CliError("io", f"scenario file is not UTF-8 text: {exc}", 2)
+        except ValueError as exc:  # not JSON, or an integer over Python's digit limit
+            raise CliError("io", f"scenario file is not valid JSON: {exc}", 2)
         except RecursionError:
             raise CliError("io", "scenario file nests JSON too deeply to parse", 2)
         if not isinstance(data, dict):
@@ -217,7 +216,6 @@ def _base_report(scenario: cfg.Scenario, chan: Channel,
                  cir: ch.ImpulseResponse | None = None) -> dict:
     """The report fields of every traced command; cir is chan's CIR at cir_dt_fs."""
     report = {
-        "scenario": asdict(scenario),
         "path_loss_db": total_path_loss(chan.layout, chan.media),
         "counts": _counts(chan),
     }
@@ -285,7 +283,6 @@ def cmd_pathloss(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     pathloss = DB_PER_NEPER * (absorbance(media.cell, cell_um / UM_PER_MM)
                                + absorbance(media.tissue, tissue_um / UM_PER_MM))
     report = {
-        "scenario": asdict(scenario),
         "path_loss_db": total_path_loss(layout, media),
         # The value as written to the curve's last row.
         "center_line_path_loss_db": float(_fmt(pathloss[-1])),
@@ -404,14 +401,16 @@ def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
         ch.write_csv,
         header=[param, "dominant_delay_s", "total_gain", "pathloss_db", "leaked", "deviated"],
         columns=list(zip(*rows)))
-    return {"scenario": asdict(scenario), "sweep_parameter": param,
-            "points": len(points)}, outputs
+    return {"sweep_parameter": param, "points": len(points)}, outputs
 
 
 def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
     """Run one command, write its outputs and report.json into out.
 
-    Returns report.json's text, which main prints as it is.
+    Each file is staged as out/.<name>.partial, then renamed onto its
+    target (a link there is replaced), report.json last and only after the
+    old one is removed.  A failed run removes its staged names and the
+    directories it made.  Returns report.json's text, which main prints.
     """
     if (scenario.sweep is None) == (command == "sweep"):
         # validate judges a sweep by its points, not by the base the others run.
@@ -434,28 +433,28 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
             report, outputs = handler(scenario)
         except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
             raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
-        report["files"] = list(outputs)
-        for path in (out / name for name in (*outputs, "report.json")):
-            if path.exists() and not path.is_file():
-                raise CliError("io", f"cannot write outputs: {path} is not a regular file", 2)
+        report.update(scenario=asdict(scenario), files=list(outputs))
+        staged = {name: out / f".{name}.partial" for name in (*outputs, "report.json")}
         created: list[Path] = []  # the directories the run makes, deepest first
-        kept = None  # out's entries before the run, once listed
         try:
+            for path in (out / name for name in staged):
+                if path.exists() and not path.is_file():
+                    raise CliError("io", f"cannot write outputs: {path} is not a regular file", 2)
             created = [d for d in (out, *out.parents) if not d.exists()]
             out.mkdir(parents=True, exist_ok=True)
-            kept = set(out.iterdir())
             for name, write in outputs.items():
-                write(out / name)
+                write(staged[name])
             # Encoded after the writers, one of which may complete the report.
             text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-            with open(out / "report.json", "w") as fh:
-                fh.write(text)
+            staged["report.json"].write_text(text)
+            # A kill or a failed rename from here on leaves no report.json.
+            (out / "report.json").unlink(missing_ok=True)
+            for name, path in staged.items():
+                os.replace(path, out / name)
         except BaseException as exc:  # an output error, or pulse's transform failed
-            # Undo what the run added; a file it overwrote keeps its new bytes.
-            if kept is not None:
+            for path in staged.values():
                 with contextlib.suppress(OSError):
-                    for path in set(out.iterdir()) - kept:
-                        path.unlink()
+                    path.unlink()
             for directory in created:
                 with contextlib.suppress(OSError):
                     directory.rmdir()

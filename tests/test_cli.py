@@ -833,18 +833,27 @@ def _unusable_input(tmp_path: Path, case: str) -> tuple[list[str], str]:
         # Too deep to parse, so the value stays text: not a number.
         return ["--command", "pathloss", "--out", str(tmp_path / "out"),
                 "--set", f"d_l_um={_deep_json(20_000)}"], "validation"
+    elif case == "set-int-of-5000-digits":
+        # Over Python's int-string limit, so the value stays text too.
+        return ["--command", "pathloss", "--out", str(tmp_path / "out"),
+                "--set", f"k_rays={'1' * 5000}"], "validation"
+    elif case == "scenario-int-of-5000-digits":
+        scenario.write_text(f'{{"k_rays": {"1" * 5000}}}')
     return ["--command", "pathloss", "--scenario", str(scenario),
             "--out", str(tmp_path / "out")], "io"
 
 
 @pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
                                   "report-json-is-a-directory", "scenario-not-utf8",
-                                  "scenario-nested-200k-deep", "set-nested-20k-deep"])
+                                  "scenario-nested-200k-deep", "set-nested-20k-deep",
+                                  "set-int-of-5000-digits", "scenario-int-of-5000-digits"])
 def test_unusable_input_exits_2_without_traceback(tmp_path, case):
     argv, kind = _unusable_input(tmp_path, case)
     src = str(Path(ch.__file__).resolve().parent.parent)
+    # Python's default int-string limit, whatever the environment sets.
     child = subprocess.run([sys.executable, "-m", "cellray.cli", *argv],
-                           env={**os.environ, "PYTHONPATH": src},
+                           env={**os.environ, "PYTHONPATH": src,
+                                "PYTHONINTMAXSTRDIGITS": "4300"},
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 2, child.stderr
     assert "Traceback" not in child.stderr
@@ -860,6 +869,17 @@ def test_importing_the_cli_loads_no_heavy_module():
     assert child.returncode == 0, child.stderr
     heavy = {"argparse", "concurrent.futures", "logging", "scipy", "hypothesis", "pytest"}
     assert heavy.isdisjoint(child.stdout.split())
+
+
+def disk_full(*args):
+    raise OSError(28, "No space left on device")
+
+
+def slow_off_the_main_thread(w, spectrum=sig.spectrum):
+    """sig.spectrum, 0.2 s late off the main thread: the rx transform outlasts the writes."""
+    if threading.current_thread() is not threading.main_thread():
+        time.sleep(0.2)
+    return spectrum(w)
 
 
 @pytest.mark.parametrize("command, blocked, extra", [("pulse", "rx.csv", ["--set", "k_rays=11"]),
@@ -888,16 +908,6 @@ def test_output_error_removes_the_runs_files(tmp_path, capsys, monkeypatch, comm
 
 
 def test_output_error_removes_the_files_it_wrote(tmp_path, capsys, monkeypatch):
-    def disk_full(*args):
-        raise OSError(28, "No space left on device")
-
-    spectrum = sig.spectrum
-
-    def slow_off_the_main_thread(w):  # the rx transform outlasts the writes
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.2)
-        return spectrum(w)
-
     monkeypatch.setattr(sig, "write_spectrum_csv", disk_full)  # after three waveforms
     monkeypatch.setattr(sig, "spectrum", slow_off_the_main_thread)
     out = tmp_path / "out"
@@ -924,17 +934,63 @@ def test_rerun_onto_a_blocked_target_leaves_the_old_outputs(tmp_path, capsys):
     assert json.loads((out / "report.json").read_text())["scenario"]["k_rays"] == 101
 
 
+def test_failed_rerun_keeps_every_earlier_output(tmp_path, capsys, monkeypatch):
+    # Fails on tx_spectrum.csv, after the three waveforms have been staged.
+    out = tmp_path / "o"
+    assert main(["--command", "pulse", "--set", "k_rays=11", "--out", str(out)]) == 0
+    before = file_hashes(out)
+    monkeypatch.setattr(sig, "write_spectrum_csv", disk_full)
+    capsys.readouterr()
+    assert main(["--command", "pulse", "--set", "k_rays=21", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert file_hashes(out) == before  # no .partial name either
+
+
+def test_outputs_are_staged_until_every_file_is_written(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "o"
+    listings, write = [], sig.write_spectrum_csv
+
+    def listing_write(s, path):
+        listings.append(sorted(p.name for p in out.iterdir()))
+        assert path.parent == out and path.name.startswith(".") and path.suffix == ".partial"
+        write(s, path)
+
+    monkeypatch.setattr(sig, "write_spectrum_csv", listing_write)
+    assert main(["--command", "pulse", "--set", "k_rays=11", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [len(names) for names in listings] == [3, 4]  # the waveforms, then tx_spectrum
+    assert all(n.startswith(".") and n.endswith(".partial") for names in listings for n in names)
+    assert sorted(p.name for p in out.iterdir()) == sorted([*report["files"], "report.json"])
+
+
+def test_a_linked_target_is_replaced_not_written_through(tmp_path, capsys):
+    elsewhere = tmp_path / "elsewhere.csv"
+    elsewhere.write_text("mine")
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "cir.csv").symlink_to(elsewhere)
+    assert main(["--command", "cir", "--set", "k_rays=11", "--out", str(out)]) == 0
+    assert elsewhere.read_text() == "mine"
+    assert not (out / "cir.csv").is_symlink() and (out / "cir.csv").is_file()
+
+
+def test_unsearchable_out_exits_2_and_creates_nothing(tmp_path, capsys, monkeypatch):
+    # Path.exists raises PermissionError under a directory the user cannot search.
+    out = tmp_path / "locked" / "out"
+    exists = Path.exists
+
+    def denied(path, *args, **kwargs):
+        if path.is_relative_to(out):
+            raise PermissionError(13, "Permission denied", str(path))
+        return exists(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "exists", denied)
+    assert main(["--command", "pathloss", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "io"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_error_removes_the_out_it_made(tmp_path, capsys, monkeypatch):
-    def disk_full(*args):
-        raise OSError(28, "No space left on device")
-
-    spectrum = sig.spectrum
-
-    def slow_off_the_main_thread(w):  # the rx transform outlasts the writes
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(0.2)
-        return spectrum(w)
-
     monkeypatch.setattr(sig, "write_spectrum_csv", disk_full)  # after three waveforms
     monkeypatch.setattr(sig, "spectrum", slow_off_the_main_thread)
     out = tmp_path / "new" / "out"
