@@ -14,9 +14,10 @@ recorded with the code "exception" and its traceback.
 Every job's exit code, stdout, stderr and output files are compared byte
 for byte, and so is whether its --out exists, since a failed run must not
 leave even an empty directory.  The jobs that differ are listed, and so is
-every job that leaves a staged .<name>.partial file in either tree, since
-no run may.  The exit status is 0 when every job matches and leaves no
-staged file, 1 otherwise and 2 on a bad argument.
+every job that leaves a staged .<name>.partial file or raises in either
+tree, since no run may, even when both trees do it alike.  The exit status
+is 0 when every job matches, leaves no staged file and raises in neither
+tree, 1 otherwise and 2 on a bad argument.
 """
 
 from __future__ import annotations
@@ -236,8 +237,8 @@ def files(job_dir: Path) -> dict[str, bytes]:
 
 
 def differences(a_dir: Path, a: dict, b_dir: Path, b: dict) -> tuple[dict[str, list[str]], int]:
-    """Job id -> what differs between the two runs of that job, or what either
-    left staged; files compared."""
+    """Job id -> what differs between the two runs of that job, what either
+    left staged and whether either raised; files compared."""
     diff, compared = {}, 0
     for job_id in jobs():
         what = [key for key in ("code", "stdout", "stderr") if a[job_id][key] != b[job_id][key]]
@@ -253,6 +254,9 @@ def differences(a_dir: Path, a: dict, b_dir: Path, b: dict) -> tuple[dict[str, l
         what += [f"{tree} tree leaves {name}"
                  for tree, found in (("this", a_files), ("the other", b_files))
                  for name in found if PurePath(name).match(".*.partial")]
+        what += [f"{tree} tree raises" for tree, result in (("this", a[job_id]),
+                                                           ("the other", b[job_id]))
+                 if result["code"] == "exception"]
         if what:
             diff[job_id] = what
     return diff, compared

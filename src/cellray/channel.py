@@ -77,7 +77,7 @@ class Atoms:
         return Atoms(self.delay_s[mask], self.gain[mask], self.detector_coordinate_um[mask])
 
 
-@dataclass
+@dataclass(eq=False)
 class ImpulseResponse:
     """Discretised h(t): bin k spans times around t0 + k*dt."""
 
@@ -103,7 +103,7 @@ class ImpulseResponse:
         return self.t0 + idx * self.dt, float(self.bins[idx])
 
 
-@dataclass
+@dataclass(eq=False)
 class DetectorMap:
     """Per-ray arrival samples across the detector plane.
 

@@ -4,15 +4,15 @@ Commands (via --command): trace, pathloss, cir, pulse, detector, sweep,
 validate.  Identical scenario files produce byte-identical output files;
 there is no hidden randomness anywhere in the pipeline.
 
-Exit codes: 0 success, 2 validation or input error, 3 physics error (for
-example an empty channel).  Only sweep takes a sweep block, since validate
-judges a sweep by its points and not by the base the others run.  A
-command computes every output before --out is created; run stages every
-file in --out and renames it into place once all are written, so a run
-that exits 2 or 3 leaves --out as it was.  Pulse's received spectrum is
-transformed on a second thread while run writes the other pulse files,
-and run waits for it on every path; if the transform raises, run cleans
-up as for an output error and lets the exception through.
+Exit codes: 0 success; else the error's kind sets it, 3 for a physics
+error (for example an empty channel) and 2 for any other.  Only sweep
+takes a sweep block, since validate judges a sweep by its points and not
+by the base the others run.  A command computes every output before --out
+is created; run stages every file in --out and renames it into place once
+all are written, so a run that exits 2 or 3 leaves --out as it was.
+Pulse's received spectrum is transformed on a second thread while run
+writes the other pulse files, and run waits for it on every path; if the
+transform raises, run cleans up as for an output error and lets it through.
 
 main may run many times in one process, as scripts/run_channel_battery.py
 runs it: every call parses with the one parser _parser builds on first
@@ -54,11 +54,12 @@ Outputs = dict[str, Callable[[Path], None]]
 
 
 class CliError(Exception):
-    def __init__(self, kind: str, detail, exit_code: int):
+    """A rejected input or a failed run, whose kind alone sets main's exit code."""
+
+    def __init__(self, kind: str, detail):
         super().__init__(detail)
         self.kind = kind
         self.detail = detail
-        self.exit_code = exit_code
 
 
 def _fmt(value: float) -> str:
@@ -74,7 +75,7 @@ def _parse_override(text: str):
     """key=value with the value parsed as JSON when possible."""
     key, sep, raw = text.partition("=")
     if not sep:
-        raise CliError("usage", f"--set needs key=value, got {text!r}", 2)
+        raise CliError("usage", f"--set needs key=value, got {text!r}")
     try:
         value = json.loads(raw)
     except (ValueError, RecursionError):  # too deep or too long a value is text too
@@ -89,32 +90,31 @@ def load_scenario(path: str | None, overrides: list[str]) -> cfg.Scenario:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise CliError("io", f"cannot read scenario file: {exc}", 2)
+            raise CliError("io", f"cannot read scenario file: {exc}")
         except UnicodeDecodeError as exc:  # a ValueError too, so it comes first
-            raise CliError("io", f"scenario file is not UTF-8 text: {exc}", 2)
+            raise CliError("io", f"scenario file is not UTF-8 text: {exc}")
         except ValueError as exc:  # not JSON, or an integer over Python's digit limit
-            raise CliError("io", f"scenario file is not valid JSON: {exc}", 2)
+            raise CliError("io", f"scenario file is not valid JSON: {exc}")
         except RecursionError:
-            raise CliError("io", "scenario file nests JSON too deeply to parse", 2)
+            raise CliError("io", "scenario file nests JSON too deeply to parse")
         if not isinstance(data, dict):
-            raise CliError("io", "scenario file must hold a JSON object", 2)
+            raise CliError("io", "scenario file must hold a JSON object")
     for item in overrides:
         key, value = _parse_override(item)
         if key == "sweep" and isinstance(value, str):
             value = _parse_sweep_shorthand(value)
         data[key] = value
     try:
-        scenario = cfg.scenario_from_dict(data)
+        return cfg.scenario_from_dict(data)
     except (ValueError, TypeError) as exc:
-        raise CliError("validation", [str(exc)], 2)
-    return scenario
+        raise CliError("validation", [str(exc)])
 
 
 def _parse_sweep_shorthand(text: str) -> dict:
     """Compact sweep grammar: 'n_cells=1..18' or 'd_l_um=2,5,10'."""
     key, sep, grid = text.partition("=")
     if not sep:
-        raise CliError("usage", f"sweep shorthand needs param=range, got {text!r}", 2)
+        raise CliError("usage", f"sweep shorthand needs param=range, got {text!r}")
     try:
         if ".." in grid:
             lo, _, hi = grid.partition("..")
@@ -122,7 +122,7 @@ def _parse_sweep_shorthand(text: str) -> dict:
         return {"parameter": key.strip(),
                 "values": [float(v) for v in grid.split(",")]}
     except ValueError:
-        raise CliError("usage", f"sweep shorthand needs numbers, got {text!r}", 2)
+        raise CliError("usage", f"sweep shorthand needs numbers, got {text!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +193,7 @@ def _cir(scenario: cfg.Scenario, chan: Channel, key: str) -> ch.ImpulseResponse:
         return ch.build_cir(chan.detected, len(chan.paths),
                             getattr(scenario, key) * 1e-15, gamma)
     except ch.BinOverflow as exc:
-        raise CliError("validation", [f"{key}: {exc}"], 2)
+        raise CliError("validation", [f"{key}: {exc}"])
 
 
 def _sum_in_order(values: np.ndarray | list[float]) -> float:
@@ -343,7 +343,7 @@ def cmd_pulse(scenario: cfg.Scenario,
         raise CliError("validation", [
             f"waveform_dt_fs: convolving {len(tx.samples)} pulse samples with "
             f"{len(cir.bins)} CIR bins exceeds the cap of {cfg.MAX_CONVOLUTION} "
-            "multiply-adds"], 2)
+            "multiply-adds"])
     rx = sig.propagate(tx, cir)
     rx_spectrum = _Background(sig.spectrum, rx)
     background.callback(rx_spectrum.join)
@@ -391,7 +391,7 @@ def cmd_sweep(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
         # Every point's bins are held until the write: all of them share one CIR's cap.
         if (bins := bins + len(cir.bins)) > ch.MAX_CIR_BINS:
             raise CliError("validation", [f"sweep: the CIRs of its first {i + 1} points need "
-                                          f"{bins} bins, over the cap of {ch.MAX_CIR_BINS}"], 2)
+                                          f"{bins} bins, over the cap of {ch.MAX_CIR_BINS}"])
         counts = _counts(chan)
         outputs[f"cir_{i:03d}.csv"] = partial(ch.write_cir_csv, cir)
         rows.append((float(getattr(point, param)), cir.dominant_bin()[0], cir.total_gain(),
@@ -416,9 +416,9 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
         # validate judges a sweep by its points, not by the base the others run.
         raise CliError("validation", ["sweep: command needs a sweep block" if scenario.sweep
                                       is None else f"sweep: {command} takes no sweep block; "
-                                      "run the sweep command, or set sweep=null"], 2)
+                                      "run the sweep command, or set sweep=null"])
     if violations := cfg.validate(scenario):
-        raise CliError("validation", violations, 2)
+        raise CliError("validation", violations)
     # Closed on every path out of run: it waits for the thread pulse starts.
     with contextlib.ExitStack() as background:
         handler = {
@@ -432,14 +432,14 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
         try:
             report, outputs = handler(scenario)
         except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
-            raise CliError("physics", f"{type(exc).__name__}: {exc}", 3)
+            raise CliError("physics", f"{type(exc).__name__}: {exc}")
         report.update(scenario=asdict(scenario), files=list(outputs))
         staged = {name: out / f".{name}.partial" for name in (*outputs, "report.json")}
         created: list[Path] = []  # the directories the run makes, deepest first
         try:
             for path in (out / name for name in staged):
                 if path.exists() and not path.is_file():
-                    raise CliError("io", f"cannot write outputs: {path} is not a regular file", 2)
+                    raise CliError("io", f"cannot write outputs: {path} is not a regular file")
             created = [d for d in (out, *out.parents) if not d.exists()]
             out.mkdir(parents=True, exist_ok=True)
             for name, write in outputs.items():
@@ -459,7 +459,7 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
                 with contextlib.suppress(OSError):
                     directory.rmdir()
             if isinstance(exc, OSError):
-                raise CliError("io", f"cannot write outputs: {exc}", 2)
+                raise CliError("io", f"cannot write outputs: {exc}")
             raise
     return text
 
@@ -495,13 +495,13 @@ def main(argv: list[str] | None = None) -> int:
             violations = cfg.validate(scenario)
             print(json.dumps({"violations": violations}, indent=2))
             if violations:
-                raise CliError("validation", violations, 2)
+                raise CliError("validation", violations)
             return 0
         text = run(args.command, scenario, Path(args.out))
     except CliError as exc:
         record = {"error": exc.kind, "detail": exc.detail}
         print(json.dumps(record, indent=2), file=sys.stderr)
-        return exc.exit_code
+        return 3 if exc.kind == "physics" else 2  # the one map from kind to exit code
     print(text, end="")
     return 0
 

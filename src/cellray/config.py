@@ -10,7 +10,7 @@ functions a scenario feeds take each value from it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from typing import Any, Iterator, Optional
 
@@ -42,6 +42,8 @@ class Rule:
     pulse: bool = False
 
     def type_problem(self, value: Any) -> Optional[str]:
+        if self.kind == "choice" and value not in self.low:
+            return f"must be one of {self.low}, got {value!r}"
         # NaN compares False against every bound: a real must be finite first.
         if self.kind == "integer" and (isinstance(value, bool)
                                        or not isinstance(value, Integral)):
@@ -52,9 +54,7 @@ class Rule:
         return None
 
     def range_problem(self, value: Any) -> Optional[str]:
-        if self.kind == "choice":
-            return None if value in self.low else f"must be one of {self.low}, got {value!r}"
-        if value is None:  # an unset optional key
+        if self.kind == "choice" or value is None:  # judged by type, or an unset optional
             return None
         if value < self.low:
             return f"must be >= {self.low:g}, got {value}"
@@ -185,9 +185,6 @@ class Scenario:
         return Wavelength(nm=self.lambda_nm)
 
 
-_DEFAULTS = asdict(Scenario())  # scenario_from_dict's starting point
-
-
 # The rule of every Scenario key but sweep, in field order.
 SCHEMA: dict[str, Rule] = {f.name: f.metadata["rule"] for f in fields(Scenario)
                            if "rule" in f.metadata}
@@ -206,17 +203,14 @@ def _is_finite_number(value: Any) -> bool:
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     """Build a Scenario from a parsed key tree; unknown keys are rejected.
 
-    Values are not judged here: validate() reports every violation.  Each
-    key's value is read in its canonical form (Rule.coerce).
+    A given key's value is read in its canonical form (Rule.coerce); a key
+    not given keeps its Scenario default.  Values are not judged here:
+    validate() reports every violation.
     """
-    merged = dict(_DEFAULTS)
-    unknown = data.keys() - merged.keys()
-    if unknown:
+    if unknown := data.keys() - SCHEMA.keys() - {"sweep"}:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    merged.update(data)
-    for key, rule in SCHEMA.items():
-        merged[key] = rule.coerce(merged[key])
-    return Scenario(**merged)
+    return Scenario(**{key: SCHEMA[key].coerce(value) if key in SCHEMA else value
+                       for key, value in data.items()})
 
 
 def validate(scenario: Scenario) -> list[str]:
@@ -224,16 +218,14 @@ def validate(scenario: Scenario) -> list[str]:
 
     A scenario is judged as its runs: itself, or a sweep's points, so a
     sweep's base is judged only by its types and grid.  The stages, each once
-    the ones before pass: the types and shape; a sweep's grid; each run's
-    ranges and cross-key rules; the work budget (_budget_problems) on the
-    runs' trace_groups, built once and walked once per group.  A stage over
-    the runs reports the first run that breaks it, as that run alone would.
+    the ones before pass: the types, choices included; a sweep's grid; each
+    run's ranges and cross-key rules; the work budget (_budget_problems) on
+    the runs' trace_groups, built once and walked once per group.  A stage
+    over the runs reports the first run that breaks it, as that run alone would.
     """
     s = scenario
     problems = [(key, problem) for key, rule in SCHEMA.items()
                 if (problem := rule.type_problem(getattr(s, key)))]
-    if s.shape not in SHAPES:  # the shape picks the rows the ranges read
-        problems.append(("shape", SCHEMA["shape"].range_problem(s.shape)))
     if not problems and s.sweep is not None:
         problems = [("sweep", problem) for problem in _sweep_problems(s)]
     if not problems:

@@ -11,6 +11,7 @@ from cellray.channel import (
     CSV_BLOCK_ROWS,
     MIN_RUN_ROWS,
     Atoms,
+    BinOverflow,
     DegenerateFocus,
     DetectorMap,
     EmptyChannel,
@@ -486,6 +487,25 @@ class TestFormatE12:
 
     def test_empty(self):
         assert format_e12([]).shape == (0, 5)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ImpulseResponse(0.0, 0.0, [1.0]), ValueError),
+    (lambda: build_cir(Atoms(np.array([1e-12]), np.array([0.5]), np.zeros(1)), 1, 0.0, None),
+     BinOverflow),
+], ids=["impulse-response-dt-0", "build-cir-dt-0"])
+def test_channel_input_checks(call, error):
+    with pytest.raises(error, match="bin width must be positive"):
+        call()
+
+
+@pytest.mark.parametrize("make", [lambda: ImpulseResponse(0.0, 1.0, [1, 2]),
+                                  lambda: DetectorMap([[0.0, 1.0, 2e-12]])],
+                         ids=["ImpulseResponse", "DetectorMap"])
+def test_array_records_compare_without_raising(make):
+    # Compared as objects: an array field's == has no single truth value.
+    a, b = make(), make()
+    assert (a == a, a == b) == (True, False)
 
 
 @pytest.mark.parametrize("column", [[True], [1 + 2j], np.array([1.0], dtype=object)],

@@ -107,6 +107,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             scenario_from_dict({"dl_um": 5.0})
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Scenario(d_R_um=None, total_um=None).detector_gap_um(),
+         "either d_R_um or total_um must be set"),
+        (lambda: Scenario(shape="hexagonal").build_shape(), "unknown shape 'hexagonal'"),
+    ], ids=["detector-gap-of-no-gap", "build-unknown-shape"])
+    def test_scenario_input_checks(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_derived_detector_gap(self):
         sc = Scenario()
         assert sc.detector_gap_um() == pytest.approx(0.0)
@@ -328,7 +337,7 @@ class TestCliCommands:
         assert record["error"] == "validation"
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("grid", ["n_cells=1..x", "d_l_um=2,five"])
+    @pytest.mark.parametrize("grid", ["n_cells=1..x", "d_l_um=2,five", "n_cells"])
     def test_sweep_shorthand_needs_numbers(self, tmp_path, capsys, grid):
         code = main(["--command", "sweep", "--out", str(tmp_path),
                      "--set", f"sweep={grid}"])
@@ -637,6 +646,10 @@ REJECTED_INPUTS = [
     # 1e-19 s bins, and a 20 cm center line sampled every micrometre.
     ("cir", ["k_rays=11", "cir_dt_fs=1e-4"], "cir_dt_fs"),
     ("pathloss", ["total_um=2e5"], "total_um"),
+    # A lone run's ray-cell charge: 3.6 M ray-cells against 2.5 M.
+    ("cir", ["k_rays=200000"], "k_rays"),
+    ("cir", ["d_R_um=null", "total_um=null"], "d_R_um"),
+    ("sweep", ['sweep={"values": [1]}'], "sweep"),
 ]
 
 
@@ -839,6 +852,16 @@ def _unusable_input(tmp_path: Path, case: str) -> tuple[list[str], str]:
                 "--set", f"k_rays={'1' * 5000}"], "validation"
     elif case == "scenario-int-of-5000-digits":
         scenario.write_text(f'{{"k_rays": {"1" * 5000}}}')
+    elif case == "set-without-equals":
+        return ["--command", "pathloss", "--out", str(tmp_path / "out"), "--set", "foo"], "usage"
+    elif case == "scenario-not-json":
+        scenario.write_text("{")
+    elif case == "scenario-not-an-object":
+        scenario.write_text("[1]")
+    elif case == "scenario-unknown-key":
+        scenario.write_text('{"dl_um": 5}')
+        return ["--command", "pathloss", "--scenario", str(scenario),
+                "--out", str(tmp_path / "out")], "validation"
     return ["--command", "pathloss", "--scenario", str(scenario),
             "--out", str(tmp_path / "out")], "io"
 
@@ -846,7 +869,9 @@ def _unusable_input(tmp_path: Path, case: str) -> tuple[list[str], str]:
 @pytest.mark.parametrize("case", ["out-is-a-file", "out-under-a-file",
                                   "report-json-is-a-directory", "scenario-not-utf8",
                                   "scenario-nested-200k-deep", "set-nested-20k-deep",
-                                  "set-int-of-5000-digits", "scenario-int-of-5000-digits"])
+                                  "set-int-of-5000-digits", "scenario-int-of-5000-digits",
+                                  "set-without-equals", "scenario-not-json",
+                                  "scenario-not-an-object", "scenario-unknown-key"])
 def test_unusable_input_exits_2_without_traceback(tmp_path, case):
     argv, kind = _unusable_input(tmp_path, case)
     src = str(Path(ch.__file__).resolve().parent.parent)

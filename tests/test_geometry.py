@@ -17,6 +17,7 @@ from cellray.geometry import (
     TOL,
     collimated_bundle,
     trace_array,
+    trace_arrays,
 )
 from cellray.optics import Media, Medium
 from conftest import CELL, TISSUE
@@ -51,6 +52,7 @@ class TestShapes:
         assert f.chord_at(15.0) == 0.0
         s = Spherical(10.0)
         assert s.chord_at(0.0) == pytest.approx(20.0)
+        assert s.chord_at(10.0) == 0.0
         p = Pyramidal(30.0, 20.0)
         assert p.chord_at(-15.0) == 0.0  # open interval at the base corners
         assert p.chord_at(0.0) == pytest.approx(10.0)
@@ -60,6 +62,21 @@ class TestShapes:
         layout = ArrayLayout(Fusiform(30.0, 20.0), 18, 5.0, 5.0, 0.0)
         assert layout.total_length == pytest.approx(5 + 18 * 20 + 17 * 5)
         assert layout.cell_entry_x(1) == pytest.approx(30.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ArrayLayout(Spherical(10.0), -1, 5.0, 5.0, 0.0), "n_cells must be >= 0"),
+    (lambda: ArrayLayout(Spherical(10.0), 18, -1.0, 5.0, 0.0), "gaps must be non-negative"),
+    (lambda: ArrayLayout(Spherical(10.0), 18, 5.0, -1.0, 0.0), "gaps must be non-negative"),
+    (lambda: ArrayLayout(Spherical(10.0), 18, 5.0, 5.0, -1.0), "gaps must be non-negative"),
+    (lambda: collimated_bundle(Spherical(10.0), 0), "bundle needs at least one ray"),
+    (lambda: trace_arrays([ArrayLayout(Spherical(10.0), 18, 5.0, 5.0, 0.0)], MEDIA,
+                          np.zeros(0)), "empty ray bundle"),
+], ids=["n-cells-negative", "gap-negative", "source-gap-negative", "detector-gap-negative",
+        "bundle-of-no-ray", "trace-of-no-ray"])
+def test_geometry_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

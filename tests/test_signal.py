@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.signal import hilbert
 
 import cellray
 from cellray.channel import ImpulseResponse, build_cir, contributions
@@ -311,6 +312,27 @@ class TestSpectrum:
             sp = spectrum(w)
             assert sp.amps.tobytes() == np.abs(np.fft.rfft(w.samples)).tobytes()
             assert sp.peak_frequency() == sp.df * int(np.argmax(sp.amps))
+
+
+@pytest.mark.parametrize("n", [8, 9, 160, 161])
+def test_envelope_is_the_analytic_signal_magnitude(tx, n):
+    # Every pulse has an odd sample count: the even ones take envelope's other branch.
+    start = (len(tx.samples) - n) // 2
+    w = Waveform(0.0, DT, tx.samples[start:start + n])
+    expected = np.abs(hilbert(w.samples))
+    assert np.abs(envelope(w) - expected).max() <= 1e-12 * expected.max()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gaussian_pulse(1.0, 0.0, LAM, DT), "tau must be positive"),
+    (lambda: received_pulse(gaussian_pulse(1.0, TAU, LAM, DT), -1e-15, 1.0),
+     "delay must be non-negative"),
+    (lambda: estimate_channel(Waveform(0.0, DT, np.ones(4)), Waveform(0.0, 2 * DT, np.ones(4))),
+     "waveforms must share one sample step"),
+], ids=["pulse-tau-0", "received-pulse-negative-delay", "estimate-unequal-steps"])
+def test_signal_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_waveform_validation():
