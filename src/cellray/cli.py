@@ -10,9 +10,8 @@ takes a sweep block, since validate judges a sweep by its points and not
 by the base the others run.  A command computes every output before --out
 is created; run stages every file in --out and renames it into place once
 all are written, so a run that exits 2 or 3 leaves --out as it was.
-Pulse's received spectrum is transformed on a second thread while run
-writes the other pulse files, and run waits for it on every path; if the
-transform raises, run cleans up as for an output error and lets it through.
+No command starts a thread: a second one gained pulse no time, because
+the CSV writer slows while numpy computes on the other core (README).
 
 main may run many times in one process, as scripts/run_channel_battery.py
 runs it: every call parses with the one parser _parser builds on first
@@ -31,7 +30,6 @@ import json
 import math
 import os
 import sys
-import threading
 from dataclasses import asdict, dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -300,41 +298,7 @@ def cmd_cir(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
                     "pdp.csv": partial(ch.write_pdp_csv, ch.power_delay_profile(cir))}
 
 
-class _Background(threading.Thread):
-    """fn(*args) on a thread of its own, started at construction.
-
-    result() waits for the thread, then returns fn's value or raises its
-    exception.
-    """
-
-    def __init__(self, fn: Callable, *args) -> None:
-        super().__init__()
-        self._fn = partial(fn, *args)
-        self._outcome: tuple = (None, None)  # (fn's value, its exception)
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self._outcome = (self._fn(), None)
-        except BaseException as exc:  # raised again by result(), on the caller's thread
-            self._outcome = (None, exc)
-
-    def result(self):
-        self.join()
-        value, error = self._outcome
-        if error is not None:
-            raise error
-        return value
-
-
-def cmd_pulse(scenario: cfg.Scenario,
-              background: contextlib.ExitStack) -> tuple[dict, Outputs]:
-    """The pulse outputs; rx_spectrum.csv's writer also sets rx_peak_frequency_hz.
-
-    The received spectrum is transformed on a second thread while the rest
-    is computed and the files before rx_spectrum.csv are written; closing
-    background, which run holds open until its files are written, waits for it.
-    """
+def cmd_pulse(scenario: cfg.Scenario) -> tuple[dict, Outputs]:
     tau, dt = scenario.pulse_grid_s()
     tx = sig.gaussian_pulse(scenario.e0, tau, scenario.build_wavelength(), dt)
     chan = _channel(scenario)
@@ -345,27 +309,20 @@ def cmd_pulse(scenario: cfg.Scenario,
             f"{len(cir.bins)} CIR bins exceeds the cap of {cfg.MAX_CONVOLUTION} "
             "multiply-adds"])
     rx = sig.propagate(tx, cir)
-    rx_spectrum = _Background(sig.spectrum, rx)
-    background.callback(rx_spectrum.join)
+    tx_spectrum, rx_spectrum = sig.spectrum(tx), sig.spectrum(rx)
     dominant_delay, _ = cir.dominant_bin()
     summary = sig.received_pulse(tx, dominant_delay, cir.total_gain())
-    tx_spectrum = sig.spectrum(tx)
     report = _base_report(scenario, chan)
     report["tx_peak_power"] = float(sig.envelope(tx).max() ** 2)
     report["rx_summary_peak_power"] = float(sig.envelope(summary).max() ** 2)
     report["tx_peak_frequency_hz"] = tx_spectrum.peak_frequency()
-
-    def write_rx_spectrum(path: Path) -> None:
-        spectrum = rx_spectrum.result()
-        report["rx_peak_frequency_hz"] = spectrum.peak_frequency()
-        sig.write_spectrum_csv(spectrum, path)
-
+    report["rx_peak_frequency_hz"] = rx_spectrum.peak_frequency()
     return report, {
         "tx.csv": partial(sig.write_waveform_csv, tx),
         "rx.csv": partial(sig.write_waveform_csv, rx),
         "rx_summary.csv": partial(sig.write_waveform_csv, summary),
         "tx_spectrum.csv": partial(sig.write_spectrum_csv, tx_spectrum),
-        "rx_spectrum.csv": write_rx_spectrum,
+        "rx_spectrum.csv": partial(sig.write_spectrum_csv, rx_spectrum),
     }
 
 
@@ -419,48 +376,45 @@ def run(command: str, scenario: cfg.Scenario, out: Path) -> str:
                                       "run the sweep command, or set sweep=null"])
     if violations := cfg.validate(scenario):
         raise CliError("validation", violations)
-    # Closed on every path out of run: it waits for the thread pulse starts.
-    with contextlib.ExitStack() as background:
-        handler = {
-            "trace": cmd_trace,
-            "pathloss": cmd_pathloss,
-            "cir": cmd_cir,
-            "pulse": partial(cmd_pulse, background=background),
-            "detector": cmd_detector,
-            "sweep": cmd_sweep,
-        }[command]
-        try:
-            report, outputs = handler(scenario)
-        except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
-            raise CliError("physics", f"{type(exc).__name__}: {exc}")
-        report.update(scenario=asdict(scenario), files=list(outputs))
-        staged = {name: out / f".{name}.partial" for name in (*outputs, "report.json")}
-        created: list[Path] = []  # the directories the run makes, deepest first
-        try:
-            for path in (out / name for name in staged):
-                if path.exists() and not path.is_file():
-                    raise CliError("io", f"cannot write outputs: {path} is not a regular file")
-            created = [d for d in (out, *out.parents) if not d.exists()]
-            out.mkdir(parents=True, exist_ok=True)
-            for name, write in outputs.items():
-                write(staged[name])
-            # Encoded after the writers, one of which may complete the report.
-            text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-            staged["report.json"].write_text(text)
-            # A kill or a failed rename from here on leaves no report.json.
-            (out / "report.json").unlink(missing_ok=True)
-            for name, path in staged.items():
-                os.replace(path, out / name)
-        except BaseException as exc:  # an output error, or pulse's transform failed
-            for path in staged.values():
-                with contextlib.suppress(OSError):
-                    path.unlink()
-            for directory in created:
-                with contextlib.suppress(OSError):
-                    directory.rmdir()
-            if isinstance(exc, OSError):
-                raise CliError("io", f"cannot write outputs: {exc}")
-            raise
+    handler = {
+        "trace": cmd_trace,
+        "pathloss": cmd_pathloss,
+        "cir": cmd_cir,
+        "pulse": cmd_pulse,
+        "detector": cmd_detector,
+        "sweep": cmd_sweep,
+    }[command]
+    try:
+        report, outputs = handler(scenario)
+    except (ch.EmptyChannel, ch.DegenerateFocus, sig.UnderResolved, BeyondPole) as exc:
+        raise CliError("physics", f"{type(exc).__name__}: {exc}")
+    report.update(scenario=asdict(scenario), files=list(outputs))
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    staged = {name: out / f".{name}.partial" for name in (*outputs, "report.json")}
+    created: list[Path] = []  # the directories the run makes, deepest first
+    try:
+        for path in (out / name for name in staged):
+            if path.exists() and not path.is_file():
+                raise CliError("io", f"cannot write outputs: {path} is not a regular file")
+        created = [d for d in (out, *out.parents) if not d.exists()]
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in outputs.items():
+            write(staged[name])
+        staged["report.json"].write_text(text)
+        # A kill or a failed rename from here on leaves no report.json.
+        (out / "report.json").unlink(missing_ok=True)
+        for name, path in staged.items():
+            os.replace(path, out / name)
+    except BaseException as exc:  # an output error, or any other exception or interrupt
+        for path in staged.values():
+            with contextlib.suppress(OSError):
+                path.unlink()
+        for directory in created:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        if isinstance(exc, OSError):
+            raise CliError("io", f"cannot write outputs: {exc}")
+        raise
     return text
 
 

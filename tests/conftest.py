@@ -20,7 +20,11 @@ def forget_last_channel():
 
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
-    """Fail a test that leaves a non-daemon thread it started still running."""
+    """Fail a test that leaves a non-daemon thread it started still running.
+
+    No command starts a thread; this keeps one that a later change starts
+    from outliving its run unnoticed.
+    """
     before = set(threading.enumerate())
     yield
     left = [t for t in threading.enumerate() if t not in before and not t.daemon]

@@ -900,13 +900,6 @@ def disk_full(*args):
     raise OSError(28, "No space left on device")
 
 
-def slow_off_the_main_thread(w, spectrum=sig.spectrum):
-    """sig.spectrum, 0.2 s late off the main thread: the rx transform outlasts the writes."""
-    if threading.current_thread() is not threading.main_thread():
-        time.sleep(0.2)
-    return spectrum(w)
-
-
 @pytest.mark.parametrize("command, blocked, extra", [("pulse", "rx.csv", ["--set", "k_rays=11"]),
                                                    ("pathloss", "report.json", [])])
 def test_output_error_removes_the_runs_files(tmp_path, capsys, monkeypatch, command,
@@ -924,9 +917,7 @@ def test_output_error_removes_the_runs_files(tmp_path, capsys, monkeypatch, comm
         return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", recording_open)
-    threads = set(threading.enumerate())
     assert main(["--command", command, "--out", str(out), *extra]) == 2
-    assert set(threading.enumerate()) <= threads  # pulse's spectrum thread ended with main
     assert json.loads(capsys.readouterr().err)["error"] == "io"
     assert written == []
     assert sorted(p.name for p in out.iterdir()) == sorted([blocked, "notes.txt"])
@@ -934,13 +925,10 @@ def test_output_error_removes_the_runs_files(tmp_path, capsys, monkeypatch, comm
 
 def test_output_error_removes_the_files_it_wrote(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sig, "write_spectrum_csv", disk_full)  # after three waveforms
-    monkeypatch.setattr(sig, "spectrum", slow_off_the_main_thread)
     out = tmp_path / "out"
     out.mkdir()
     (out / "notes.txt").write_text("kept")
-    threads = set(threading.enumerate())
     assert main(["--command", "pulse", "--out", str(out), "--set", "k_rays=11"]) == 2
-    assert set(threading.enumerate()) <= threads  # the rx spectrum's thread was joined
     assert json.loads(capsys.readouterr().err)["error"] == "io"
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
     assert (out / "notes.txt").read_text() == "kept"
@@ -1017,11 +1005,8 @@ def test_unsearchable_out_exits_2_and_creates_nothing(tmp_path, capsys, monkeypa
 
 def test_output_error_removes_the_out_it_made(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sig, "write_spectrum_csv", disk_full)  # after three waveforms
-    monkeypatch.setattr(sig, "spectrum", slow_off_the_main_thread)
     out = tmp_path / "new" / "out"
-    threads = set(threading.enumerate())
     assert main(["--command", "pulse", "--out", str(out), "--set", "k_rays=11"]) == 2
-    assert set(threading.enumerate()) <= threads  # the rx spectrum's thread was waited for
     assert json.loads(capsys.readouterr().err)["error"] == "io"
     assert list(tmp_path.iterdir()) == []
 
@@ -1045,11 +1030,33 @@ def test_rx_transform_error_removes_the_out_it_made(tmp_path, monkeypatch):
     monkeypatch.setattr(sig, "propagate", keep_rx)
     monkeypatch.setattr(sig, "spectrum", fail_on_rx)
     out = tmp_path / "new" / "out"
-    threads = set(threading.enumerate())
     with pytest.raises(TransformFailed):
         main(["--command", "pulse", "--out", str(out), "--set", "k_rays=11"])
-    assert set(threading.enumerate()) <= threads
     assert list(tmp_path.iterdir()) == []
+
+
+def test_pulse_runs_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    def no_thread(thread):
+        raise AssertionError(f"a thread was started: {thread}")
+
+    received, transformed = [], []
+    propagate, spectrum = sig.propagate, sig.spectrum
+
+    def keep_rx(*args):
+        received.append(propagate(*args))
+        return received[-1]
+
+    def recording_spectrum(w):
+        transformed.append((w, threading.current_thread()))
+        return spectrum(w)
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(sig, "propagate", keep_rx)
+    monkeypatch.setattr(sig, "spectrum", recording_spectrum)
+    assert main(["--command", "pulse", "--out", str(tmp_path / "o"), "--set", "k_rays=11"]) == 0
+    [rx] = received
+    assert [w is rx for w, _ in transformed] == [False, True]  # tx, then rx
+    assert all(thread is threading.main_thread() for _, thread in transformed)
 
 
 @given(st.lists(st.floats()))
